@@ -91,6 +91,7 @@ class MeasurementDataset:
     sampler: OperatorSampler
     measurements: tuple[ProjectedMeasurement, ...]
     provenance: str = "from-p-samples"
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         meas = tuple(self.measurements)
@@ -114,7 +115,12 @@ class MeasurementDataset:
         return len(self.measurements)
 
     def operators(self) -> list[MeasurementOperator]:
-        return [sample_operator(self.sampler, m.op_index) for m in self.measurements]
+        """Each measurement's operator; every distinct op_index is drawn once."""
+        cache = self._operators
+        for m in self.measurements:
+            if m.op_index not in cache:
+                cache[m.op_index] = sample_operator(self.sampler, m.op_index)
+        return [cache[m.op_index] for m in self.measurements]
 
     @classmethod
     def from_samples(

@@ -14,11 +14,23 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .rng import as_rng
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def _logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """log(sum(exp(a))) along axis, shifted by the max for stability.
+
+    A row whose max is not finite is shifted by 0, so an all -inf row gives
+    -inf and -inf entries (zero-weight components) contribute nothing.
+    """
+    shift = np.max(a, axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
+    return out if keepdims else np.squeeze(out, axis=axis)
 
 
 @dataclass(frozen=True)
@@ -169,7 +181,7 @@ def log_density(gmm: GaussianMixture, x, sigma: float = 0.0):
     """
     pts, single = _as_points(gmm, x)
     comp, _, _ = _component_log_densities(gmm, pts, sigma)
-    out = logsumexp(comp, axis=1)
+    out = _logsumexp(comp, axis=1)
     return float(out[0]) if single else out
 
 
@@ -177,7 +189,7 @@ def responsibilities(gmm: GaussianMixture, x, sigma: float = 0.0):
     """Posterior component probabilities at noise level sigma, shape (N, K)."""
     pts, single = _as_points(gmm, x)
     comp, _, _ = _component_log_densities(gmm, pts, sigma)
-    r = np.exp(comp - logsumexp(comp, axis=1, keepdims=True))
+    r = np.exp(comp - _logsumexp(comp, axis=1, keepdims=True))
     return r[0] if single else r
 
 
@@ -190,7 +202,7 @@ def score(gmm: GaussianMixture, x, sigma: float = 0.0):
     """
     pts, single = _as_points(gmm, x)
     comp, var, diff = _component_log_densities(gmm, pts, sigma)
-    r = np.exp(comp - logsumexp(comp, axis=1, keepdims=True))  # (N, K)
+    r = np.exp(comp - _logsumexp(comp, axis=1, keepdims=True))  # (N, K)
     out = np.einsum("nk,nki->ni", r, diff / var[None, :, None])
     return out[0] if single else out
 

@@ -16,6 +16,13 @@ from scoreshift import (
     sample,
 )
 from scoreshift.adaptation import _initial_params, _pack_loss, _split_params, fd_gradient
+from scoreshift.adaptation import _pack_loss_and_grad
+from scoreshift.measurements import (
+    OperatorSampler,
+    dense_orthogonal_basis,
+    hadamard_basis,
+    identity_basis,
+)
 from scoreshift.measurements import BasisMismatch, ProjectionStats
 from scoreshift.priors import gaussian_pair, triangle_pair
 from scoreshift.rng import stream
@@ -118,6 +125,48 @@ class TestFiniteDifferenceGradient:
                 stencil[i] = (-f(2 * h) + 8 * f(h) - 8 * f(-h) + f(-2 * h)) / (12 * h)
             rel = np.abs(central - stencil) / np.maximum(np.abs(stencil), 1e-12)
             assert rel.max() < 1e-3
+
+
+class TestClosedFormGradient:
+    @pytest.mark.parametrize("basis_kind", ["identity", "dense", "hadamard"])
+    def test_closed_form_gradient_matches_fd(self, basis_kind):
+        dim = 8
+        p, q3 = triangle_pair(dim)
+        q1 = GaussianMixture(weights=np.ones(1), means=q3.means[:1], variances=q3.variances[:1])
+        basis = {
+            "identity": identity_basis(dim),
+            "dense": dense_orthogonal_basis(dim, 4),
+            "hadamard": hadamard_basis(dim),
+        }[basis_kind]
+        sampler = OperatorSampler(
+            kind="coordinate-mask", dim=dim, basis=basis, base_seed=5, keep_prob=0.6
+        )
+        stats = estimate_projection_stats(sampler, 256)
+        draws = sample(p, 32, stream(60, "data-x"))
+        data = MeasurementDataset.from_samples(sampler, draws, seed=60)
+        ybar = np.stack([m.ybar for m in data.measurements])
+        masks = np.stack([op.projection_diag for op in data.operators()])
+        sigmas = np.geomspace(1e-2, 1e3, 6)
+        eps = stream(61, "grad").standard_normal((sigmas.size,) + ybar.shape)
+        for q in (q1, q3):
+            for train_weights in (False, True):
+
+                def loss_at(params, q=q, train_weights=train_weights):
+                    mix = _split_params(params, q, train_weights)
+                    return _pack_loss(mix, ybar, masks, basis, stats.w_diag, sigmas, eps)
+
+                params = _initial_params(q, train_weights)
+                loss, grad = _pack_loss_and_grad(
+                    q, ybar, masks, basis, stats.w_diag, sigmas, eps, train_weights
+                )
+                assert loss == pytest.approx(loss_at(params), rel=1e-12)
+                reference = fd_gradient(loss_at, params, 1e-3)
+                assert grad.shape == reference.shape
+                # central differences err by an absolute h^2 * (third
+                # derivative) per entry, so the tolerance is taken relative
+                # to the gradient's largest entry
+                scale = np.abs(reference).max()
+                assert np.abs(grad - reference).max() <= 1e-6 * scale
 
 
 class TestAdaptationConfig:

@@ -18,8 +18,9 @@ from scoreshift import (
     rotate,
     sample,
 )
+from scoreshift import estimators
 from scoreshift.estimators import KlEstimate
-from scoreshift.measurements import BasisMismatch
+from scoreshift.measurements import BasisMismatch, sample_operator
 from scoreshift.priors import gaussian_pair, triangle_pair
 from scoreshift.rng import stream
 from tests.conftest import mask_sampler
@@ -247,6 +248,28 @@ class TestMeasurementDataset:
         data = MeasurementDataset.from_samples(sampler, draws, seed=28, n_operators=4)
         indices = {m.op_index for m in data.measurements}
         assert indices == {0, 1, 2, 3}
+
+    def test_operators_drawn_once_per_index(self, toy_pair, monkeypatch):
+        p, _ = toy_pair
+        sampler = mask_sampler(dim=10, keep_prob=0.5, base_seed=7)
+        draws = sample(p, 12, stream(29, "data-x"))
+        data = MeasurementDataset.from_samples(sampler, draws, seed=29, n_operators=4)
+        drawn = []
+
+        def counting(s, index):
+            drawn.append(index)
+            return sample_operator(s, index)
+
+        monkeypatch.setattr(estimators, "sample_operator", counting)
+        first = data.operators()
+        second = data.operators()
+        assert sorted(drawn) == [0, 1, 2, 3]
+        for ops in (first, second):
+            assert len(ops) == len(data)
+            for m, op in zip(data.measurements, ops):
+                fresh = sample_operator(sampler, m.op_index)
+                assert op.operator_id == fresh.operator_id
+                np.testing.assert_array_equal(op.singular_values, fresh.singular_values)
 
     def test_empty_rejected(self):
         sampler = mask_sampler(dim=4)

@@ -127,6 +127,25 @@ class TestLogDensity:
         with pytest.raises(ValueError, match="dim"):
             log_density(toy_pair[0], np.zeros(4), 0.0)
 
+    def test_zero_weight_component_and_far_points(self):
+        # oracle: numpy's pairwise logaddexp over the per-component terms
+        mix = GaussianMixture(
+            weights=np.array([0.0, 0.25, 0.75]),
+            means=np.array([[0.0, 0.0], [1e3, -1e3], [-2.0, 3.0]]),
+            variances=np.array([1.0, 0.5, 2.0]),
+        )
+        x = np.array([[0.0, 0.0], [1e4, 1e4], [-3e3, 5e2], [1e3, -1e3]])
+        r = responsibilities(mix, x, 0.1)
+        assert np.all(np.isfinite(r))
+        np.testing.assert_allclose(r.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(r[:, 0] == 0.0)
+        var = mix.variances + 0.1**2
+        sq = ((mix.means[None, :, :] - x[:, None, :]) ** 2).sum(axis=2)
+        with np.errstate(divide="ignore"):
+            comp = np.log(mix.weights) - np.log(2 * np.pi * var) - 0.5 * sq / var
+        expected = np.logaddexp.reduce(comp, axis=1)
+        np.testing.assert_allclose(log_density(mix, x, 0.1), expected, rtol=1e-12)
+
 
 class TestScore:
     def test_single_gaussian_score_is_negative_x(self):
