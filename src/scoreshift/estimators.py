@@ -137,13 +137,16 @@ class MeasurementDataset:
         limited pool of operators should be reused) and measurement noise
         from the stream (seed, "meas-z", i), so datasets built at different
         sigma_z from the same seed share their x draws and noise shapes.
+        Each distinct operator index is drawn once.
         """
         pts = points.points if isinstance(points, SampleBatch) else np.atleast_2d(points)
+        ops = {}
         meas = []
         for i, x in enumerate(pts):
             idx = i if n_operators is None else i % n_operators
-            op = sample_operator(sampler, idx)
-            meas.append(to_projected(op, x, sigma_z, stream(seed, _DATA_Z_TAG, i)))
+            if idx not in ops:
+                ops[idx] = sample_operator(sampler, idx)
+            meas.append(to_projected(ops[idx], x, sigma_z, stream(seed, _DATA_Z_TAG, i)))
         return cls(sampler=sampler, measurements=tuple(meas))
 
     def to_dict(self) -> dict:

@@ -280,7 +280,9 @@ def _versions() -> dict:
     }
 
 
-def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport:
+def run(
+    config: dict, out_dir=None, workers: int = 1, dataset=None, stats=None
+) -> RunReport:
     """Execute one validated config; optionally write report and CSV files.
 
     Outputs (when out_dir is given): report.json, one integrand_<mode>.csv
@@ -290,6 +292,10 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
         dataset: pre-acquired MeasurementDataset to use instead of drawing
             one from the config (its sampler must match the config's);
             sweep uses this to measure the same draws across runs.
+        stats: ProjectionStats from an earlier run, reused when they were
+            estimated for this config's sampler with its stats_draws and
+            re-estimated otherwise; sweep passes each run's stats on to
+            the next, so axes that keep the sampler estimate E[P] once.
     """
     validate_config(config)
     started = time.perf_counter()
@@ -301,7 +307,6 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
     report = RunReport(config_hash=config_hash(config), seed=seed, versions=_versions())
 
     data = None
-    stats = None
     meas_cfg = config.get("measurement")
     needs_data = "measurement" in wanted or "invertible" in wanted or "adaptation" in config
     if needs_data and not meas_cfg:
@@ -312,9 +317,13 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
         sampler = _build_sampler(meas_cfg["sampler"])
         if sampler.dim != p.dim:
             raise ConfigError(f"sampler dim {sampler.dim} != mixture dim {p.dim}")
-        stats = estimate_projection_stats(
-            sampler, meas_cfg.get("stats_draws", DEFAULT_STATS_DRAWS)
-        )
+        stats_draws = meas_cfg.get("stats_draws", DEFAULT_STATS_DRAWS)
+        if (
+            stats is None
+            or stats.sampler_id != sampler.fingerprint()
+            or stats.draws_used != stats_draws
+        ):
+            stats = estimate_projection_stats(sampler, stats_draws)
         report.projection_stats = stats
         if dataset is not None:
             if dataset.sampler.fingerprint() != sampler.fingerprint():
@@ -393,7 +402,8 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
     every run, so the axis isolates what it varies: keep_prob changes only
     the masks, sigma_z only the measurement noise, n_measurements only how
     many of the shared draws are used. The per-run seed (recorded in each
-    report) is base seed + index.
+    report) is base seed + index. E[P] is estimated once per distinct
+    sampler: the sigma_z and n_measurements axes share one estimate.
 
     Returns (reports, summary_rows) where each summary row is
     (axis_value, kl_measurement, kl_image, abs_gap).
@@ -421,6 +431,7 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
 
     reports = []
     rows = []
+    stats = None
     for i, value in enumerate(values):
         variant = json.loads(json.dumps(config))
         n_meas = base_n
@@ -445,7 +456,8 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
             n_operators=variant["measurement"].get("n_operators"),
         )
         sub = Path(out_dir) / f"{axis}={value}" if out_dir is not None else None
-        report = run(variant, sub, workers, dataset=data)
+        report = run(variant, sub, workers, dataset=data, stats=stats)
+        stats = report.projection_stats
         reports.append(report)
         km = report.estimates["measurement"].value
         ki = report.estimates["image"].value

@@ -203,7 +203,10 @@ def score(gmm: GaussianMixture, x, sigma: float = 0.0):
     pts, single = _as_points(gmm, x)
     comp, var, diff = _component_log_densities(gmm, pts, sigma)
     r = np.exp(comp - _logsumexp(comp, axis=1, keepdims=True))  # (N, K)
-    out = np.einsum("nk,nki->ni", r, diff / var[None, :, None])
+    # in place: diff is this call's own temporary, so no second (N, K, n)
+    # array is allocated; the quotient is the same bit for bit
+    diff /= var[None, :, None]
+    out = np.einsum("nk,nki->ni", r, diff)
     return out[0] if single else out
 
 

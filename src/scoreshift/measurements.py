@@ -14,6 +14,7 @@ estimation stops with SpanViolation rather than silently extrapolating.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -32,26 +33,35 @@ class BasisMismatch(ValueError):
     """Raised when measurements from different right bases are combined."""
 
 
-def fwht(x: np.ndarray) -> np.ndarray:
-    """Orthonormal fast Walsh-Hadamard transform along the last axis.
+@functools.lru_cache(maxsize=None)
+def _sylvester(size: int) -> np.ndarray:
+    """Unnormalized Sylvester Hadamard matrix of a power-of-two size (read-only)."""
+    h = np.ones((1, 1))
+    while h.shape[0] < size:
+        h = np.block([[h, h], [h, -h]])
+    h.setflags(write=False)
+    return h
 
-    Length must be a power of two. The transform is symmetric and
-    orthogonal, so it is its own inverse.
+
+def fwht(x: np.ndarray) -> np.ndarray:
+    """Orthonormal Walsh-Hadamard transform along the last axis.
+
+    Length n must be a power of two. The transform applies the Sylvester
+    matrix H_n / sqrt(n) (natural order), so it is symmetric, orthogonal
+    and its own inverse. H_n factors as H_a (x) H_b with a = 2^floor(log2(n)/2)
+    and b = n / a, so each row is reshaped to an (a, b) block X and mapped
+    to H_a X H_b: two small matrix products instead of log2(n) butterfly
+    passes over the whole batch. The input is never written to.
     """
-    x = np.array(x, dtype=float, copy=True)
+    x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     if n & (n - 1) or n == 0:
         raise ValueError(f"Walsh-Hadamard length must be a power of two, got {n}")
-    h = 1
-    while h < n:
-        shape = x.shape[:-1] + (n // (2 * h), 2, h)
-        blocks = x.reshape(shape)
-        a = blocks[..., 0, :].copy()
-        b = blocks[..., 1, :].copy()
-        blocks[..., 0, :] = a + b
-        blocks[..., 1, :] = a - b
-        h *= 2
-    return x.reshape(x.shape) / math.sqrt(n)
+    a = 1 << ((n.bit_length() - 1) // 2)
+    b = n // a
+    y = _sylvester(a) @ (x.reshape(-1, a, b) @ _sylvester(b))
+    y /= math.sqrt(n)
+    return y.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -59,8 +69,10 @@ class RightBasis:
     """Orthogonal transform handle on R^n shared by an operator family.
 
     kind is one of "identity", "dense" (explicit orthogonal matrix) or
-    "hadamard" (fast Walsh-Hadamard, power-of-two n). forward applies V,
-    inverse applies V^T; both accept (n,) vectors or (N, n) batches.
+    "hadamard" (orthonormal Sylvester Walsh-Hadamard via fwht, power-of-two
+    n; V = V^T). forward applies V, inverse applies V^T; both accept (n,)
+    vectors or (N, n) batches and return a new array, leaving the input
+    untouched.
     """
 
     kind: str

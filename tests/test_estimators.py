@@ -277,6 +277,23 @@ class TestMeasurementDataset:
             MeasurementDataset(sampler=sampler, measurements=())
 
 
+
+class TestFromSamplesOperatorDraws:
+    def test_each_operator_index_drawn_once(self, toy_pair, monkeypatch):
+        p, _ = toy_pair
+        sampler = mask_sampler(dim=10, keep_prob=0.5, base_seed=7)
+        draws = sample(p, 12, stream(30, "data-x"))
+        drawn = []
+
+        def counting(s, index):
+            drawn.append(index)
+            return sample_operator(s, index)
+
+        monkeypatch.setattr(estimators, "sample_operator", counting)
+        data = MeasurementDataset.from_samples(sampler, draws, seed=30, n_operators=4)
+        assert sorted(drawn) == [0, 1, 2, 3]
+        assert [m.op_index for m in data.measurements] == [i % 4 for i in range(12)]
+
 class TestKlEstimateRecord:
     def test_to_dict_round_trips_key_fields(self, toy_pair, toy_grid):
         p, q = toy_pair

@@ -205,6 +205,20 @@ class TestScore:
             assert abs(np.linalg.norm(lhs) - np.linalg.norm(rhs)) < 1e-10
 
 
+
+class TestScoreKernel:
+    def test_three_components_match_literal_form_bit_for_bit(self, toy_pair):
+        p, _ = toy_pair
+        sigma = 0.7
+        pts = sample(p, 64, stream(4, "kernel-x")).points
+        pts = pts + sigma * stream(4, "kernel-eps").standard_normal(pts.shape)
+        diff = p.means[None, :, :] - pts[:, None, :]
+        var = p.variances + sigma**2
+        literal = np.einsum(
+            "nk,nki->ni", responsibilities(p, pts, sigma), diff / var[None, :, None]
+        )
+        np.testing.assert_array_equal(score(p, pts, sigma), literal)
+
 class TestDenoise:
     def test_sigma_zero_rejected_by_default(self, toy_pair):
         with pytest.raises(ValueError, match="sigma=0"):

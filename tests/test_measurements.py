@@ -48,6 +48,33 @@ class TestWalshHadamard:
             np.testing.assert_allclose(together[i], fwht(batch[i]), atol=1e-13)
 
 
+
+class TestKroneckerWalshHadamard:
+    @pytest.mark.parametrize("n", [2**k for k in range(11)])
+    def test_matches_kron_built_sylvester(self, n):
+        h = np.ones((1, 1))
+        while h.shape[0] < n:
+            h = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]), h)
+        np.testing.assert_allclose(fwht(np.eye(n)), h / np.sqrt(n), rtol=0, atol=1e-14)
+
+    def test_leading_axes_give_the_same_rows(self):
+        rng = stream(2, "fwht-axes")
+        cube = rng.standard_normal((2, 3, 64))
+        flat = fwht(cube.reshape(6, 64))
+        np.testing.assert_array_equal(fwht(cube).reshape(6, 64), flat)
+        for i, row in enumerate(cube.reshape(6, 64)):
+            np.testing.assert_array_equal(fwht(row), flat[i])
+
+    def test_read_only_input_left_unchanged(self):
+        x = stream(3, "fwht-ro").standard_normal((4, 256))
+        x.setflags(write=False)
+        before = x.copy()
+        basis = hadamard_basis(256)
+        for y in (fwht(x), basis.forward(x), basis.inverse(x)):
+            assert y is not x and y.flags.writeable
+            np.testing.assert_array_equal(x, before)
+        np.testing.assert_allclose(basis.inverse(basis.forward(x)), before, atol=1e-13)
+
 class TestRightBasis:
     def test_identity_round_trip(self):
         b = identity_basis(8)
