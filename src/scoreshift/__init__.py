@@ -33,17 +33,14 @@ from .measurements import (
     BasisMismatch,
     MeasurementOperator,
     OperatorSampler,
-    ProjectedMeasurement,
     ProjectionStats,
     RightBasis,
     SpanViolation,
-    add_diffusion_noise,
     dense_orthogonal_basis,
     estimate_projection_stats,
     fwht,
     hadamard_basis,
     identity_basis,
-    lift,
     sample_operator,
     to_projected,
 )
@@ -69,14 +66,12 @@ __all__ = [
     "MeasurementDataset",
     "MeasurementOperator",
     "OperatorSampler",
-    "ProjectedMeasurement",
     "ProjectionStats",
     "RightBasis",
     "SampleBatch",
     "SigmaGrid",
     "SpanViolation",
     "adapt",
-    "add_diffusion_noise",
     "convolve",
     "cumulative_integral",
     "denoise",
@@ -92,7 +87,6 @@ __all__ = [
     "kl_image",
     "kl_invertible",
     "kl_measurement",
-    "lift",
     "log_density",
     "make_log_grid",
     "responsibilities",

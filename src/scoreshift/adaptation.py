@@ -48,9 +48,7 @@ class AdaptationConfig:
     sigma draws per step are log-uniform over sigma_range (defaulting to
     the diagnostic grid's range inside adapt). shared_mask_batches groups
     each minibatch by a single operator, for datasets where operators are
-    reused across measurements. fd_step is validated but has no effect on
-    adapt, whose gradient is exact; it is kept only so existing configs and
-    tests load.
+    reused across measurements.
     """
 
     trainable: str = "means-only"
@@ -59,7 +57,6 @@ class AdaptationConfig:
     iterations: int = 200
     batch: int = 32
     sigma_draws: int = 8
-    fd_step: float = 1e-3
     seed: int = 0
     sigma_range: tuple[float, float] | None = None
     plateau_rel: float = 0.005
@@ -74,8 +71,6 @@ class AdaptationConfig:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.step_size <= 0:
             raise ValueError("step_size must be > 0")
-        if not (1e-6 <= self.fd_step <= 1e-2):
-            raise ValueError("fd_step must lie in [1e-6, 1e-2]")
         if self.iterations < 1:
             raise ValueError("iteration cap must be >= 1")
         if self.batch < 1 or self.sigma_draws < 1:
@@ -125,8 +120,9 @@ def _pack_loss(
 ) -> float:
     """Weighted projected denoising error on a fixed (data, sigma, noise) pack.
 
-    ybar, masks: (B, n); sigmas: (S,); eps: (S, B, n). Returns the mean over
-    the S x B pairs of || w * (ybar - V^T D_q(V ybar_sigma)) ||^2.
+    ybar: (B, n); masks: (B, n) boolean supports; sigmas: (S,); eps: (S, B, n).
+    Returns the mean over the S x B pairs of
+    || w * (ybar - V^T D_q(V ybar_sigma)) ||^2.
     """
     total = 0.0
     for s, sigma in enumerate(sigmas):
@@ -206,11 +202,10 @@ def denoising_loss(
         raise ValueError("mixture dim does not match measurement dim")
     if stats.sampler_id and stats.sampler_id != batch.sampler.fingerprint():
         raise BasisMismatch("projection stats come from a different sampler")
-    gen = as_rng(rng)
-    ybar = np.stack([m.ybar for m in batch.measurements])
-    masks = np.stack([op.projection_diag for op in batch.operators()])
-    eps = gen.standard_normal((sigmas.size,) + ybar.shape)
-    return _pack_loss(q, ybar, masks, batch.sampler.basis, stats.w_diag, sigmas, eps)
+    eps = as_rng(rng).standard_normal((sigmas.size,) + batch.ybar.shape)
+    return _pack_loss(
+        q, batch.ybar, batch.support, batch.sampler.basis, stats.w_diag, sigmas, eps
+    )
 
 
 def _split_params(
@@ -285,10 +280,7 @@ def adapt(
     w = stats.w_diag
     lo, hi = cfg.sigma_range if cfg.sigma_range else (grid.sigma_min, grid.sigma_max)
 
-    ybar_all = np.stack([m.ybar for m in data.measurements])
-    ops = data.operators()
-    masks_all = np.stack([op.projection_diag for op in ops])
-    op_ids = np.array([m.op_index for m in data.measurements])
+    ybar_all, masks_all, op_ids = data.ybar, data.support, data.op_index
     n_data = len(data)
 
     # Frozen evaluation pack: the plateau rule and divergence guard track a

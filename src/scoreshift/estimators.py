@@ -20,6 +20,11 @@ where the gap is evaluated and how it is weighted:
     so the image-domain integral applies in the operator's own basis with
     no weighting.
 
+The two measurement estimators read a MeasurementDataset, which holds the
+observations as columns: ybar (N, n), op_index (N,), sigma_z (N,) and the
+boolean support (N, n) of each row's projection P. Every node works on
+whole columns; no estimator draws an operator.
+
 Per-node noise is drawn from the stream (seed, "sigma-noise", node), in
 batch shape (N, dim), identically in all estimators; with shared sample
 points this makes full-observation runs match the image-domain estimator
@@ -39,7 +44,6 @@ from .measurements import (
     BasisMismatch,
     MeasurementOperator,
     OperatorSampler,
-    ProjectedMeasurement,
     ProjectionStats,
     sample_operator,
     to_projected,
@@ -81,46 +85,66 @@ class KlEstimate:
 
 @dataclass(frozen=True)
 class MeasurementDataset:
-    """Corrupted observations plus the sampler that resolves their operators.
+    """Corrupted observations in columns, plus the sampler of their operators.
 
-    Every measurement's operator_id must resolve through the dataset's
-    sampler; mixing operators from samplers with different right bases is
-    rejected because their projected coordinates are not comparable.
+    Row i is one observation: ybar[i] (n,) in the sampler's shared projected
+    basis, taken through operator op_index[i] at measurement-noise level
+    sigma_z[i] (image units, 0 for noiseless data). One sampler means one
+    right basis, so every row's projected coordinates are comparable.
+    Construction validates the columns and derives support, the boolean
+    (N, n) diagonal of each row's projection P, by drawing every distinct
+    operator index once. All four arrays are read-only.
     """
 
     sampler: OperatorSampler
-    measurements: tuple[ProjectedMeasurement, ...]
+    ybar: np.ndarray
+    op_index: np.ndarray
+    sigma_z: np.ndarray
     provenance: str = "from-p-samples"
+    support: np.ndarray = field(init=False, repr=False, compare=False)
     _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        meas = tuple(self.measurements)
-        if not meas:
+        ybar = np.asarray(self.ybar, dtype=float)
+        op_index = np.asarray(self.op_index)
+        sigma_z = np.asarray(self.sigma_z, dtype=float)
+        if ybar.ndim == 0 or len(ybar) == 0:
             raise ValueError("dataset must contain at least one measurement")
-        fp = self.sampler.fingerprint()
-        for m in meas:
-            got = m.operator_id.rsplit(":", 1)[0]
-            if got != fp:
-                raise BasisMismatch(
-                    "measurement operator "
-                    f"{m.operator_id!r} does not resolve through this sampler "
-                    f"(expected fingerprint {fp!r}); datasets must share one "
-                    "sampler and right basis"
-                )
-            if m.ybar.shape != (self.sampler.dim,):
-                raise ValueError("measurement dim does not match sampler dim")
-        object.__setattr__(self, "measurements", meas)
+        count = len(ybar)
+        if ybar.shape != (count, self.sampler.dim):
+            raise ValueError(
+                f"ybar must be (N, {self.sampler.dim}) for this sampler, got {ybar.shape}"
+            )
+        if op_index.shape != (count,) or op_index.dtype.kind not in "iu":
+            raise ValueError(f"op_index must be {count} integers")
+        if np.any(op_index < 0):
+            raise ValueError("op_index entries must be >= 0")
+        if sigma_z.shape != (count,) or np.any(sigma_z < 0):
+            raise ValueError(f"sigma_z must be {count} values >= 0")
+        indices, rows = np.unique(op_index, return_inverse=True)
+        drawn = np.stack([sample_operator(self.sampler, int(i)).support for i in indices])
+        support = drawn[rows]
+        for name, value in (
+            ("ybar", ybar), ("op_index", op_index), ("sigma_z", sigma_z), ("support", support)
+        ):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.measurements)
+        return len(self.ybar)
 
     def operators(self) -> list[MeasurementOperator]:
-        """Each measurement's operator; every distinct op_index is drawn once."""
+        """Each row's operator, built from its support once per distinct op_index."""
         cache = self._operators
-        for m in self.measurements:
-            if m.op_index not in cache:
-                cache[m.op_index] = sample_operator(self.sampler, m.op_index)
-        return [cache[m.op_index] for m in self.measurements]
+        fingerprint = self.sampler.fingerprint()
+        for i, idx in enumerate(self.op_index.tolist()):
+            if idx not in cache:
+                cache[idx] = MeasurementOperator(
+                    basis=self.sampler.basis,
+                    singular_values=np.where(self.support[i], self.sampler.singular_value, 0.0),
+                    operator_id=f"{fingerprint}:{idx}",
+                )
+        return [cache[idx] for idx in self.op_index.tolist()]
 
     @classmethod
     def from_samples(
@@ -137,29 +161,32 @@ class MeasurementDataset:
         limited pool of operators should be reused) and measurement noise
         from the stream (seed, "meas-z", i), so datasets built at different
         sigma_z from the same seed share their x draws and noise shapes.
-        Each distinct operator index is drawn once.
+        The dataset is built first, on an all-zero placeholder ybar, which
+        draws each distinct operator index once; all rows are then acquired
+        on its support in one to_projected call and replace the placeholder.
         """
         pts = points.points if isinstance(points, SampleBatch) else np.atleast_2d(points)
-        ops = {}
-        meas = []
-        for i, x in enumerate(pts):
-            idx = i if n_operators is None else i % n_operators
-            if idx not in ops:
-                ops[idx] = sample_operator(sampler, idx)
-            meas.append(to_projected(ops[idx], x, sigma_z, stream(seed, _DATA_Z_TAG, i)))
-        return cls(sampler=sampler, measurements=tuple(meas))
+        count = len(pts)
+        op_index = np.arange(count) if n_operators is None else np.arange(count) % n_operators
+        placeholder = np.broadcast_to(0.0, (count, sampler.dim))
+        data = cls(sampler, placeholder, op_index, np.full(count, sigma_z))
+        rngs = (stream(seed, _DATA_Z_TAG, i) for i in range(count)) if sigma_z > 0 else ()
+        ybar = to_projected(
+            sampler.basis, data.support, pts, sigma_z, rngs, sampler.singular_value
+        )
+        ybar.setflags(write=False)
+        object.__setattr__(data, "ybar", ybar)
+        return data
 
     def to_dict(self) -> dict:
         return {
             "provenance": "external-file",
             "sampler": self.sampler.to_dict(),
             "measurements": [
-                {
-                    "op_index": m.op_index,
-                    "sigma_z": m.sigma_z,
-                    "ybar": m.ybar.tolist(),
-                }
-                for m in self.measurements
+                {"op_index": idx, "sigma_z": sz, "ybar": row}
+                for idx, sz, row in zip(
+                    self.op_index.tolist(), self.sigma_z.tolist(), self.ybar.tolist()
+                )
             ],
         }
 
@@ -172,18 +199,14 @@ class MeasurementDataset:
     def load(cls, path) -> "MeasurementDataset":
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        sampler = OperatorSampler.from_dict(doc["sampler"])
-        fp = sampler.fingerprint()
-        meas = tuple(
-            ProjectedMeasurement(
-                ybar=np.asarray(rec["ybar"], dtype=float),
-                operator_id=f"{fp}:{rec['op_index']}",
-                op_index=int(rec["op_index"]),
-                sigma_z=float(rec.get("sigma_z", 0.0)),
-            )
-            for rec in doc["measurements"]
+        records = doc["measurements"]
+        return cls(
+            sampler=OperatorSampler.from_dict(doc["sampler"]),
+            ybar=[rec["ybar"] for rec in records],
+            op_index=[int(rec["op_index"]) for rec in records],
+            sigma_z=[float(rec.get("sigma_z", 0.0)) for rec in records],
+            provenance="external-file",
         )
-        return cls(sampler=sampler, measurements=meas, provenance="external-file")
 
 
 def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
@@ -296,19 +319,17 @@ def kl_measurement(
         raise BasisMismatch("projection stats come from a different sampler")
     if stats.ep_diag.size != data.sampler.dim:
         raise ValueError("projection stats dim does not match sampler")
-    ops = data.operators()
-    ybar = np.stack([m.ybar for m in data.measurements])  # (N, n)
-    masks = np.stack([op.projection_diag for op in ops])  # (N, n)
+    ybar, support = data.ybar, data.support
     basis = data.sampler.basis
     factor = stats.w_diag * stats.ep_diag  # = ep^(-1/2) per coordinate
     count = len(data)
 
     def node(j: int, sigma: float) -> np.ndarray:
         eps = stream(seed, _NOISE_TAG, j).standard_normal((count, p.dim))
-        ybar_sigma = ybar + sigma * (eps * masks)
+        ybar_sigma = ybar + sigma * (eps * support)
         lifted = basis.forward(ybar_sigma)
         gap = score(p, lifted, sigma) - score(q, lifted, sigma)
-        gap_proj = basis.inverse(gap) * (factor[None, :] * masks)
+        gap_proj = basis.inverse(gap) * (factor * support)
         return np.einsum("ni,ni->n", gap_proj, gap_proj)
 
     series = _evaluate_nodes(grid, node, workers)
@@ -334,13 +355,13 @@ def kl_invertible(
     """
     if p.dim != q.dim or p.dim != data.sampler.dim:
         raise ValueError("dimension mismatch between priors and measurements")
-    ops = data.operators()
-    bad = [op.operator_id for op in ops if not op.is_full_rank]
-    if bad:
+    full = data.support.all(axis=1)
+    if not full.all():
+        bad = np.unique(data.op_index[~full])[:4].tolist()
         raise ValueError(
-            f"kl_invertible requires full-rank operators; rank-deficient: {bad[:4]}"
+            f"kl_invertible requires full-rank operators; rank-deficient op_index: {bad}"
         )
-    ybar = np.stack([m.ybar for m in data.measurements])
+    ybar = data.ybar
     basis = data.sampler.basis
     count = len(data)
 

@@ -159,7 +159,6 @@ CONFIG_SCHEMA = {
                 "iterations": {"type": "integer", "minimum": 1},
                 "batch": {"type": "integer", "minimum": 1},
                 "sigma_draws": {"type": "integer", "minimum": 1},
-                "fd_step": {"type": "number", "minimum": 1e-6, "maximum": 1e-2},
                 "shared_mask_batches": {"type": "boolean"},
                 "eval_samples": {"type": "integer", "minimum": 2},
             },

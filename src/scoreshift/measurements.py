@@ -171,32 +171,6 @@ class MeasurementOperator:
         """Diagonal of P = pinv(Sigma) Sigma, entries in {0, 1}."""
         return (self.singular_values > 0).astype(float)
 
-    @property
-    def is_full_rank(self) -> bool:
-        return bool(np.all(self.singular_values > 0))
-
-
-@dataclass(frozen=True)
-class ProjectedMeasurement:
-    """One observation ybar = P xbar + zbar in the shared projected basis.
-
-    ybar is exactly zero on unobserved coordinates; sigma_z records the
-    measurement-noise level (image units) used when the observation was
-    acquired, 0 for noiseless data.
-    """
-
-    ybar: np.ndarray
-    operator_id: str
-    op_index: int
-    sigma_z: float = 0.0
-
-    def __post_init__(self):
-        y = np.asarray(self.ybar, dtype=float)
-        y.setflags(write=False)
-        object.__setattr__(self, "ybar", y)
-        if self.sigma_z < 0:
-            raise ValueError("sigma_z must be >= 0")
-
 
 @dataclass(frozen=True)
 class OperatorSampler:
@@ -393,51 +367,43 @@ def sample_operator(sampler: OperatorSampler, index: int) -> MeasurementOperator
 
 
 def to_projected(
-    op: MeasurementOperator, x: np.ndarray, sigma_z: float = 0.0, rng=None
-) -> ProjectedMeasurement:
-    """Acquire ybar = P V^T x + zbar from a clean signal x.
+    basis: RightBasis,
+    support: np.ndarray,
+    x: np.ndarray,
+    sigma_z: float = 0.0,
+    rngs=(),
+    singular_values=1.0,
+) -> np.ndarray:
+    """Acquire ybar = P V^T x + zbar for a batch of clean signals.
 
-    Measurement noise z ~ N(0, sigma_z^2 I) in the raw measurement domain
-    lands on the observed coordinates with per-coordinate std sigma_z / s_i.
+    x holds one signal per row, (N, n) or a single (n,) vector. Row i is
+    measured by an operator whose projection P_i is the boolean support[i]
+    and whose singular values are singular_values (both broadcast against
+    x; the singular values must be positive on the support and are not read
+    off it). All rows go through one basis.inverse call, and ybar is exactly
+    zero off each row's support. Measurement noise z ~ N(0, sigma_z^2 I) in
+    the raw measurement domain lands on row i's observed coordinates with
+    per-coordinate std sigma_z / s, drawn from the i-th generator of rngs.
+    rngs is only read when sigma_z > 0 and must then yield one generator
+    per row; it may be a lazy iterable, so the generators need not all
+    exist at once.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (op.dim,):
-        raise ValueError(f"x must have shape ({op.dim},), got {x.shape}")
+    if x.shape[-1:] != (basis.dim,):
+        raise ValueError(f"x must have shape (N, {basis.dim}), got {x.shape}")
     if sigma_z < 0:
         raise ValueError("sigma_z must be >= 0")
-    xbar = op.basis.inverse(x)
-    mask = op.support
-    ybar = np.where(mask, xbar, 0.0)
+    observed = np.broadcast_to(np.asarray(support, dtype=bool), x.shape)
+    ybar = basis.inverse(x)  # a new array, masked in place
+    ybar[~observed] = 0.0
     if sigma_z > 0:
-        gen = as_rng(rng)
-        noise = np.zeros(op.dim)
-        noise[mask] = gen.standard_normal(int(mask.sum())) * (
-            sigma_z / op.singular_values[mask]
-        )
-        ybar = ybar + noise
-    try:
-        idx = int(op.operator_id.rsplit(":", 1)[1])
-    except (IndexError, ValueError):
-        idx = -1
-    return ProjectedMeasurement(
-        ybar=ybar, operator_id=op.operator_id, op_index=idx, sigma_z=float(sigma_z)
-    )
-
-
-def add_diffusion_noise(
-    op: MeasurementOperator, meas: ProjectedMeasurement, sigma: float, rng
-) -> np.ndarray:
-    """ybar + nbar with nbar ~ N(0, sigma^2 P): noise only where observed."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    gen = as_rng(rng)
-    eps = gen.standard_normal(op.dim)
-    return meas.ybar + sigma * (eps * op.projection_diag)
-
-
-def lift(op: MeasurementOperator, ybar_sigma: np.ndarray) -> np.ndarray:
-    """Map a projected vector back to signal coordinates: V ybar_sigma."""
-    return op.basis.forward(np.asarray(ybar_sigma, dtype=float))
+        n = basis.dim
+        s = np.broadcast_to(np.asarray(singular_values, dtype=float), x.shape)
+        for y, s_row, on, gen in zip(
+            ybar.reshape(-1, n), s.reshape(-1, n), observed.reshape(-1, n), rngs, strict=True
+        ):
+            y[on] += as_rng(gen).standard_normal(int(on.sum())) * (sigma_z / s_row[on])
+    return ybar
 
 
 def estimate_projection_stats(sampler: OperatorSampler, draws: int = 4096) -> ProjectionStats:

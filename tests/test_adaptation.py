@@ -101,8 +101,8 @@ class TestFiniteDifferenceGradient:
     def test_matches_four_point_stencil(self, toy_pair, toy_masked_data):
         p, q = toy_pair
         sampler, stats, _, data = toy_masked_data
-        ybar = np.stack([m.ybar for m in data.measurements])[:64]
-        masks = np.stack([op.projection_diag for op in data.operators()])[:64]
+        ybar = data.ybar[:64]
+        masks = data.support[:64]
         sigmas = np.array([0.2, 0.7, 1.5])
         eps = stream(37, "fd").standard_normal((3, 64, 10))
 
@@ -144,8 +144,8 @@ class TestClosedFormGradient:
         stats = estimate_projection_stats(sampler, 256)
         draws = sample(p, 32, stream(60, "data-x"))
         data = MeasurementDataset.from_samples(sampler, draws, seed=60)
-        ybar = np.stack([m.ybar for m in data.measurements])
-        masks = np.stack([op.projection_diag for op in data.operators()])
+        ybar = data.ybar
+        masks = data.support
         sigmas = np.geomspace(1e-2, 1e3, 6)
         eps = stream(61, "grad").standard_normal((sigmas.size,) + ybar.shape)
         for q in (q1, q3):
@@ -174,8 +174,6 @@ class TestAdaptationConfig:
         with pytest.raises(ValueError):
             AdaptationConfig(trainable="everything")
         with pytest.raises(ValueError):
-            AdaptationConfig(fd_step=1e-7)
-        with pytest.raises(ValueError):
             AdaptationConfig(step_size=0.0)
         with pytest.raises(ValueError):
             AdaptationConfig(iterations=0)
@@ -193,12 +191,11 @@ class TestAdapt:
             iterations=120,
             batch=128,
             sigma_draws=8,
-            fd_step=1e-3,
             seed=41,
             sigma_range=(0.05, 3.0),
         )
         adapted, report = adapt(p, data, stats, cfg, grid)
-        assert report.param_delta["means"] < 10 * cfg.fd_step
+        assert report.param_delta["means"] < 1e-2
         assert report.stop_reason in ("plateau", "cap")
 
     def test_shifted_gaussian_recovers_target_mean(self):
@@ -215,7 +212,6 @@ class TestAdapt:
             iterations=600,
             batch=128,
             sigma_draws=8,
-            fd_step=1e-3,
             seed=33,
             sigma_range=(0.05, 3.0),
             plateau_rel=0.002,
@@ -237,7 +233,6 @@ class TestAdapt:
             iterations=100,
             batch=32,
             sigma_draws=4,
-            fd_step=1e-3,
             seed=42,
             sigma_range=(0.5, 3.0),
         )
@@ -255,7 +250,6 @@ class TestAdapt:
             iterations=25,
             batch=32,
             sigma_draws=4,
-            fd_step=1e-3,
             seed=43,
             sigma_range=(0.05, 2.0),
         )
@@ -279,7 +273,6 @@ class TestAdapt:
             iterations=40,
             batch=32,
             sigma_draws=4,
-            fd_step=1e-3,
             seed=44,
             sigma_range=(0.05, 2.0),
         )
@@ -299,7 +292,6 @@ class TestAdapt:
             iterations=15,
             batch=32,
             sigma_draws=4,
-            fd_step=1e-3,
             seed=45,
             sigma_range=(0.05, 2.0),
         )
@@ -320,7 +312,6 @@ class TestAdapt:
             iterations=10,
             batch=16,
             sigma_draws=4,
-            fd_step=1e-3,
             seed=51,
             sigma_range=(0.05, 2.0),
             shared_mask_batches=True,

@@ -1,15 +1,20 @@
 """The three divergence estimators against closed-form and brute-force oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
 from scoreshift import (
     MeasurementDataset,
+    OperatorSampler,
     SampleBatch,
     convolve,
     dense_orthogonal_basis,
     estimate_projection_stats,
     exact_kl_oracle,
+    hadamard_basis,
+    identity_basis,
     integrate,
     kl_image,
     kl_invertible,
@@ -246,14 +251,13 @@ class TestMeasurementDataset:
         sampler = mask_sampler(dim=10, keep_prob=0.5, base_seed=7)
         draws = sample(p, 12, stream(28, "data-x"))
         data = MeasurementDataset.from_samples(sampler, draws, seed=28, n_operators=4)
-        indices = {m.op_index for m in data.measurements}
+        indices = set(data.op_index.tolist())
         assert indices == {0, 1, 2, 3}
 
     def test_operators_drawn_once_per_index(self, toy_pair, monkeypatch):
         p, _ = toy_pair
         sampler = mask_sampler(dim=10, keep_prob=0.5, base_seed=7)
         draws = sample(p, 12, stream(29, "data-x"))
-        data = MeasurementDataset.from_samples(sampler, draws, seed=29, n_operators=4)
         drawn = []
 
         def counting(s, index):
@@ -261,20 +265,26 @@ class TestMeasurementDataset:
             return sample_operator(s, index)
 
         monkeypatch.setattr(estimators, "sample_operator", counting)
+        data = MeasurementDataset.from_samples(sampler, draws, seed=29, n_operators=4)
         first = data.operators()
         second = data.operators()
         assert sorted(drawn) == [0, 1, 2, 3]
         for ops in (first, second):
             assert len(ops) == len(data)
-            for m, op in zip(data.measurements, ops):
-                fresh = sample_operator(sampler, m.op_index)
+            for index, op in zip(data.op_index.tolist(), ops):
+                fresh = sample_operator(sampler, index)
                 assert op.operator_id == fresh.operator_id
                 np.testing.assert_array_equal(op.singular_values, fresh.singular_values)
 
     def test_empty_rejected(self):
         sampler = mask_sampler(dim=4)
         with pytest.raises(ValueError, match="at least one"):
-            MeasurementDataset(sampler=sampler, measurements=())
+            MeasurementDataset(
+                sampler=sampler,
+                ybar=np.zeros((0, 4)),
+                op_index=np.zeros(0, dtype=int),
+                sigma_z=np.zeros(0),
+            )
 
 
 
@@ -292,7 +302,82 @@ class TestFromSamplesOperatorDraws:
         monkeypatch.setattr(estimators, "sample_operator", counting)
         data = MeasurementDataset.from_samples(sampler, draws, seed=30, n_operators=4)
         assert sorted(drawn) == [0, 1, 2, 3]
-        assert [m.op_index for m in data.measurements] == [i % 4 for i in range(12)]
+        assert data.op_index.tolist() == [i % 4 for i in range(12)]
+
+
+class TestDatasetLoadValidation:
+    """A malformed data file fails when it is loaded, not at first use."""
+
+    @pytest.fixture
+    def saved_doc(self, toy_masked_data, tmp_path):
+        _, _, _, data = toy_masked_data
+        path = tmp_path / "measurements.json"
+        data.save(path)
+        return path, json.loads(path.read_text())
+
+    def test_valid_file_loads(self, saved_doc, toy_masked_data):
+        path, _ = saved_doc
+        _, _, _, data = toy_masked_data
+        loaded = MeasurementDataset.load(path)
+        np.testing.assert_array_equal(loaded.ybar, data.ybar)
+        np.testing.assert_array_equal(loaded.op_index, data.op_index)
+        np.testing.assert_array_equal(loaded.support, data.support)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda recs: recs[3]["ybar"].pop(), id="short-ybar-row"),
+            pytest.param(lambda recs: [r["ybar"].pop() for r in recs], id="short-ybar"),
+            pytest.param(lambda recs: recs[5].update(op_index=-1), id="negative-op-index"),
+            pytest.param(lambda recs: recs[7].update(sigma_z=-0.5), id="negative-sigma-z"),
+            pytest.param(lambda recs: recs.clear(), id="empty"),
+        ],
+    )
+    def test_malformed_file_rejected(self, saved_doc, corrupt):
+        path, doc = saved_doc
+        corrupt(doc["measurements"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            MeasurementDataset.load(path)
+
+
+class TestBatchedAcquisition:
+    """from_samples against a literal one-row-at-a-time acquisition."""
+
+    @pytest.mark.parametrize(
+        "basis, exact",
+        [
+            (identity_basis(16), True),
+            (hadamard_basis(16), True),
+            (dense_orthogonal_basis(16, seed=3), False),
+        ],
+        ids=["identity", "hadamard", "dense"],
+    )
+    def test_matches_per_row_reference(self, basis, exact):
+        sampler = OperatorSampler(
+            kind="coordinate-mask",
+            dim=16,
+            basis=basis,
+            base_seed=12,
+            keep_prob=0.5,
+            singular_value=2.0,
+        )
+        x = stream(31, "acq-x").standard_normal((40, 16))
+        data = MeasurementDataset.from_samples(sampler, x, sigma_z=0.5, seed=31, n_operators=7)
+        reference = np.zeros((40, 16))
+        for i, row in enumerate(x):
+            op = sample_operator(sampler, i % 7)
+            on = op.support
+            reference[i] = np.where(on, basis.inverse(row), 0.0)
+            noise = stream(31, "meas-z", i).standard_normal(int(on.sum()))
+            reference[i, on] += noise * (0.5 / op.singular_values[on])
+            np.testing.assert_array_equal(data.support[i], on)
+        assert np.all(data.sigma_z == 0.5)
+        if exact:
+            np.testing.assert_array_equal(data.ybar, reference)
+        else:
+            np.testing.assert_allclose(data.ybar, reference, rtol=0, atol=1e-12)
+
 
 class TestKlEstimateRecord:
     def test_to_dict_round_trips_key_fields(self, toy_pair, toy_grid):

@@ -1,11 +1,20 @@
-"""Experiment runner: projection stats shared across sweep runs."""
+"""Experiment runner: projection stats shared across sweep runs, dataset guards."""
 
 import json
 
 import pytest
 
-from scoreshift import estimate_projection_stats, experiments
+from scoreshift import (
+    BasisMismatch,
+    MeasurementDataset,
+    OperatorSampler,
+    cli,
+    estimate_projection_stats,
+    experiments,
+    sample,
+)
 from scoreshift.priors import triangle_pair
+from scoreshift.rng import stream
 
 
 def small_config():
@@ -71,3 +80,40 @@ class TestSweepProjectionStats:
         report = experiments.run(config, stats=stats)
         assert report.projection_stats.draws_used == 32
         assert len(stats_calls) == 2
+
+
+def acquired(sampler_doc):
+    """A dataset of 16 draws from small_config's ind prior under sampler_doc."""
+    p, _ = triangle_pair(dim=4)
+    sampler = OperatorSampler.from_dict(sampler_doc)
+    return MeasurementDataset.from_samples(sampler, sample(p, 16, stream(8, "data-x")), seed=8)
+
+
+def other_sampler(config):
+    return {**config["measurement"]["sampler"], "base_seed": 9}
+
+
+class TestRunSamplerGuard:
+    def test_dataset_from_other_sampler_rejected(self):
+        config = small_config()
+        with pytest.raises(BasisMismatch):
+            experiments.run(config, dataset=acquired(other_sampler(config)))
+
+    def test_data_file_from_other_sampler_exits_3(self, tmp_path):
+        config = small_config()
+        acquired(other_sampler(config)).save(tmp_path / "data.json")
+        config["measurement"]["data_file"] = str(tmp_path / "data.json")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_ASSUMPTION == 3
+
+    def test_matching_data_file_reproduces_in_memory_run(self, tmp_path):
+        config = small_config()
+        data = acquired(config["measurement"]["sampler"])
+        data.save(tmp_path / "data.json")
+        config["measurement"]["data_file"] = str(tmp_path / "data.json")
+        from_file = experiments.run(config).to_dict()
+        in_memory = experiments.run(config, dataset=data).to_dict()
+        for doc in (from_file, in_memory):
+            doc.pop("wall_clock_s")
+        assert from_file == in_memory
