@@ -19,7 +19,6 @@ from .estimators import (
 )
 from .gmm import (
     GaussianMixture,
-    SampleBatch,
     convolve,
     denoise,
     exact_kl_oracle,
@@ -68,7 +67,6 @@ __all__ = [
     "OperatorSampler",
     "ProjectionStats",
     "RightBasis",
-    "SampleBatch",
     "SigmaGrid",
     "SpanViolation",
     "adapt",

@@ -153,7 +153,7 @@ def _selftest_checks():
         f"|diff|={diff:.3g}",
     )
 
-    x = sample(p, 16, stream(5, "probe")).points
+    x = sample(p, 16, stream(5, "probe"))
     resid = denoise(p, x, 0.5) - x - 0.25 * score(p, x, 0.5)
     tweedie = float(np.max(np.abs(resid)))
     yield ("posterior mean identity residual < 1e-12", tweedie < 1e-12, f"max={tweedie:.3g}")

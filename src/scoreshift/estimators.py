@@ -1,34 +1,27 @@
 """Score-gap KL estimators: image domain, measurement domain, invertible case.
 
-All three estimators share one skeleton: at every node of a sigma grid,
-average a squared score-function gap over a Monte Carlo batch, then
-integrate the per-node means against the sigma weight. They differ in
-where the gap is evaluated and how it is weighted:
+The divergence is the integral over sigma of E||grad log p_sigma -
+grad log q_sigma||^2 sigma, and one kernel, _score_gap_kl, evaluates it in
+all three settings. Node j of the sigma grid draws eps (N, dim) from the
+stream (seed, "sigma-noise", j), masks it to a support, lifts
+base + sigma * eps through a basis, takes the two priors' score gap there,
+optionally maps the gap back through the basis with a per-coordinate
+weight, and averages its squared norm; the node means are then integrated.
 
-  * image domain: points are x + sigma * eps with x drawn from the
-    in-distribution prior; the gap is the plain difference of the two
-    priors' smoothed scores.
-  * measurement domain: points are lifted noised projections V ybar_sigma
-    built from corrupted observations only. The gap used is the difference
-    of the noised-measurement marginal scores, which in terms of the two
-    priors' image-domain scores is P E[P] V^T (grad log p - grad log q)
-    evaluated at the lifted point; it is weighted by W = E[P]^(-3/2) in the
-    shared projected basis. The combined per-coordinate factor on observed
-    coordinates is therefore E[P]^(-1/2), which is what makes a full
+  * image domain: base points x ~ p (or one fixed array); nothing else.
+  * measurement domain: base ybar from a MeasurementDataset, noise masked
+    to each row's support P, points lifted as V ybar_sigma. The gap is the
+    noised-measurement marginal score difference P E[P] V^T (grad log p -
+    grad log q), weighted by W = E[P]^(-3/2) in the shared projected basis,
+    so observed coordinates carry E[P]^(-1/2) in all. That makes a full
     observation reduce exactly to the image-domain estimator.
   * invertible case: full-rank operators make ybar recover V^T x exactly,
-    so the image-domain integral applies in the operator's own basis with
-    no weighting.
+    so the image-domain integral applies in the operator's own basis.
 
-The two measurement estimators read a MeasurementDataset, which holds the
-observations as columns: ybar (N, n), op_index (N,), sigma_z (N,) and the
-boolean support (N, n) of each row's projection P. Every node works on
-whole columns; no estimator draws an operator.
-
-Per-node noise is drawn from the stream (seed, "sigma-noise", node), in
-batch shape (N, dim), identically in all estimators; with shared sample
-points this makes full-observation runs match the image-domain estimator
-bit for bit.
+A MeasurementDataset holds observations as columns: ybar (N, n), op_index
+(N,), sigma_z (N,) and the boolean support (N, n) of each row's P. Since
+every estimator draws its noise in the one kernel, full-observation runs on
+shared points match the image-domain estimator bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gmm import GaussianMixture, SampleBatch, sample, score
+from .gmm import GaussianMixture, sample, score
 from .measurements import (
     BasisMismatch,
     MeasurementOperator,
@@ -83,7 +76,7 @@ class KlEstimate:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementDataset:
     """Corrupted observations in columns, plus the sampler of their operators.
 
@@ -93,7 +86,8 @@ class MeasurementDataset:
     right basis, so every row's projected coordinates are comparable.
     Construction validates the columns and derives support, the boolean
     (N, n) diagonal of each row's projection P, by drawing every distinct
-    operator index once. All four arrays are read-only.
+    operator index once. All four arrays are read-only. Datasets compare by
+    identity, as array columns have no single truth value.
     """
 
     sampler: OperatorSampler
@@ -101,8 +95,8 @@ class MeasurementDataset:
     op_index: np.ndarray
     sigma_z: np.ndarray
     provenance: str = "from-p-samples"
-    support: np.ndarray = field(init=False, repr=False, compare=False)
-    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    support: np.ndarray = field(init=False, repr=False)
+    _operators: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         ybar = np.asarray(self.ybar, dtype=float)
@@ -150,12 +144,12 @@ class MeasurementDataset:
     def from_samples(
         cls,
         sampler: OperatorSampler,
-        points: np.ndarray | SampleBatch,
+        points: np.ndarray,
         sigma_z: float = 0.0,
         seed: int = 0,
         n_operators: int | None = None,
     ) -> "MeasurementDataset":
-        """Acquire one measurement per sample point.
+        """Acquire one measurement per row of points, an (N, n) array.
 
         Measurement i uses operator index i (or i mod n_operators when a
         limited pool of operators should be reused) and measurement noise
@@ -165,7 +159,7 @@ class MeasurementDataset:
         draws each distinct operator index once; all rows are then acquired
         on its support in one to_projected call and replace the placeholder.
         """
-        pts = points.points if isinstance(points, SampleBatch) else np.atleast_2d(points)
+        pts = np.atleast_2d(points)
         count = len(pts)
         op_index = np.arange(count) if n_operators is None else np.arange(count) % n_operators
         placeholder = np.broadcast_to(0.0, (count, sampler.dim))
@@ -209,39 +203,43 @@ class MeasurementDataset:
         )
 
 
-def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
-    n = vals.size
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return mean, stderr
+def _score_gap_kl(
+    p: GaussianMixture, q: GaussianMixture, grid: SigmaGrid, base, count: int, seed: int,
+    rule: str, workers: int, mode: str, support=None, basis=None, factor=None,
+) -> KlEstimate:
+    """The one score-gap kernel: per-node squared gaps, node statistics, quadrature.
 
+    Node j draws eps (count, dim) from (seed, "sigma-noise", j), masks it to
+    support, evaluates both scores at basis.forward(base(j) + sigma * eps)
+    and reduces the squared gap per row, taken back through basis.inverse
+    and weighted by factor when a factor is given. A None support, basis or
+    factor is the identity and is skipped, not applied.
+    """
 
-def _evaluate_nodes(grid: SigmaGrid, node_fn, workers: int) -> IntegrandSeries:
-    """Run node_fn(j, sigma) -> per-sample values over all nodes."""
-    sigmas = list(enumerate(grid.nodes))
+    def node(j: int, sigma: float) -> tuple[float, float]:
+        eps = stream(seed, _NOISE_TAG, j).standard_normal((count, p.dim))
+        if support is not None:
+            eps *= support
+        pts = base(j) + sigma * eps
+        if basis is not None:
+            pts = basis.forward(pts)
+        gap = score(p, pts, sigma) - score(q, pts, sigma)
+        if factor is not None:
+            gap = basis.inverse(gap) * factor
+        vals = np.einsum("ni,ni->n", gap, gap)
+        stderr = float(vals.std(ddof=1) / np.sqrt(count)) if count > 1 else 0.0
+        return float(vals.mean()), stderr
+
+    nodes = (range(len(grid)), grid.nodes)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda js: node_fn(*js), sigmas))
+            per_node = list(pool.map(node, *nodes))
     else:
-        results = [node_fn(j, s) for j, s in sigmas]
-    stats = [_mean_stderr(vals) for vals in results]
-    means = np.array([m for m, _ in stats])
-    stderrs = np.array([e for _, e in stats])
-    n = results[0].size
-    return IntegrandSeries(means=means, stderrs=stderrs, n_samples=n)
-
-
-def _finish(series, grid, n_samples, mode, rule) -> KlEstimate:
+        per_node = list(map(node, *nodes))
+    means, stderrs = (np.array(column) for column in zip(*per_node))
+    series = IntegrandSeries(means=means, stderrs=stderrs, n_samples=count)
     value, stderr = integrate(grid, series, rule)
-    return KlEstimate(
-        value=value,
-        stderr=stderr,
-        series=series,
-        grid=grid,
-        n_samples=n_samples,
-        mode=mode,
-        rule=rule,
-    )
+    return KlEstimate(value, stderr, series, grid, count, mode, rule)
 
 
 def kl_image(
@@ -249,7 +247,7 @@ def kl_image(
     q: GaussianMixture,
     grid: SigmaGrid,
     n_samples: int | None = None,
-    samples: SampleBatch | np.ndarray | None = None,
+    samples: np.ndarray | None = None,
     seed: int = 0,
     rule: str = "trapezoid",
     workers: int = 1,
@@ -259,9 +257,9 @@ def kl_image(
     Args:
         n_samples: draw a fresh batch x ~ p at every sigma node (default
             estimator; node means then have independent errors).
-        samples: instead reuse one fixed batch at every node (common random
-            numbers; noise is still fresh per node). Exactly one of
-            n_samples / samples must be given.
+        samples: instead reuse one fixed (N, n) array of points at every
+            node (common random numbers; noise is still fresh per node).
+            Exactly one of n_samples / samples must be given.
         seed: stream seed; node j uses (seed, "node-x", j) for draws and
             (seed, "sigma-noise", j) for the added noise.
     """
@@ -269,27 +267,15 @@ def kl_image(
         raise ValueError(f"dimension mismatch: p dim {p.dim}, q dim {q.dim}")
     if (n_samples is None) == (samples is None):
         raise ValueError("pass exactly one of n_samples or samples")
-    if samples is not None:
-        fixed = samples.points if isinstance(samples, SampleBatch) else np.atleast_2d(samples)
-        count = fixed.shape[0]
-    else:
-        if n_samples < 2:
-            raise ValueError("n_samples must be >= 2")
-        fixed = None
-        count = n_samples
+    if samples is None and n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
+    fixed = None if samples is None else np.atleast_2d(samples)
+    count = n_samples if fixed is None else fixed.shape[0]
 
-    def node(j: int, sigma: float) -> np.ndarray:
-        if fixed is None:
-            x = sample(p, count, stream(seed, _NODE_X_TAG, j)).points
-        else:
-            x = fixed
-        eps = stream(seed, _NOISE_TAG, j).standard_normal((count, p.dim))
-        pts = x + sigma * eps
-        gap = score(p, pts, sigma) - score(q, pts, sigma)
-        return np.einsum("ni,ni->n", gap, gap)
+    def base(j: int) -> np.ndarray:
+        return sample(p, count, stream(seed, _NODE_X_TAG, j)) if fixed is None else fixed
 
-    series = _evaluate_nodes(grid, node, workers)
-    return _finish(series, grid, count, "image", rule)
+    return _score_gap_kl(p, q, grid, base, count, seed, rule, workers, "image")
 
 
 def kl_measurement(
@@ -319,21 +305,12 @@ def kl_measurement(
         raise BasisMismatch("projection stats come from a different sampler")
     if stats.ep_diag.size != data.sampler.dim:
         raise ValueError("projection stats dim does not match sampler")
-    ybar, support = data.ybar, data.support
-    basis = data.sampler.basis
-    factor = stats.w_diag * stats.ep_diag  # = ep^(-1/2) per coordinate
-    count = len(data)
-
-    def node(j: int, sigma: float) -> np.ndarray:
-        eps = stream(seed, _NOISE_TAG, j).standard_normal((count, p.dim))
-        ybar_sigma = ybar + sigma * (eps * support)
-        lifted = basis.forward(ybar_sigma)
-        gap = score(p, lifted, sigma) - score(q, lifted, sigma)
-        gap_proj = basis.inverse(gap) * (factor * support)
-        return np.einsum("ni,ni->n", gap_proj, gap_proj)
-
-    series = _evaluate_nodes(grid, node, workers)
-    return _finish(series, grid, count, "measurement", rule)
+    support = data.support
+    factor = stats.w_diag * stats.ep_diag * support  # = ep^(-1/2) on observed coordinates
+    return _score_gap_kl(
+        p, q, grid, lambda j: data.ybar, len(data), seed, rule, workers, "measurement",
+        support=support, basis=data.sampler.basis, factor=factor,
+    )
 
 
 def kl_invertible(
@@ -361,15 +338,7 @@ def kl_invertible(
         raise ValueError(
             f"kl_invertible requires full-rank operators; rank-deficient op_index: {bad}"
         )
-    ybar = data.ybar
-    basis = data.sampler.basis
-    count = len(data)
-
-    def node(j: int, sigma: float) -> np.ndarray:
-        eps = stream(seed, _NOISE_TAG, j).standard_normal((count, p.dim))
-        lifted = basis.forward(ybar + sigma * eps)
-        gap = score(p, lifted, sigma) - score(q, lifted, sigma)
-        return np.einsum("ni,ni->n", gap, gap)
-
-    series = _evaluate_nodes(grid, node, workers)
-    return _finish(series, grid, count, "invertible", rule)
+    return _score_gap_kl(
+        p, q, grid, lambda j: data.ybar, len(data), seed, rule, workers, "invertible",
+        basis=data.sampler.basis,
+    )

@@ -336,7 +336,7 @@ def run(
                 )
         else:
             n_meas = meas_cfg.get("n_measurements", DEFAULT_N_MEASUREMENTS)
-            draws = sample(p, n_meas, stream(seed, "data-x"), label=f"seed={seed}/data-x")
+            draws = sample(p, n_meas, stream(seed, "data-x"))
             data = MeasurementDataset.from_samples(
                 sampler,
                 draws,
@@ -424,9 +424,7 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
     max_n = base_n
     if axis == "n_measurements":
         max_n = max(int(v) for v in values)
-    shared_draws = sample(
-        p, max_n, stream(base_seed, "data-x"), label=f"seed={base_seed}/data-x"
-    )
+    shared_draws = sample(p, max_n, stream(base_seed, "data-x"))
 
     reports = []
     rows = []
@@ -449,7 +447,7 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
         variant["seed"] = base_seed + i
         data = MeasurementDataset.from_samples(
             _build_sampler(variant["measurement"]["sampler"]),
-            shared_draws.points[:n_meas],
+            shared_draws[:n_meas],
             sigma_z=variant["measurement"].get("sigma_z", 0.0),
             seed=base_seed,
             n_operators=variant["measurement"].get("n_operators"),

@@ -112,22 +112,6 @@ class GaussianMixture:
             return cls.from_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """Batch of draws from a mixture, tagged with its seed for provenance."""
-
-    points: np.ndarray  # (N, n)
-    source_seed: str = ""
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
 def convolve(gmm: GaussianMixture, sigma: float) -> GaussianMixture:
     """Mixture of the sum x + n with n ~ N(0, sigma^2 I).
 
@@ -230,22 +214,24 @@ def denoise(gmm: GaussianMixture, x, sigma: float, allow_zero_sigma: bool = Fals
     return np.asarray(x, dtype=float) + float(sigma) ** 2 * score(gmm, x, sigma)
 
 
-def sample(gmm: GaussianMixture, count: int, rng, label: str = "") -> SampleBatch:
+def sample(gmm: GaussianMixture, count: int, rng) -> np.ndarray:
     """Draw count points: component index from weights, then a Gaussian draw.
 
     Args:
         rng: numpy Generator or int seed. Passing the same seed twice
             reproduces the batch exactly.
-        label: optional provenance note stored on the batch.
+
+    Returns:
+        read-only (count, n) array of points.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    seed_note = label or (f"seed={rng}" if not isinstance(rng, np.random.Generator) else "generator")
     gen = as_rng(rng)
     idx = gen.choice(gmm.n_components, size=count, p=gmm.weights)
     eps = gen.standard_normal((count, gmm.dim))
     pts = gmm.means[idx] + np.sqrt(gmm.variances[idx])[:, None] * eps
-    return SampleBatch(points=pts, source_seed=seed_note)
+    pts.setflags(write=False)
+    return pts
 
 
 def exact_kl_oracle(
@@ -259,8 +245,8 @@ def exact_kl_oracle(
     """
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: p has dim {p.dim}, q has dim {q.dim}")
-    batch = sample(p, count, rng)
-    vals = log_density(p, batch.points) - log_density(q, batch.points)
+    x = sample(p, count, rng)
+    vals = log_density(p, x) - log_density(q, x)
     value = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(count)) if count > 1 else 0.0
     return value, stderr

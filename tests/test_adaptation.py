@@ -61,7 +61,7 @@ class TestDenoisingLoss:
         _, stats, data = full_observation_data(p, 4000, seed=32)
         loss = denoising_loss(p, data, stats, [sigma], stream(32, "loss"))
         gen = stream(33, "bayes-oracle")
-        x = sample(p, 4000, gen).points
+        x = sample(p, 4000, gen)
         noised = x + sigma * gen.standard_normal(x.shape)
         resid = x - denoise(p, noised, sigma)
         oracle = float(np.einsum("ni,ni->n", resid, resid).mean())

@@ -1,6 +1,7 @@
 """The three divergence estimators against closed-form and brute-force oracles."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from scoreshift import (
     MeasurementDataset,
     OperatorSampler,
-    SampleBatch,
     convolve,
     dense_orthogonal_basis,
     estimate_projection_stats,
@@ -147,7 +147,7 @@ class TestKlMeasurement:
         plain_stats = estimate_projection_stats(plain_sampler, 1024)
         rot_stats = estimate_projection_stats(rot_sampler, 1024)
         plain_data = MeasurementDataset.from_samples(plain_sampler, draws, seed=23)
-        rot_draws = SampleBatch(points=draws.points @ basis.matrix.T)
+        rot_draws = draws @ basis.matrix.T
         rot_data = MeasurementDataset.from_samples(rot_sampler, rot_draws, seed=23)
         plain = kl_measurement(p, q, plain_data, plain_stats, toy_grid, seed=10)
         rotated = kl_measurement(
@@ -163,9 +163,7 @@ class TestKlMeasurement:
         draws = sample(p, 4000, stream(24, "data-x"))
         stderrs = {}
         for n in (250, 1000, 4000):
-            data = MeasurementDataset.from_samples(
-                sampler, SampleBatch(points=draws.points[:n]), seed=24
-            )
+            data = MeasurementDataset.from_samples(sampler, draws[:n], seed=24)
             stderrs[n] = kl_measurement(p, q, data, stats, toy_grid, seed=11).stderr
         for small, big in ((250, 1000), (1000, 4000)):
             ratio = stderrs[small] / stderrs[big]
@@ -178,9 +176,7 @@ class TestKlMeasurement:
         draws = sample(p, 4000, stream(9, "data-x"))
         errs = {}
         for n in (250, 4000):
-            data = MeasurementDataset.from_samples(
-                sampler, SampleBatch(points=draws.points[:n]), seed=9
-            )
+            data = MeasurementDataset.from_samples(sampler, draws[:n], seed=9)
             est = kl_measurement(p, q, data, stats, wide_grid, seed=5)
             errs[n] = abs(est.value - 12.5)
         assert errs[4000] < errs[250]
@@ -275,6 +271,17 @@ class TestMeasurementDataset:
                 fresh = sample_operator(sampler, index)
                 assert op.operator_id == fresh.operator_id
                 np.testing.assert_array_equal(op.singular_values, fresh.singular_values)
+
+    def test_equality_is_identity(self, toy_pair):
+        p, _ = toy_pair
+        sampler = mask_sampler(dim=10, keep_prob=0.5, base_seed=7)
+        draws = sample(p, 12, stream(31, "data-x"))
+        data = MeasurementDataset.from_samples(sampler, draws, seed=31)
+        twin = MeasurementDataset.from_samples(sampler, draws, seed=31)
+        np.testing.assert_array_equal(data.ybar, twin.ybar)
+        assert data == data
+        assert (data == twin) is False
+        assert data != twin
 
     def test_empty_rejected(self):
         sampler = mask_sampler(dim=4)
@@ -389,3 +396,29 @@ class TestKlEstimateRecord:
         assert doc["grid"]["nodes"] == len(toy_grid)
         assert doc["rule"] == "trapezoid"
         assert isinstance(est, KlEstimate)
+
+
+class TestOneRowInput:
+    """One sample row gives a finite value with a zero (not NaN) standard error."""
+
+    def test_kl_image_on_one_fixed_row(self, toy_pair, toy_grid):
+        p, q = toy_pair
+        row = sample(p, 1, stream(40, "one-row"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = kl_image(p, q, toy_grid, samples=row, seed=40)
+        assert np.isfinite(est.value)
+        assert est.stderr == 0.0
+        assert est.n_samples == 1
+
+    def test_kl_measurement_on_one_row_dataset(self, toy_pair, toy_grid, toy_masked_data):
+        p, q = toy_pair
+        sampler, stats, draws, _ = toy_masked_data
+        data = MeasurementDataset.from_samples(sampler, draws[:1], seed=41)
+        assert len(data) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = kl_measurement(p, q, data, stats, toy_grid, seed=41)
+        assert np.isfinite(est.value)
+        assert est.stderr == 0.0
+        assert est.n_samples == 1

@@ -1,4 +1,4 @@
-"""Experiment runner: projection stats shared across sweep runs, dataset guards."""
+"""Experiment runner: projection stats shared across sweep runs, dataset guards, workers."""
 
 import json
 
@@ -117,3 +117,32 @@ class TestRunSamplerGuard:
         for doc in (from_file, in_memory):
             doc.pop("wall_clock_s")
         assert from_file == in_memory
+
+
+def report_without_clock(config, workers):
+    doc = experiments.run(config, workers=workers).to_dict()
+    doc.pop("wall_clock_s")
+    return doc
+
+
+def full_observation_config():
+    config = small_config()
+    config["estimators"] = ["image", "measurement", "invertible"]
+    config["measurement"]["sampler"]["keep_prob"] = 1.0
+    return config
+
+
+def masked_adapting_config():
+    config = small_config()
+    config["adaptation"] = {"iterations": 3, "batch": 8, "sigma_draws": 2, "eval_samples": 16}
+    return config
+
+
+class TestWorkersReproducibility:
+    @pytest.mark.parametrize("build", [full_observation_config, masked_adapting_config])
+    def test_one_and_four_workers_give_the_same_report(self, build):
+        config = build()
+        serial = report_without_clock(config, workers=1)
+        assert serial == report_without_clock(config, workers=4)
+        assert set(serial["estimates"]) == set(config["estimators"])
+        assert (serial["adaptation"] is not None) == ("adaptation" in config)

@@ -166,7 +166,7 @@ class TestScore:
         p, _ = toy_pair
         h = 1e-5
         rng = stream(2, "fd-probe")
-        pts = sample(p, 100, rng).points
+        pts = sample(p, 100, rng)
         sigma = 0.3
         worst = 0.0
         for x in pts:
@@ -210,7 +210,7 @@ class TestScoreKernel:
     def test_three_components_match_literal_form_bit_for_bit(self, toy_pair):
         p, _ = toy_pair
         sigma = 0.7
-        pts = sample(p, 64, stream(4, "kernel-x")).points
+        pts = sample(p, 64, stream(4, "kernel-x"))
         pts = pts + sigma * stream(4, "kernel-eps").standard_normal(pts.shape)
         diff = p.means[None, :, :] - pts[:, None, :]
         var = p.variances + sigma**2
@@ -245,7 +245,7 @@ class TestDenoise:
         # oracle: responsibility-weighted per-component posterior means
         p, _ = toy_pair
         sigma = 0.5
-        pts = sample(p, 32, stream(6, "dn-oracle")).points
+        pts = sample(p, 32, stream(6, "dn-oracle"))
         r = responsibilities(p, pts, sigma)  # (N, K)
         post = (p.variances[None, :, None] * pts[:, None, :] + sigma**2 * p.means[None, :, :]) / (
             p.variances[None, :, None] + sigma**2
@@ -255,7 +255,7 @@ class TestDenoise:
 
     def test_tweedie_identity_residual(self, toy_pair):
         p, _ = toy_pair
-        pts = sample(p, 64, stream(7, "tw-probe")).points
+        pts = sample(p, 64, stream(7, "tw-probe"))
         for sigma in (0.1, 0.5, 2.0):
             resid = denoise(p, pts, sigma) - pts - sigma**2 * score(p, pts, sigma)
             assert np.max(np.abs(resid)) < 1e-12
@@ -264,12 +264,12 @@ class TestDenoise:
 class TestSample:
     def test_law_of_large_numbers(self):
         g = single_gaussian(np.zeros(10))
-        pts = sample(g, 10**5, stream(8, "lln")).points
+        pts = sample(g, 10**5, stream(8, "lln"))
         assert np.max(np.abs(pts.mean(axis=0))) < 4 / np.sqrt(10**5)
 
     def test_toy_component_frequencies(self, toy_pair):
         p, _ = toy_pair
-        pts = sample(p, 3 * 10**5, stream(9, "freq")).points
+        pts = sample(p, 3 * 10**5, stream(9, "freq"))
         r = responsibilities(p, pts, 0.0)
         counts = np.bincount(np.argmax(r, axis=1), minlength=3) / pts.shape[0]
         np.testing.assert_allclose(counts, 1.0 / 3.0, atol=0.01)
@@ -278,11 +278,20 @@ class TestSample:
         p, _ = toy_pair
         a = sample(p, 100, 1234)
         b = sample(p, 100, 1234)
-        np.testing.assert_array_equal(a.points, b.points)
+        np.testing.assert_array_equal(a, b)
 
     def test_count_validation(self, toy_pair):
         with pytest.raises(ValueError):
             sample(toy_pair[0], 0, 1)
+
+    def test_returns_read_only_points_array(self, toy_pair):
+        p, _ = toy_pair
+        pts = sample(p, 7, stream(10, "plain"))
+        assert type(pts) is np.ndarray
+        assert pts.shape == (7, p.dim)
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0, 0] = 1.0
 
 
 class TestExactKlOracle:
