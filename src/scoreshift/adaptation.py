@@ -1,14 +1,18 @@
 """Measurement-only adaptation of the out-of-distribution prior.
 
 The mismatched prior is adjusted by minimizing the weighted projected
-denoising error: its posterior-mean denoiser, evaluated at re-noised lifted
-measurements V ybar_sigma, should reproduce the clean lifted measurement
-V ybar. Only corrupted observations of the in-distribution data enter the
-loss; clean signals are never an input (the adapt entry point has no
-signal-typed parameter). Because the denoiser here is the mixture's exact
-posterior mean, the adapted object is the mixture parameterization itself:
-component means, optionally also the mixing weights through a softmax
-reparameterization. Component variances stay frozen.
+denoising error: its posterior-mean denoiser, evaluated at re-noised
+measurements ybar_sigma, should reproduce the clean measurement ybar. The
+loss runs in the sampler's projected coordinates on the mixture rotated
+there (means V^T mu_k), since an isotropic mixture's denoiser commutes with
+the orthogonal V: V^T D_q(V y) = D_{V^T q}(y). Only corrupted observations
+of the in-distribution data enter the loss; clean signals are never an
+input (the adapt entry point has no signal-typed parameter). Because the
+denoiser here is the mixture's exact posterior mean, the adapted object is
+the mixture parameterization itself: component means, optionally also the
+mixing weights through a softmax reparameterization. Component variances
+stay frozen. Parameters, gradient and optimizer state stay in signal
+coordinates (see _signal_loss_and_grad).
 
 The loss is the ambient denoising objective of Ambient Diffusion (Daras et
 al., arXiv 2305.19256). Each step draws its own minibatch, sigma draws and
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import KlEstimate, MeasurementDataset, kl_image, kl_measurement
-from .gmm import GaussianMixture, _component_log_densities, _logsumexp, score
+from .gmm import GaussianMixture, _component_log_densities, _logsumexp, rotate, score
 from .measurements import BasisMismatch, ProjectionStats
 from .quadrature import SigmaGrid
 from .rng import as_rng, stream
@@ -113,23 +117,21 @@ def _pack_loss(
     q: GaussianMixture,
     ybar: np.ndarray,
     masks: np.ndarray,
-    basis,
     w: np.ndarray,
     sigmas: np.ndarray,
     eps: np.ndarray,
 ) -> float:
     """Weighted projected denoising error on a fixed (data, sigma, noise) pack.
 
-    ybar: (B, n); masks: (B, n) boolean supports; sigmas: (S,); eps: (S, B, n).
-    Returns the mean over the S x B pairs of
-    || w * (ybar - V^T D_q(V ybar_sigma)) ||^2.
+    q is already rotated into the projected basis. ybar: (B, n); masks:
+    (B, n) boolean supports; sigmas: (S,); eps: (S, B, n). Returns the mean
+    over the S x B pairs of || w * (ybar - D_q(ybar_sigma)) ||^2.
     """
     total = 0.0
     for s, sigma in enumerate(sigmas):
         ybar_sigma = ybar + sigma * (eps[s] * masks)
-        lifted = basis.forward(ybar_sigma)
-        denoised = lifted + sigma**2 * score(q, lifted, sigma)
-        resid = (ybar - basis.inverse(denoised)) * w[None, :]
+        denoised = ybar_sigma + sigma**2 * score(q, ybar_sigma, sigma)
+        resid = (ybar - denoised) * w[None, :]
         total += float(np.einsum("bi,bi->b", resid, resid).sum())
     return total / (sigmas.size * ybar.shape[0])
 
@@ -138,17 +140,16 @@ def _pack_loss_and_grad(
     q: GaussianMixture,
     ybar: np.ndarray,
     masks: np.ndarray,
-    basis,
     w: np.ndarray,
     sigmas: np.ndarray,
     eps: np.ndarray,
     train_weights: bool,
 ) -> tuple[float, np.ndarray]:
-    """_pack_loss and its exact gradient in the parameters of _initial_params.
+    """_pack_loss and its exact gradient in q's means and weight logits.
 
-    The denoiser is D = sum_k r_k m_k with m_k = x + sigma^2 (mu_k - x)/var_k,
-    so with g = dL/dD (the residual taken back through V, the adjoint of the
-    orthogonal V^T):
+    Everything is in q's own (projected) coordinates. The denoiser is
+    D = sum_k r_k m_k with m_k = x + sigma^2 (mu_k - x)/var_k, so with
+    g = dL/dD:
       dL/dmu_k    = sum_rows r_k sigma^2/var_k g - r_k ((m_k - D).g) (mu_k - x)/var_k
       dL/dlogit_k = sum_rows r_k (m_k - D).g
     The softmax's -w_k term drops out of the logit gradient because
@@ -162,14 +163,13 @@ def _pack_loss_and_grad(
     grad_logits = np.zeros(q.n_components)
     for s, sigma in enumerate(sigmas):
         ybar_sigma = ybar + sigma * (eps[s] * masks)
-        lifted = basis.forward(ybar_sigma)
-        comp, var, diff = _component_log_densities(q, lifted, sigma)
+        comp, var, diff = _component_log_densities(q, ybar_sigma, sigma)
         r = np.exp(comp - _logsumexp(comp, axis=1, keepdims=True))  # (B, K)
         scaled = diff / var[None, :, None]  # (B, K, n)
-        sc = np.einsum("bk,bki->bi", r, scaled)  # score(q, lifted, sigma)
-        resid = (ybar - basis.inverse(lifted + sigma**2 * sc)) * w[None, :]
+        sc = np.einsum("bk,bki->bi", r, scaled)  # score(q, ybar_sigma, sigma)
+        resid = (ybar - (ybar_sigma + sigma**2 * sc)) * w[None, :]
         total += float(np.einsum("bi,bi->b", resid, resid).sum())
-        g = basis.forward(scale * resid)  # dL/dD, (B, n)
+        g = scale * resid  # dL/dD, (B, n)
         # r_k (m_k - D).g, with m_k - D = sigma^2 (scaled_k - sc)
         proj = np.einsum("bki,bi->bk", scaled, g) - np.einsum("bi,bi->b", sc, g)[:, None]
         rc = sigma**2 * r * proj
@@ -179,6 +179,23 @@ def _pack_loss_and_grad(
     loss = total / pairs
     parts = [grad_means.ravel(), grad_logits] if train_weights else [grad_means.ravel()]
     return loss, np.concatenate(parts)
+
+
+def _signal_loss_and_grad(
+    q: GaussianMixture, basis, ybar, masks, w, sigmas, eps, train_weights: bool
+) -> tuple[float, np.ndarray]:
+    """_pack_loss_and_grad of q given in signal coordinates.
+
+    q is rotated into the projected basis (means V^T mu_k), and the mean
+    gradient is taken back with one basis.forward on (K, n): dL/dmu = V
+    dL/d(V^T mu). The logit gradient does not depend on the basis.
+    """
+    loss, grad = _pack_loss_and_grad(
+        rotate(q, basis.inverse), ybar, masks, w, sigmas, eps, train_weights
+    )
+    k_n = q.means.size
+    grad[:k_n] = basis.forward(grad[:k_n].reshape(q.means.shape)).ravel()
+    return loss, grad
 
 
 def denoising_loss(
@@ -191,9 +208,9 @@ def denoising_loss(
     """Mean weighted denoising error of q over (measurement x sigma) pairs.
 
     For each measurement and each sigma, noise is added on the observed
-    coordinates, the point is lifted, q's posterior-mean denoiser is
-    applied, and the result is compared against the clean lifted
-    measurement under the per-coordinate weights w_diag.
+    coordinates, the denoiser of q rotated into the projected basis is
+    applied, and the result is compared against the clean measurement
+    under the per-coordinate weights w_diag.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.ndim != 1 or sigmas.size == 0 or np.any(sigmas <= 0):
@@ -204,7 +221,8 @@ def denoising_loss(
         raise BasisMismatch("projection stats come from a different sampler")
     eps = as_rng(rng).standard_normal((sigmas.size,) + batch.ybar.shape)
     return _pack_loss(
-        q, batch.ybar, batch.support, batch.sampler.basis, stats.w_diag, sigmas, eps
+        rotate(q, batch.sampler.basis.inverse), batch.ybar, batch.support, stats.w_diag,
+        sigmas, eps,
     )
 
 
@@ -290,8 +308,8 @@ def adapt(
     eval_eps = eval_gen.standard_normal((cfg.sigma_draws, n_data, q0.dim))
 
     def eval_loss(params: np.ndarray) -> float:
-        q = _split_params(params, q0, train_weights)
-        return _pack_loss(q, ybar_all, masks_all, basis, w, eval_sigmas, eval_eps)
+        q = rotate(_split_params(params, q0, train_weights), basis.inverse)
+        return _pack_loss(q, ybar_all, masks_all, w, eval_sigmas, eval_eps)
 
     params = _initial_params(q0, train_weights)
     best_params = params.copy()
@@ -320,7 +338,7 @@ def adapt(
         )
 
         q = _split_params(params, q0, train_weights)
-        _, grad = _pack_loss_and_grad(q, ybar, masks, basis, w, sigmas, eps, train_weights)
+        _, grad = _signal_loss_and_grad(q, basis, ybar, masks, w, sigmas, eps, train_weights)
         if cfg.optimizer == "gradient-descent":
             params = params - cfg.step_size * grad
         else:

@@ -41,11 +41,6 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
     sub.add_argument("--out", default=None, help="output directory for report + CSVs")
-    sub.add_argument(
-        "--riemann-left",
-        action="store_true",
-        help="use the left Riemann rule instead of the trapezoid rule",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(config: dict, args) -> dict:
     if args.seed is not None:
         config["seed"] = int(args.seed)
-    if args.riemann_left:
-        config["grid"]["rule"] = "left-riemann"
     return config
 
 

@@ -3,20 +3,24 @@
 The divergence is the integral over sigma of E||grad log p_sigma -
 grad log q_sigma||^2 sigma, and one kernel, _score_gap_kl, evaluates it in
 all three settings. Node j of the sigma grid draws eps (N, dim) from the
-stream (seed, "sigma-noise", j), masks it to a support, lifts
-base + sigma * eps through a basis, takes the two priors' score gap there,
-optionally maps the gap back through the basis with a per-coordinate
-weight, and averages its squared norm; the node means are then integrated.
+stream (seed, "sigma-noise", j), masks it to a support, takes the two
+priors' score gap at base + sigma * eps, optionally weights it per
+coordinate, and averages its squared norm; the node means are then
+integrated. The kernel never sees a basis.
 
   * image domain: base points x ~ p (or one fixed array); nothing else.
   * measurement domain: base ybar from a MeasurementDataset, noise masked
-    to each row's support P, points lifted as V ybar_sigma. The gap is the
-    noised-measurement marginal score difference P E[P] V^T (grad log p -
-    grad log q), weighted by W = E[P]^(-3/2) in the shared projected basis,
-    so observed coordinates carry E[P]^(-1/2) in all. That makes a full
-    observation reduce exactly to the image-domain estimator.
+    to each row's support P. The priors are first rotated into the
+    sampler's projected basis (means V^T mu_k). The components are
+    isotropic and V is orthogonal, so ||V y - mu_k|| = ||y - V^T mu_k||
+    and the rotated scores at ybar_sigma equal V^T (grad log p - grad log
+    q) at the lift V ybar_sigma. The gap is the noised-measurement
+    marginal score difference P E[P] V^T (grad log p - grad log q),
+    weighted by W = E[P]^(-3/2), so observed coordinates carry E[P]^(-1/2)
+    in all. That makes a full observation reduce exactly to the
+    image-domain estimator.
   * invertible case: full-rank operators make ybar recover V^T x exactly,
-    so the image-domain integral applies in the operator's own basis.
+    so the image-domain integral applies to the rotated priors.
 
 A MeasurementDataset holds observations as columns: ybar (N, n), op_index
 (N,), sigma_z (N,) and the boolean support (N, n) of each row's P. Since
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gmm import GaussianMixture, sample, score
+from .gmm import GaussianMixture, rotate, sample, score
 from .measurements import (
     BasisMismatch,
     MeasurementOperator,
@@ -53,8 +57,8 @@ _DATA_Z_TAG = "meas-z"
 class KlEstimate:
     """Output of one estimator run.
 
-    value is exactly the quadrature of the recorded series on the recorded
-    grid, so reports can be re-derived from the series alone.
+    value is exactly the trapezoid quadrature of the recorded series on the
+    recorded grid, so reports can be re-derived from the series alone.
     """
 
     value: float
@@ -63,7 +67,6 @@ class KlEstimate:
     grid: SigmaGrid
     n_samples: int
     mode: str
-    rule: str = "trapezoid"
 
     def to_dict(self) -> dict:
         return {
@@ -72,7 +75,7 @@ class KlEstimate:
             "stderr": self.stderr,
             "n_samples": self.n_samples,
             "grid": self.grid.to_dict(),
-            "rule": self.rule,
+            "rule": "trapezoid",
         }
 
 
@@ -130,13 +133,11 @@ class MeasurementDataset:
     def operators(self) -> list[MeasurementOperator]:
         """Each row's operator, built from its support once per distinct op_index."""
         cache = self._operators
-        fingerprint = self.sampler.fingerprint()
         for i, idx in enumerate(self.op_index.tolist()):
             if idx not in cache:
                 cache[idx] = MeasurementOperator(
                     basis=self.sampler.basis,
                     singular_values=np.where(self.support[i], self.sampler.singular_value, 0.0),
-                    operator_id=f"{fingerprint}:{idx}",
                 )
         return [cache[idx] for idx in self.op_index.tolist()]
 
@@ -205,15 +206,15 @@ class MeasurementDataset:
 
 def _score_gap_kl(
     p: GaussianMixture, q: GaussianMixture, grid: SigmaGrid, base, count: int, seed: int,
-    rule: str, workers: int, mode: str, support=None, basis=None, factor=None,
+    workers: int, mode: str, support=None, factor=None,
 ) -> KlEstimate:
     """The one score-gap kernel: per-node squared gaps, node statistics, quadrature.
 
     Node j draws eps (count, dim) from (seed, "sigma-noise", j), masks it to
-    support, evaluates both scores at basis.forward(base(j) + sigma * eps)
-    and reduces the squared gap per row, taken back through basis.inverse
-    and weighted by factor when a factor is given. A None support, basis or
-    factor is the identity and is skipped, not applied.
+    support, evaluates both scores at base(j) + sigma * eps and reduces the
+    squared gap per row, weighted by factor when a factor is given. p, q and
+    base share one coordinate system. A None support or factor is the
+    identity and is skipped, not applied.
     """
 
     def node(j: int, sigma: float) -> tuple[float, float]:
@@ -221,11 +222,9 @@ def _score_gap_kl(
         if support is not None:
             eps *= support
         pts = base(j) + sigma * eps
-        if basis is not None:
-            pts = basis.forward(pts)
         gap = score(p, pts, sigma) - score(q, pts, sigma)
         if factor is not None:
-            gap = basis.inverse(gap) * factor
+            gap *= factor
         vals = np.einsum("ni,ni->n", gap, gap)
         stderr = float(vals.std(ddof=1) / np.sqrt(count)) if count > 1 else 0.0
         return float(vals.mean()), stderr
@@ -238,8 +237,8 @@ def _score_gap_kl(
         per_node = list(map(node, *nodes))
     means, stderrs = (np.array(column) for column in zip(*per_node))
     series = IntegrandSeries(means=means, stderrs=stderrs, n_samples=count)
-    value, stderr = integrate(grid, series, rule)
-    return KlEstimate(value, stderr, series, grid, count, mode, rule)
+    value, stderr = integrate(grid, series)
+    return KlEstimate(value, stderr, series, grid, count, mode)
 
 
 def kl_image(
@@ -249,7 +248,6 @@ def kl_image(
     n_samples: int | None = None,
     samples: np.ndarray | None = None,
     seed: int = 0,
-    rule: str = "trapezoid",
     workers: int = 1,
 ) -> KlEstimate:
     """Image-domain divergence: integrated squared score gap at noised draws.
@@ -270,12 +268,14 @@ def kl_image(
     if samples is None and n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     fixed = None if samples is None else np.atleast_2d(samples)
+    if fixed is not None and fixed.shape[1:] != (p.dim,):
+        raise ValueError(f"samples must be (N, {p.dim}) for these priors, got {fixed.shape}")
     count = n_samples if fixed is None else fixed.shape[0]
 
     def base(j: int) -> np.ndarray:
         return sample(p, count, stream(seed, _NODE_X_TAG, j)) if fixed is None else fixed
 
-    return _score_gap_kl(p, q, grid, base, count, seed, rule, workers, "image")
+    return _score_gap_kl(p, q, grid, base, count, seed, workers, "image")
 
 
 def kl_measurement(
@@ -285,17 +285,16 @@ def kl_measurement(
     stats: ProjectionStats,
     grid: SigmaGrid,
     seed: int = 0,
-    rule: str = "trapezoid",
     workers: int = 1,
 ) -> KlEstimate:
     """Measurement-domain divergence from corrupted observations only.
 
-    At each sigma node every measurement is re-noised on its observed
-    coordinates, lifted to signal coordinates, and both priors' smoothed
-    scores are evaluated there. The score gap is taken back to the shared
-    projected basis, masked to the measurement's support, and weighted per
-    coordinate by w_diag * ep_diag (the W = E[P]^(-3/2) compensation applied
-    to the projected marginal's score difference, which carries P E[P]).
+    p and q are rotated into the sampler's projected basis once. At each
+    sigma node every measurement is re-noised on its observed coordinates
+    and both rotated priors' smoothed scores are evaluated there. The score
+    gap is masked to the measurement's support and weighted per coordinate
+    by w_diag * ep_diag (the W = E[P]^(-3/2) compensation applied to the
+    projected marginal's score difference, which carries P E[P]).
     Measurement noise needs no special handling here: it is already baked
     into ybar when the dataset is created.
     """
@@ -307,9 +306,10 @@ def kl_measurement(
         raise ValueError("projection stats dim does not match sampler")
     support = data.support
     factor = stats.w_diag * stats.ep_diag * support  # = ep^(-1/2) on observed coordinates
+    to_basis = data.sampler.basis.inverse
     return _score_gap_kl(
-        p, q, grid, lambda j: data.ybar, len(data), seed, rule, workers, "measurement",
-        support=support, basis=data.sampler.basis, factor=factor,
+        rotate(p, to_basis), rotate(q, to_basis), grid, lambda j: data.ybar, len(data), seed,
+        workers, "measurement", support=support, factor=factor,
     )
 
 
@@ -319,16 +319,15 @@ def kl_invertible(
     data: MeasurementDataset,
     grid: SigmaGrid,
     seed: int = 0,
-    rule: str = "trapezoid",
     workers: int = 1,
 ) -> KlEstimate:
     """Divergence from measurements under invertible (full-rank) operators.
 
     With every singular value positive, ybar recovers V^T x exactly, so the
-    image-domain integral applies directly to noised measurements: no
-    weighting and no operator distribution are involved. With an identity
-    operator this follows the image-domain estimator's sample paths
-    exactly.
+    image-domain integral applies directly to noised measurements under the
+    priors rotated into the projected basis: no weighting and no operator
+    distribution are involved. With an identity operator this follows the
+    image-domain estimator's sample paths exactly.
     """
     if p.dim != q.dim or p.dim != data.sampler.dim:
         raise ValueError("dimension mismatch between priors and measurements")
@@ -338,7 +337,8 @@ def kl_invertible(
         raise ValueError(
             f"kl_invertible requires full-rank operators; rank-deficient op_index: {bad}"
         )
+    to_basis = data.sampler.basis.inverse
     return _score_gap_kl(
-        p, q, grid, lambda j: data.ybar, len(data), seed, rule, workers, "invertible",
-        basis=data.sampler.basis,
+        rotate(p, to_basis), rotate(q, to_basis), grid, lambda j: data.ybar, len(data), seed,
+        workers, "invertible",
     )

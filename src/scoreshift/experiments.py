@@ -126,7 +126,6 @@ CONFIG_SCHEMA = {
                 "sigma_min": {"type": "number", "exclusiveMinimum": 0},
                 "sigma_max": {"type": "number", "exclusiveMinimum": 0},
                 "nodes": {"type": "integer", "minimum": 2},
-                "rule": {"enum": ["trapezoid", "left-riemann"]},
             },
         },
         "estimators": {
@@ -216,10 +215,9 @@ def load_config(path) -> dict:
     return config
 
 
-def _build_grid(config: dict) -> tuple[SigmaGrid, str]:
+def _build_grid(config: dict) -> SigmaGrid:
     g = config["grid"]
-    grid = make_log_grid(g["sigma_min"], g["sigma_max"], g["nodes"])
-    return grid, g.get("rule", "trapezoid")
+    return make_log_grid(g["sigma_min"], g["sigma_max"], g["nodes"])
 
 
 def _build_mixtures(config: dict) -> tuple[GaussianMixture, GaussianMixture]:
@@ -300,7 +298,7 @@ def run(
     started = time.perf_counter()
     seed = int(config["seed"])
     p, q = _build_mixtures(config)
-    grid, rule = _build_grid(config)
+    grid = _build_grid(config)
     wanted = list(config["estimators"])
 
     report = RunReport(config_hash=config_hash(config), seed=seed, versions=_versions())
@@ -352,16 +350,15 @@ def run(
             grid,
             n_samples=config.get("n_samples", DEFAULT_N_SAMPLES),
             seed=seed,
-            rule=rule,
             workers=workers,
         )
     if "measurement" in wanted:
         report.estimates["measurement"] = kl_measurement(
-            p, q, data, stats, grid, seed=seed, rule=rule, workers=workers
+            p, q, data, stats, grid, seed=seed, workers=workers
         )
     if "invertible" in wanted:
         report.estimates["invertible"] = kl_invertible(
-            p, q, data, grid, seed=seed, rule=rule, workers=workers
+            p, q, data, grid, seed=seed, workers=workers
         )
 
     if "adaptation" in config:
@@ -384,7 +381,7 @@ def run(
             fh.write("\n")
         for mode, est in report.estimates.items():
             (out / f"integrand_{mode}.csv").write_text(
-                series_csv(est.grid, est.series, est.rule), encoding="utf-8"
+                series_csv(est.grid, est.series), encoding="utf-8"
             )
         if report.adapted_mixture is not None:
             report.adapted_mixture.save(out / "adapted_mixture.json")

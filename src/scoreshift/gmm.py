@@ -252,14 +252,16 @@ def exact_kl_oracle(
     return value, stderr
 
 
-def rotate(gmm: GaussianMixture, matrix: np.ndarray) -> GaussianMixture:
+def rotate(gmm: GaussianMixture, transform) -> GaussianMixture:
     """Pushforward of the mixture through an orthogonal map x -> M x.
 
-    Isotropic components stay isotropic, so only the means move.
+    transform is the (n, n) matrix M, or a callable that applies the map to
+    each row of the (K, n) means, such as RightBasis.inverse (x -> V^T x).
+    Isotropic components stay isotropic, so only the means move, and the
+    scores of the result at M x are M times the original's at x.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    return GaussianMixture(
-        weights=gmm.weights,
-        means=gmm.means @ matrix.T,
-        variances=gmm.variances,
-    )
+    if callable(transform):
+        means = transform(gmm.means)
+    else:
+        means = gmm.means @ np.asarray(transform, dtype=float).T
+    return GaussianMixture(weights=gmm.weights, means=means, variances=gmm.variances)

@@ -146,7 +146,6 @@ class MeasurementOperator:
 
     basis: RightBasis
     singular_values: np.ndarray
-    operator_id: str
 
     def __post_init__(self):
         s = np.asarray(self.singular_values, dtype=float)
@@ -359,11 +358,7 @@ def sample_operator(sampler: OperatorSampler, index: int) -> MeasurementOperator
         raise ValueError(f"index must be >= 0, got {index}")
     mask = _draw_mask(sampler, index)
     s = np.where(mask, sampler.singular_value, 0.0)
-    return MeasurementOperator(
-        basis=sampler.basis,
-        singular_values=s,
-        operator_id=f"{sampler.fingerprint()}:{index}",
-    )
+    return MeasurementOperator(basis=sampler.basis, singular_values=s)
 
 
 def to_projected(

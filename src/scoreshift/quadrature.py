@@ -2,9 +2,8 @@
 
 The divergence estimators all reduce to an integral of the form
 ``int f(sigma) * sigma dsigma`` where f is a per-noise-level expectation
-estimated by Monte Carlo. This module owns the sigma grid, the quadrature
-rules (trapezoid by default, left Riemann for replicating coarser
-reference runs), standard-error propagation, and the running partial
+estimated by Monte Carlo. This module owns the sigma grid, the trapezoid
+rule in sigma, standard-error propagation, and the running partial
 integrals used for "divergence accumulated up to noise level sigma" curves.
 
 The formal upper limit of the integral is infinity; the grid truncates it.
@@ -19,8 +18,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-
-RULES = ("trapezoid", "left-riemann")
 
 DEFAULT_SIGMA_MIN = 1e-2
 DEFAULT_SIGMA_MAX = 1e3
@@ -108,76 +105,54 @@ def _check_lengths(grid: SigmaGrid, series: IntegrandSeries) -> None:
         )
 
 
-def _interval_contributions(grid: SigmaGrid, series: IntegrandSeries, rule: str):
-    """Per-interval pieces of int f(sigma) sigma dsigma; summing gives the value."""
-    if rule not in RULES:
-        raise ValueError(f"unknown quadrature rule {rule!r}; options: {RULES}")
-    s = grid.nodes
-    g = series.means * s  # integrand including the sigma weight
-    widths = np.diff(s)
-    if rule == "trapezoid":
-        return widths * 0.5 * (g[:-1] + g[1:])
-    return widths * g[:-1]
-
-
-def node_weights(grid: SigmaGrid, rule: str = "trapezoid") -> np.ndarray:
-    """Quadrature weight attached to each node's integrand value f(sigma_j).
+def node_weights(grid: SigmaGrid) -> np.ndarray:
+    """Trapezoid weight attached to each node's integrand value f(sigma_j).
 
     The weights already include the sigma factor, so the integral is
     weights @ series.means and the propagated variance is
     sum (weights * stderrs)^2.
     """
-    if rule not in RULES:
-        raise ValueError(f"unknown quadrature rule {rule!r}; options: {RULES}")
     s = grid.nodes
     widths = np.diff(s)
     w = np.zeros_like(s)
-    if rule == "trapezoid":
-        w[:-1] += 0.5 * widths
-        w[1:] += 0.5 * widths
-    else:
-        w[:-1] = widths
+    w[:-1] += 0.5 * widths
+    w[1:] += 0.5 * widths
     return w * s
 
 
-def cumulative_integral(
-    grid: SigmaGrid, series: IntegrandSeries, rule: str = "trapezoid"
-) -> np.ndarray:
+def cumulative_integral(grid: SigmaGrid, series: IntegrandSeries) -> np.ndarray:
     """Partial integrals up to each node; entry 0 is 0, the last is the total.
 
     Nondecreasing whenever the integrand means are nonnegative.
     """
     _check_lengths(grid, series)
     out = np.zeros(len(grid))
-    out[1:] = np.cumsum(_interval_contributions(grid, series, rule))
+    g = series.means * grid.nodes  # integrand including the sigma weight
+    out[1:] = np.cumsum(np.diff(grid.nodes) * 0.5 * (g[:-1] + g[1:]))
     return out
 
 
-def integrate(
-    grid: SigmaGrid, series: IntegrandSeries, rule: str = "trapezoid"
-) -> tuple[float, float]:
+def integrate(grid: SigmaGrid, series: IntegrandSeries) -> tuple[float, float]:
     """Quadrature value of int f(sigma) sigma dsigma and its standard error.
 
     Per-node standard errors combine in quadrature: each node mean comes
     from its own sample slice, so node errors are independent.
     """
     _check_lengths(grid, series)
-    value = float(cumulative_integral(grid, series, rule)[-1])
-    w = node_weights(grid, rule)
+    value = float(cumulative_integral(grid, series)[-1])
+    w = node_weights(grid)
     stderr = float(np.sqrt(np.sum((w * series.stderrs) ** 2)))
     return value, stderr
 
 
-def series_csv(
-    grid: SigmaGrid, series: IntegrandSeries, rule: str = "trapezoid"
-) -> str:
+def series_csv(grid: SigmaGrid, series: IntegrandSeries) -> str:
     """CSV text (sigma, integrand_mean, integrand_stderr, cumulative_kl).
 
     Numbers carry 17 significant digits so the document round-trips the
     underlying doubles exactly.
     """
     _check_lengths(grid, series)
-    cum = cumulative_integral(grid, series, rule)
+    cum = cumulative_integral(grid, series)
     buf = io.StringIO()
     buf.write("sigma,integrand_mean,integrand_stderr,cumulative_kl\n")
     for s, m, e, c in zip(grid.nodes, series.means, series.stderrs, cum):

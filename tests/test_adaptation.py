@@ -13,10 +13,11 @@ from scoreshift import (
     denoising_loss,
     estimate_projection_stats,
     make_log_grid,
+    rotate,
     sample,
 )
 from scoreshift.adaptation import _initial_params, _pack_loss, _split_params, fd_gradient
-from scoreshift.adaptation import _pack_loss_and_grad
+from scoreshift.adaptation import _signal_loss_and_grad
 from scoreshift.measurements import (
     OperatorSampler,
     dense_orthogonal_basis,
@@ -107,8 +108,8 @@ class TestFiniteDifferenceGradient:
         eps = stream(37, "fd").standard_normal((3, 64, 10))
 
         def loss_at(params):
-            mix = _split_params(params, q, False)
-            return _pack_loss(mix, ybar, masks, sampler.basis, stats.w_diag, sigmas, eps)
+            mix = rotate(_split_params(params, q, False), sampler.basis.inverse)
+            return _pack_loss(mix, ybar, masks, stats.w_diag, sigmas, eps)
 
         h = 1e-3
         probe_gen = stream(38, "fd-probe")
@@ -127,37 +128,63 @@ class TestFiniteDifferenceGradient:
             assert rel.max() < 1e-3
 
 
+def basis_pack(basis_kind, dim=8):
+    """The triangle pair, a keep-0.6 dataset of 32 rows under one basis, sigmas and eps."""
+    p, q = triangle_pair(dim)
+    basis = {
+        "identity": identity_basis(dim),
+        "dense": dense_orthogonal_basis(dim, 4),
+        "hadamard": hadamard_basis(dim),
+    }[basis_kind]
+    sampler = OperatorSampler(
+        kind="coordinate-mask", dim=dim, basis=basis, base_seed=5, keep_prob=0.6
+    )
+    stats = estimate_projection_stats(sampler, 256)
+    draws = sample(p, 32, stream(60, "data-x"))
+    data = MeasurementDataset.from_samples(sampler, draws, seed=60)
+    sigmas = np.geomspace(1e-2, 1e3, 6)
+    eps = stream(61, "grad").standard_normal((sigmas.size,) + data.ybar.shape)
+    return q, basis, data, stats.w_diag, sigmas, eps
+
+
+class TestProjectedLoss:
+    @pytest.mark.parametrize("basis_kind", ["identity", "dense", "hadamard"])
+    def test_rotated_loss_matches_lifted_loss(self, basis_kind):
+        # the literal form: lift each re-noised row with V, denoise in signal
+        # coordinates, take the result back with V^T
+        q, basis, data, w, sigmas, eps = basis_pack(basis_kind)
+        ybar, masks = data.ybar, data.support
+        total = 0.0
+        for s, sigma in enumerate(sigmas):
+            lifted = basis.forward(ybar + sigma * (eps[s] * masks))
+            resid = (ybar - basis.inverse(denoise(q, lifted, sigma))) * w
+            total += float(np.einsum("bi,bi->b", resid, resid).sum())
+        lifted_loss = total / (sigmas.size * len(data))
+        loss = _pack_loss(rotate(q, basis.inverse), ybar, masks, w, sigmas, eps)
+        if basis_kind == "identity":
+            assert loss == lifted_loss
+        else:
+            assert loss == pytest.approx(lifted_loss, rel=1e-12)
+
+
 class TestClosedFormGradient:
     @pytest.mark.parametrize("basis_kind", ["identity", "dense", "hadamard"])
     def test_closed_form_gradient_matches_fd(self, basis_kind):
-        dim = 8
-        p, q3 = triangle_pair(dim)
+        q3, basis, data, w, sigmas, eps = basis_pack(basis_kind)
         q1 = GaussianMixture(weights=np.ones(1), means=q3.means[:1], variances=q3.variances[:1])
-        basis = {
-            "identity": identity_basis(dim),
-            "dense": dense_orthogonal_basis(dim, 4),
-            "hadamard": hadamard_basis(dim),
-        }[basis_kind]
-        sampler = OperatorSampler(
-            kind="coordinate-mask", dim=dim, basis=basis, base_seed=5, keep_prob=0.6
-        )
-        stats = estimate_projection_stats(sampler, 256)
-        draws = sample(p, 32, stream(60, "data-x"))
-        data = MeasurementDataset.from_samples(sampler, draws, seed=60)
         ybar = data.ybar
         masks = data.support
-        sigmas = np.geomspace(1e-2, 1e3, 6)
-        eps = stream(61, "grad").standard_normal((sigmas.size,) + ybar.shape)
         for q in (q1, q3):
             for train_weights in (False, True):
-
+                # differentiate in signal-coordinate parameters, through the
+                # rotation into the projected basis
                 def loss_at(params, q=q, train_weights=train_weights):
-                    mix = _split_params(params, q, train_weights)
-                    return _pack_loss(mix, ybar, masks, basis, stats.w_diag, sigmas, eps)
+                    mix = rotate(_split_params(params, q, train_weights), basis.inverse)
+                    return _pack_loss(mix, ybar, masks, w, sigmas, eps)
 
                 params = _initial_params(q, train_weights)
-                loss, grad = _pack_loss_and_grad(
-                    q, ybar, masks, basis, stats.w_diag, sigmas, eps, train_weights
+                loss, grad = _signal_loss_and_grad(
+                    q, basis, ybar, masks, w, sigmas, eps, train_weights
                 )
                 assert loss == pytest.approx(loss_at(params), rel=1e-12)
                 reference = fd_gradient(loss_at, params, 1e-3)

@@ -105,7 +105,6 @@ class TestSampleOperator:
         a = sample_operator(sampler, 7)
         b = sample_operator(sampler, 7)
         np.testing.assert_array_equal(a.singular_values, b.singular_values)
-        assert a.operator_id == b.operator_id
         c = sample_operator(sampler, 8)
         assert not np.array_equal(a.singular_values, c.singular_values)
 
@@ -188,7 +187,6 @@ class TestToProjected:
         op = MeasurementOperator(
             basis=identity_basis(4),
             singular_values=np.array([1.0, 0.0, 1.0, 0.0]),
-            operator_id="manual:0",
         )
         ybar = to_projected(op.basis, op.support, np.array([1.0, 2.0, 3.0, 4.0]))
         np.testing.assert_array_equal(ybar, [1.0, 0.0, 3.0, 0.0])
@@ -197,7 +195,6 @@ class TestToProjected:
         op = MeasurementOperator(
             basis=identity_basis(4),
             singular_values=np.array([2.0, 0.0, 0.5, 0.0]),
-            operator_id="manual:0",
         )
         ybar = to_projected(
             op.basis, op.support, np.zeros(4), 0.3, [stream(3, "z")], op.singular_values
@@ -210,7 +207,6 @@ class TestToProjected:
         op = MeasurementOperator(
             basis=identity_basis(2),
             singular_values=np.array([2.0, 0.5]),
-            operator_id="manual:0",
         )
         gen = stream(4, "zscale")
         draws = to_projected(
