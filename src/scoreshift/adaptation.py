@@ -33,7 +33,7 @@ import numpy as np
 
 from .estimators import KlEstimate, MeasurementDataset, kl_image, kl_measurement
 from .gmm import GaussianMixture, _component_log_densities, _logsumexp, rotate, score
-from .measurements import BasisMismatch, ProjectionStats
+from .measurements import estimate_projection_stats
 from .quadrature import SigmaGrid
 from .rng import as_rng, stream
 
@@ -198,31 +198,24 @@ def _signal_loss_and_grad(
     return loss, grad
 
 
-def denoising_loss(
-    q: GaussianMixture,
-    batch: MeasurementDataset,
-    stats: ProjectionStats,
-    sigmas,
-    rng,
-) -> float:
+def denoising_loss(q: GaussianMixture, batch: MeasurementDataset, sigmas, rng) -> float:
     """Mean weighted denoising error of q over (measurement x sigma) pairs.
 
     For each measurement and each sigma, noise is added on the observed
     coordinates, the denoiser of q rotated into the projected basis is
     applied, and the result is compared against the clean measurement
-    under the per-coordinate weights w_diag.
+    under the per-coordinate weights w_diag = E[P]^(-3/2), with E[P] the
+    batch's own observation frequency (see estimate_projection_stats).
     """
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.ndim != 1 or sigmas.size == 0 or np.any(sigmas <= 0):
         raise ValueError("sigmas must be a nonempty list of positive values")
     if q.dim != batch.sampler.dim:
         raise ValueError("mixture dim does not match measurement dim")
-    if stats.sampler_id and stats.sampler_id != batch.sampler.fingerprint():
-        raise BasisMismatch("projection stats come from a different sampler")
+    w = estimate_projection_stats(batch.support).w_diag
     eps = as_rng(rng).standard_normal((sigmas.size,) + batch.ybar.shape)
     return _pack_loss(
-        rotate(q, batch.sampler.basis.inverse), batch.ybar, batch.support, stats.w_diag,
-        sigmas, eps,
+        rotate(q, batch.sampler.basis.inverse), batch.ybar, batch.support, w, sigmas, eps
     )
 
 
@@ -263,7 +256,6 @@ def fd_gradient(loss_fn, params: np.ndarray, h: float) -> np.ndarray:
 def adapt(
     q0: GaussianMixture,
     data: MeasurementDataset,
-    stats: ProjectionStats,
     cfg: AdaptationConfig,
     grid: SigmaGrid,
     ind_model: GaussianMixture | None = None,
@@ -274,7 +266,10 @@ def adapt(
     Args:
         q0: starting out-of-distribution mixture.
         data: corrupted in-distribution measurements; the only
-            data-dependent input to the optimization.
+            data-dependent input to the optimization. The loss weights
+            w_diag = E[P]^(-3/2) come from its observation frequency over
+            all rows (estimate_projection_stats), so every minibatch is
+            weighted alike.
         grid: sigma grid; supplies the sigma sampling range and the
             quadrature for the recomputed divergences.
         ind_model: optional in-distribution prior. When given, the report
@@ -295,7 +290,7 @@ def adapt(
         raise ValueError("mixture dim does not match measurement dim")
     train_weights = cfg.trainable == "means-and-weights"
     basis = data.sampler.basis
-    w = stats.w_diag
+    w = estimate_projection_stats(data.support).w_diag
     lo, hi = cfg.sigma_range if cfg.sigma_range else (grid.sigma_min, grid.sigma_max)
 
     ybar_all, masks_all, op_ids = data.ybar, data.support, data.op_index
@@ -380,11 +375,9 @@ def adapt(
         param_delta=delta,
     )
     if ind_model is not None:
-        report.kl_measurement_before = kl_measurement(
-            ind_model, q0, data, stats, grid, seed=cfg.seed
-        )
+        report.kl_measurement_before = kl_measurement(ind_model, q0, data, grid, seed=cfg.seed)
         report.kl_measurement_after = kl_measurement(
-            ind_model, adapted, data, stats, grid, seed=cfg.seed
+            ind_model, adapted, data, grid, seed=cfg.seed
         )
         report.kl_image_before = kl_image(
             ind_model, q0, grid, n_samples=n_image_samples, seed=cfg.seed

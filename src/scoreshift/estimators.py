@@ -17,8 +17,8 @@ integrated. The kernel never sees a basis.
     q) at the lift V ybar_sigma. The gap is the noised-measurement
     marginal score difference P E[P] V^T (grad log p - grad log q),
     weighted by W = E[P]^(-3/2), so observed coordinates carry E[P]^(-1/2)
-    in all. That makes a full observation reduce exactly to the
-    image-domain estimator.
+    in all. E[P] is the dataset's own observation frequency, so a full
+    observation reduces exactly to the image-domain estimator.
   * invertible case: full-rank operators make ybar recover V^T x exactly,
     so the image-domain integral applies to the rotated priors.
 
@@ -38,10 +38,9 @@ import numpy as np
 
 from .gmm import GaussianMixture, rotate, sample, score
 from .measurements import (
-    BasisMismatch,
     MeasurementOperator,
     OperatorSampler,
-    ProjectionStats,
+    estimate_projection_stats,
     sample_operator,
     to_projected,
 )
@@ -97,7 +96,6 @@ class MeasurementDataset:
     ybar: np.ndarray
     op_index: np.ndarray
     sigma_z: np.ndarray
-    provenance: str = "from-p-samples"
     support: np.ndarray = field(init=False, repr=False)
     _operators: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -175,7 +173,6 @@ class MeasurementDataset:
 
     def to_dict(self) -> dict:
         return {
-            "provenance": "external-file",
             "sampler": self.sampler.to_dict(),
             "measurements": [
                 {"op_index": idx, "sigma_z": sz, "ybar": row}
@@ -200,7 +197,6 @@ class MeasurementDataset:
             ybar=[rec["ybar"] for rec in records],
             op_index=[int(rec["op_index"]) for rec in records],
             sigma_z=[float(rec.get("sigma_z", 0.0)) for rec in records],
-            provenance="external-file",
         )
 
 
@@ -282,7 +278,6 @@ def kl_measurement(
     p: GaussianMixture,
     q: GaussianMixture,
     data: MeasurementDataset,
-    stats: ProjectionStats,
     grid: SigmaGrid,
     seed: int = 0,
     workers: int = 1,
@@ -294,17 +289,17 @@ def kl_measurement(
     and both rotated priors' smoothed scores are evaluated there. The score
     gap is masked to the measurement's support and weighted per coordinate
     by w_diag * ep_diag (the W = E[P]^(-3/2) compensation applied to the
-    projected marginal's score difference, which carries P E[P]).
+    projected marginal's score difference, which carries P E[P]). E[P] is
+    the data's own observation frequency (estimate_projection_stats), so
+    each coordinate contributes the mean squared gap over the rows that
+    observed it, and a coordinate no row observes raises SpanViolation.
     Measurement noise needs no special handling here: it is already baked
     into ybar when the dataset is created.
     """
     if p.dim != q.dim or p.dim != data.sampler.dim:
         raise ValueError("dimension mismatch between priors and measurements")
-    if stats.sampler_id and stats.sampler_id != data.sampler.fingerprint():
-        raise BasisMismatch("projection stats come from a different sampler")
-    if stats.ep_diag.size != data.sampler.dim:
-        raise ValueError("projection stats dim does not match sampler")
     support = data.support
+    stats = estimate_projection_stats(support)
     factor = stats.w_diag * stats.ep_diag * support  # = ep^(-1/2) on observed coordinates
     to_basis = data.sampler.basis.inverse
     return _score_gap_kl(

@@ -143,7 +143,6 @@ CONFIG_SCHEMA = {
                 "sampler": _SAMPLER,
                 "n_measurements": {"type": "integer", "minimum": 1},
                 "sigma_z": {"type": "number", "minimum": 0},
-                "stats_draws": {"type": "integer", "minimum": 1},
                 "data_file": {"type": "string"},
                 "n_operators": {"type": "integer", "minimum": 1},
             },
@@ -168,7 +167,6 @@ CONFIG_SCHEMA = {
 
 DEFAULT_N_SAMPLES = 4096
 DEFAULT_N_MEASUREMENTS = 1000
-DEFAULT_STATS_DRAWS = 4096
 
 
 def config_hash(config: dict) -> str:
@@ -277,22 +275,18 @@ def _versions() -> dict:
     }
 
 
-def run(
-    config: dict, out_dir=None, workers: int = 1, dataset=None, stats=None
-) -> RunReport:
+def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport:
     """Execute one validated config; optionally write report and CSV files.
 
     Outputs (when out_dir is given): report.json, one integrand_<mode>.csv
-    per estimator, and adapted_mixture.json when adaptation ran.
+    per estimator, and adapted_mixture.json when adaptation ran. The
+    report's projection_stats is E[P] of the run's dataset, the frequency
+    the estimators weight with.
 
     Args:
         dataset: pre-acquired MeasurementDataset to use instead of drawing
             one from the config (its sampler must match the config's);
             sweep uses this to measure the same draws across runs.
-        stats: ProjectionStats from an earlier run, reused when they were
-            estimated for this config's sampler with its stats_draws and
-            re-estimated otherwise; sweep passes each run's stats on to
-            the next, so axes that keep the sampler estimate E[P] once.
     """
     validate_config(config)
     started = time.perf_counter()
@@ -314,14 +308,6 @@ def run(
         sampler = _build_sampler(meas_cfg["sampler"])
         if sampler.dim != p.dim:
             raise ConfigError(f"sampler dim {sampler.dim} != mixture dim {p.dim}")
-        stats_draws = meas_cfg.get("stats_draws", DEFAULT_STATS_DRAWS)
-        if (
-            stats is None
-            or stats.sampler_id != sampler.fingerprint()
-            or stats.draws_used != stats_draws
-        ):
-            stats = estimate_projection_stats(sampler, stats_draws)
-        report.projection_stats = stats
         if dataset is not None:
             if dataset.sampler.fingerprint() != sampler.fingerprint():
                 raise BasisMismatch("provided dataset was acquired under a different sampler")
@@ -342,6 +328,7 @@ def run(
                 seed=seed,
                 n_operators=meas_cfg.get("n_operators"),
             )
+        report.projection_stats = estimate_projection_stats(data.support)
 
     if "image" in wanted:
         report.estimates["image"] = kl_image(
@@ -354,7 +341,7 @@ def run(
         )
     if "measurement" in wanted:
         report.estimates["measurement"] = kl_measurement(
-            p, q, data, stats, grid, seed=seed, workers=workers
+            p, q, data, grid, seed=seed, workers=workers
         )
     if "invertible" in wanted:
         report.estimates["invertible"] = kl_invertible(
@@ -365,9 +352,7 @@ def run(
         acfg_doc = dict(config["adaptation"])
         eval_samples = acfg_doc.pop("eval_samples", 2048)
         acfg = AdaptationConfig(seed=seed, **acfg_doc)
-        adapted, adaptation = adapt(
-            q, data, stats, acfg, grid, ind_model=p, n_image_samples=eval_samples
-        )
+        adapted, adaptation = adapt(q, data, acfg, grid, ind_model=p, n_image_samples=eval_samples)
         report.adaptation = adaptation
         report.adapted_mixture = adapted
 
@@ -398,8 +383,8 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
     every run, so the axis isolates what it varies: keep_prob changes only
     the masks, sigma_z only the measurement noise, n_measurements only how
     many of the shared draws are used. The per-run seed (recorded in each
-    report) is base seed + index. E[P] is estimated once per distinct
-    sampler: the sigma_z and n_measurements axes share one estimate.
+    report) is base seed + index. Each run takes E[P] from its own
+    dataset's observation frequency, as a run of that config alone would.
 
     Returns (reports, summary_rows) where each summary row is
     (axis_value, kl_measurement, kl_image, abs_gap).
@@ -425,7 +410,6 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
 
     reports = []
     rows = []
-    stats = None
     for i, value in enumerate(values):
         variant = json.loads(json.dumps(config))
         n_meas = base_n
@@ -450,8 +434,7 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
             n_operators=variant["measurement"].get("n_operators"),
         )
         sub = Path(out_dir) / f"{axis}={value}" if out_dir is not None else None
-        report = run(variant, sub, workers, dataset=data, stats=stats)
-        stats = report.projection_stats
+        report = run(variant, sub, workers, dataset=data)
         reports.append(report)
         km = report.estimates["measurement"].value
         ki = report.estimates["image"].value

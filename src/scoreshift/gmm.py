@@ -194,23 +194,15 @@ def score(gmm: GaussianMixture, x, sigma: float = 0.0):
     return out[0] if single else out
 
 
-def denoise(gmm: GaussianMixture, x, sigma: float, allow_zero_sigma: bool = False):
+def denoise(gmm: GaussianMixture, x, sigma: float):
     """Posterior mean E[x0 | x] for x = x0 + sigma * eps, x0 ~ gmm.
 
     Computed as x + sigma^2 * score(gmm, x, sigma), which equals the
-    responsibility-weighted per-component posterior means. sigma = 0 is
-    rejected unless allow_zero_sigma is set, in which case the identity map
-    is returned (a noiseless observation is its own posterior mean).
+    responsibility-weighted per-component posterior means. sigma must be
+    positive.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0:
-        if not allow_zero_sigma:
-            raise ValueError(
-                "denoise at sigma=0 is the identity; pass allow_zero_sigma=True "
-                "to opt in"
-            )
-        return np.asarray(x, dtype=float).copy()
+    if sigma <= 0:
+        raise ValueError(f"denoise needs sigma > 0, got sigma={sigma}")
     return np.asarray(x, dtype=float) + float(sigma) ** 2 * score(gmm, x, sigma)
 
 

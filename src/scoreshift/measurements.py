@@ -7,8 +7,9 @@ projection P marks observed directions (diag P_i = 1 iff s_i > 0).
 
 All operators drawn from one sampler share the same basis object, so
 datasets built from a single sampler satisfy the shared-right-basis
-requirement by construction. Coverage of the signal space is checked
-empirically: if some coordinate is never observed across probe draws,
+requirement by construction. E[P] is taken from the measurements at hand:
+the fraction of rows that observe each projected coordinate
+(estimate_projection_stats). If some coordinate is observed by no row,
 estimation stops with SpanViolation rather than silently extrapolating.
 """
 
@@ -246,9 +247,21 @@ class OperatorSampler:
         doc = {"kind": self.kind, "dim": self.dim, "base_seed": self.base_seed}
         basis = {"kind": self.basis.kind}
         if self.basis.kind == "dense":
-            # dense bases regenerate from their seed recorded in basis_id
-            parts = self.basis.basis_id.split(":")
-            basis["seed"] = int(parts[2]) if len(parts) == 3 else 0
+            # a dense basis is written as the seed it regenerates from, so it
+            # must be the one dense_orthogonal_basis builds from that seed
+            prefix, _, seed = self.basis.basis_id.rpartition(":")
+            if not (
+                prefix == f"dense:{self.dim}"
+                and seed.isdigit()
+                and np.array_equal(
+                    dense_orthogonal_basis(self.dim, int(seed)).matrix, self.basis.matrix
+                )
+            ):
+                raise ValueError(
+                    f"dense basis {self.basis.basis_id!r} was not built by "
+                    "dense_orthogonal_basis, so no seed regenerates it"
+                )
+            basis["seed"] = int(seed)
         doc["basis"] = basis
         if self.keep_prob is not None:
             p = np.asarray(self.keep_prob)
@@ -298,13 +311,12 @@ class ProjectionStats:
 
     w_diag is ep_diag^(-3/2), the diagonal scaling that makes unevenly
     observed coordinates contribute proportionally to the measurement-domain
-    divergence.
+    divergence. draws_used is the number of operator rows ep_diag averages.
     """
 
     ep_diag: np.ndarray
     w_diag: np.ndarray
     draws_used: int
-    sampler_id: str = ""
 
     def __post_init__(self):
         ep = np.asarray(self.ep_diag, dtype=float)
@@ -325,7 +337,6 @@ class ProjectionStats:
             "ep_diag": self.ep_diag.tolist(),
             "w_diag": self.w_diag.tolist(),
             "draws_used": self.draws_used,
-            "sampler_id": self.sampler_id,
         }
 
 
@@ -401,29 +412,27 @@ def to_projected(
     return ybar
 
 
-def estimate_projection_stats(sampler: OperatorSampler, draws: int = 4096) -> ProjectionStats:
-    """Empirical diagonal of E[P] over `draws` operator draws, plus weights.
+def estimate_projection_stats(support: np.ndarray) -> ProjectionStats:
+    """E[P] as each coordinate's observation frequency over the (N, n) supports.
+
+    The estimators weight with the frequency in the very rows they average,
+    not with the sampler's population E[P]: coordinate i's weighted term
+    then becomes sum_r P_ri g_ri^2 / sum_r P_ri, the mean squared gap over
+    the rows that observed it, so the mask-sampling error cancels. That is
+    exact when the gap is constant (a Gaussian shift), and with every
+    coordinate observed in every row ep_diag = w_diag = 1.
 
     Raises:
-        SpanViolation: if some coordinate is never observed; the operator
-            family then fails to cover the signal space and the
-            measurement-domain divergence is undefined for it.
+        SpanViolation: if no row observes some coordinate; the measurements
+            then fail to cover the signal space and the measurement-domain
+            divergence is undefined for them.
     """
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
-    acc = np.zeros(sampler.dim)
-    for i in range(draws):
-        acc += _draw_mask(sampler, i)
-    ep = acc / draws
+    support = np.asarray(support, dtype=bool)
+    ep = support.mean(axis=0)
     dead = np.flatnonzero(ep == 0)
     if dead.size:
         raise SpanViolation(
-            f"coordinates never observed across {draws} operator draws: "
+            f"coordinates never observed in {len(support)} measurements: "
             f"{dead[:8].tolist()}{'...' if dead.size > 8 else ''}"
         )
-    return ProjectionStats(
-        ep_diag=ep,
-        w_diag=ep ** -1.5,
-        draws_used=draws,
-        sampler_id=sampler.fingerprint(),
-    )
+    return ProjectionStats(ep_diag=ep, w_diag=ep ** -1.5, draws_used=len(support))

@@ -48,7 +48,6 @@ def toy_masked_data(toy_pair):
     """Shared 0.8-keep masked dataset of 400 toy draws, with its stats."""
     p, _ = toy_pair
     sampler = mask_sampler(dim=p.dim, keep_prob=0.8, base_seed=5)
-    stats = estimate_projection_stats(sampler, 2048)
     draws = sample(p, 400, stream(17, "data-x"))
     data = MeasurementDataset.from_samples(sampler, draws, seed=17)
-    return sampler, stats, draws, data
+    return sampler, estimate_projection_stats(data.support), draws, data

@@ -24,7 +24,6 @@ from scoreshift.measurements import (
     hadamard_basis,
     identity_basis,
 )
-from scoreshift.measurements import BasisMismatch, ProjectionStats
 from scoreshift.priors import gaussian_pair, triangle_pair
 from scoreshift.rng import stream
 from tests.conftest import mask_sampler
@@ -32,10 +31,8 @@ from tests.conftest import mask_sampler
 
 def full_observation_data(p, count, seed):
     sampler = mask_sampler(dim=p.dim, keep_prob=1.0, base_seed=seed)
-    stats = estimate_projection_stats(sampler, 64)
     draws = sample(p, count, stream(seed, "data-x"))
-    data = MeasurementDataset.from_samples(sampler, draws, seed=seed)
-    return sampler, stats, data
+    return MeasurementDataset.from_samples(sampler, draws, seed=seed)
 
 
 class TestDenoisingLoss:
@@ -51,16 +48,16 @@ class TestDenoisingLoss:
             means=np.stack([atom, far]),
             variances=np.array([1e-8, 1.0]),
         )
-        _, stats, data = full_observation_data(p_atom, 64, seed=31)
-        loss = denoising_loss(q, data, stats, [0.05], stream(31, "loss"))
+        data = full_observation_data(p_atom, 64, seed=31)
+        loss = denoising_loss(q, data, [0.05], stream(31, "loss"))
         assert loss < 1e-3
 
     def test_full_observation_matches_bayes_risk_oracle(self, toy_pair):
         # oracle: direct Monte Carlo of ||x - denoise(x + sigma eps)||^2
         p, _ = toy_pair
         sigma = 0.5
-        _, stats, data = full_observation_data(p, 4000, seed=32)
-        loss = denoising_loss(p, data, stats, [sigma], stream(32, "loss"))
+        data = full_observation_data(p, 4000, seed=32)
+        loss = denoising_loss(p, data, [sigma], stream(32, "loss"))
         gen = stream(33, "bayes-oracle")
         x = sample(p, 4000, gen)
         noised = x + sigma * gen.standard_normal(x.shape)
@@ -70,32 +67,22 @@ class TestDenoisingLoss:
 
     def test_scaling_weights_scales_loss_quadratically(self, toy_pair, toy_masked_data):
         p, q = toy_pair
-        _, stats, _, data = toy_masked_data
-        scaled = ProjectionStats(
-            ep_diag=stats.ep_diag,
-            w_diag=stats.w_diag * 2.0,
-            draws_used=stats.draws_used,
-            sampler_id=stats.sampler_id,
-        )
-        base = denoising_loss(q, data, stats, [0.3, 0.9], stream(34, "loss"))
-        quad = denoising_loss(q, data, scaled, [0.3, 0.9], stream(34, "loss"))
+        sampler, stats, _, data = toy_masked_data
+        rotated = rotate(q, sampler.basis.inverse)
+        sigmas = np.array([0.3, 0.9])
+        eps = stream(34, "loss").standard_normal((sigmas.size,) + data.ybar.shape)
+        w = stats.w_diag
+        base = _pack_loss(rotated, data.ybar, data.support, w, sigmas, eps)
+        quad = _pack_loss(rotated, data.ybar, data.support, 2.0 * w, sigmas, eps)
         assert quad == 4.0 * base
 
     def test_sigma_validation(self, toy_pair, toy_masked_data):
         _, q = toy_pair
-        _, stats, _, data = toy_masked_data
-        with pytest.raises(ValueError, match="positive"):
-            denoising_loss(q, data, stats, [0.5, -0.1], stream(35, "loss"))
-        with pytest.raises(ValueError, match="positive"):
-            denoising_loss(q, data, stats, [], stream(35, "loss"))
-
-    def test_mismatched_stats_rejected(self, toy_pair, toy_masked_data):
-        _, q = toy_pair
         _, _, _, data = toy_masked_data
-        other = mask_sampler(dim=10, keep_prob=0.4, base_seed=123)
-        other_stats = estimate_projection_stats(other, 128)
-        with pytest.raises(BasisMismatch):
-            denoising_loss(q, data, other_stats, [0.5], stream(36, "loss"))
+        with pytest.raises(ValueError, match="positive"):
+            denoising_loss(q, data, [0.5, -0.1], stream(35, "loss"))
+        with pytest.raises(ValueError, match="positive"):
+            denoising_loss(q, data, [], stream(35, "loss"))
 
 
 class TestFiniteDifferenceGradient:
@@ -139,12 +126,11 @@ def basis_pack(basis_kind, dim=8):
     sampler = OperatorSampler(
         kind="coordinate-mask", dim=dim, basis=basis, base_seed=5, keep_prob=0.6
     )
-    stats = estimate_projection_stats(sampler, 256)
     draws = sample(p, 32, stream(60, "data-x"))
     data = MeasurementDataset.from_samples(sampler, draws, seed=60)
     sigmas = np.geomspace(1e-2, 1e3, 6)
     eps = stream(61, "grad").standard_normal((sigmas.size,) + data.ybar.shape)
-    return q, basis, data, stats.w_diag, sigmas, eps
+    return q, basis, data, estimate_projection_stats(data.support).w_diag, sigmas, eps
 
 
 class TestProjectedLoss:
@@ -209,7 +195,7 @@ class TestAdaptationConfig:
 class TestAdapt:
     def test_already_optimal_start_barely_moves(self, toy_pair, toy_masked_data):
         p, _ = toy_pair
-        _, stats, _, data = toy_masked_data
+        _, _, _, data = toy_masked_data
         grid = make_log_grid(0.01, 1.0, 24)
         cfg = AdaptationConfig(
             trainable="means-only",
@@ -221,7 +207,7 @@ class TestAdapt:
             seed=41,
             sigma_range=(0.05, 3.0),
         )
-        adapted, report = adapt(p, data, stats, cfg, grid)
+        adapted, report = adapt(p, data, cfg, grid)
         assert report.param_delta["means"] < 1e-2
         assert report.stop_reason in ("plateau", "cap")
 
@@ -229,7 +215,6 @@ class TestAdapt:
         p, q0 = gaussian_pair()
         grid = make_log_grid(1e-2, 1e3, 96)
         sampler = mask_sampler(dim=10, keep_prob=0.5, base_seed=21)
-        stats = estimate_projection_stats(sampler, 4096)
         draws = sample(p, 512, stream(33, "data-x"))
         data = MeasurementDataset.from_samples(sampler, draws, seed=33)
         cfg = AdaptationConfig(
@@ -244,14 +229,14 @@ class TestAdapt:
             plateau_rel=0.002,
             plateau_window=15,
         )
-        adapted, report = adapt(q0, data, stats, cfg, grid, ind_model=p)
+        adapted, report = adapt(q0, data, cfg, grid, ind_model=p)
         assert np.max(np.abs(adapted.means[0])) < 0.3
         assert report.kl_measurement_after.value < 1.0
         assert report.kl_measurement_before.value > 10.0
 
     def test_divergence_guard_triggers(self, toy_pair, toy_masked_data):
         _, q = toy_pair
-        _, stats, _, data = toy_masked_data
+        _, _, _, data = toy_masked_data
         grid = make_log_grid(0.01, 1.0, 16)
         cfg = AdaptationConfig(
             trainable="means-only",
@@ -264,11 +249,11 @@ class TestAdapt:
             sigma_range=(0.5, 3.0),
         )
         with pytest.raises(DivergenceError, match="consecutive"):
-            adapt(q, data, stats, cfg, grid)
+            adapt(q, data, cfg, grid)
 
     def test_trajectory_bounded_and_best_loss_not_worse(self, toy_pair, toy_masked_data):
         p, q = toy_pair
-        _, stats, _, data = toy_masked_data
+        _, _, _, data = toy_masked_data
         grid = make_log_grid(0.01, 1.0, 16)
         cfg = AdaptationConfig(
             trainable="means-only",
@@ -280,7 +265,7 @@ class TestAdapt:
             seed=43,
             sigma_range=(0.05, 2.0),
         )
-        adapted, report = adapt(q, data, stats, cfg, grid)
+        adapted, report = adapt(q, data, cfg, grid)
         assert len(report.loss_trajectory) <= cfg.iterations + 1
         assert min(report.loss_trajectory) <= report.loss_trajectory[0]
         best_curve = np.minimum.accumulate(report.loss_trajectory)
@@ -288,7 +273,7 @@ class TestAdapt:
 
     def test_weights_stay_on_simplex_when_trainable(self, toy_pair, toy_masked_data):
         p, q = toy_pair
-        _, stats, _, data = toy_masked_data
+        _, _, _, data = toy_masked_data
         grid = make_log_grid(0.01, 1.0, 16)
         skewed = GaussianMixture(
             weights=np.array([0.6, 0.2, 0.2]), means=q.means, variances=q.variances
@@ -303,14 +288,14 @@ class TestAdapt:
             seed=44,
             sigma_range=(0.05, 2.0),
         )
-        adapted, report = adapt(skewed, data, stats, cfg, grid)
+        adapted, report = adapt(skewed, data, cfg, grid)
         assert adapted.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(adapted.weights >= 0)
         assert report.param_delta["weights"] >= 0.0
 
     def test_variances_frozen(self, toy_pair, toy_masked_data):
         p, q = toy_pair
-        _, stats, _, data = toy_masked_data
+        _, _, _, data = toy_masked_data
         grid = make_log_grid(0.01, 1.0, 16)
         cfg = AdaptationConfig(
             trainable="means-only",
@@ -322,13 +307,12 @@ class TestAdapt:
             seed=45,
             sigma_range=(0.05, 2.0),
         )
-        adapted, _ = adapt(q, data, stats, cfg, grid)
+        adapted, _ = adapt(q, data, cfg, grid)
         np.testing.assert_array_equal(adapted.variances, q.variances)
 
     def test_shared_mask_batches_smoke(self, toy_pair):
         p, q = toy_pair
         sampler = mask_sampler(dim=10, keep_prob=0.8, base_seed=50)
-        stats = estimate_projection_stats(sampler, 512)
         draws = sample(p, 96, stream(50, "data-x"))
         data = MeasurementDataset.from_samples(sampler, draws, seed=50, n_operators=4)
         grid = make_log_grid(0.01, 1.0, 12)
@@ -343,5 +327,5 @@ class TestAdapt:
             sigma_range=(0.05, 2.0),
             shared_mask_batches=True,
         )
-        adapted, report = adapt(q, data, stats, cfg, grid)
+        adapted, report = adapt(q, data, cfg, grid)
         assert len(report.loss_trajectory) >= 2

@@ -1,4 +1,4 @@
-"""Experiment runner: projection stats shared across sweep runs, dataset guards, workers."""
+"""Experiment runner: projection stats of sweep runs, dataset guards, exit codes, workers."""
 
 import json
 
@@ -9,7 +9,6 @@ from scoreshift import (
     MeasurementDataset,
     OperatorSampler,
     cli,
-    estimate_projection_stats,
     experiments,
     sample,
 )
@@ -29,7 +28,6 @@ def small_config():
         "measurement": {
             "sampler": {"kind": "coordinate-mask", "dim": 4, "keep_prob": 0.6, "base_seed": 2},
             "n_measurements": 16,
-            "stats_draws": 64,
         },
     }
 
@@ -43,43 +41,21 @@ def with_value(config, axis, value):
     return variant
 
 
-@pytest.fixture
-def stats_calls(monkeypatch):
-    calls = []
-
-    def counting(sampler, draws):
-        calls.append(sampler.fingerprint())
-        return estimate_projection_stats(sampler, draws)
-
-    monkeypatch.setattr(experiments, "estimate_projection_stats", counting)
-    return calls
-
-
 class TestSweepProjectionStats:
     @pytest.mark.parametrize(
-        "axis, values, estimates",
+        "axis, values",
         [
-            ("sigma_z", [0.0, 0.5, 2.0], 1),
-            ("n_measurements", [8, 16], 1),
-            ("keep_prob", [0.5, 0.7, 0.9], 3),
+            ("sigma_z", [0.0, 0.5, 2.0]),
+            ("n_measurements", [8, 16]),
+            ("keep_prob", [0.5, 0.7, 0.9]),
         ],
     )
-    def test_stats_estimated_once_per_sampler(self, axis, values, estimates, stats_calls):
+    def test_stats_estimated_once_per_sampler(self, axis, values):
         config = small_config()
         reports, _ = experiments.sweep(config, axis, values)
-        assert len(stats_calls) == estimates
         for value, report in zip(values, reports):
             fresh = experiments.run(with_value(config, axis, value))
             assert report.projection_stats.to_dict() == fresh.projection_stats.to_dict()
-
-    def test_stats_with_other_draw_count_re_estimated(self, stats_calls):
-        config = small_config()
-        stats = experiments.run(config).projection_stats
-        assert experiments.run(config, stats=stats).projection_stats is stats
-        config["measurement"]["stats_draws"] = 32
-        report = experiments.run(config, stats=stats)
-        assert report.projection_stats.draws_used == 32
-        assert len(stats_calls) == 2
 
 
 def acquired(sampler_doc):
@@ -93,6 +69,12 @@ def other_sampler(config):
     return {**config["measurement"]["sampler"], "base_seed": 9}
 
 
+def config_file(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
 class TestRunSamplerGuard:
     def test_dataset_from_other_sampler_rejected(self):
         config = small_config()
@@ -103,9 +85,7 @@ class TestRunSamplerGuard:
         config = small_config()
         acquired(other_sampler(config)).save(tmp_path / "data.json")
         config["measurement"]["data_file"] = str(tmp_path / "data.json")
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_ASSUMPTION == 3
+        assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_ASSUMPTION == 3
 
     def test_matching_data_file_reproduces_in_memory_run(self, tmp_path):
         config = small_config()
@@ -117,6 +97,22 @@ class TestRunSamplerGuard:
         for doc in (from_file, in_memory):
             doc.pop("wall_clock_s")
         assert from_file == in_memory
+
+
+class TestRunExitCodes:
+    def test_data_file_leaving_a_coordinate_unobserved_exits_3(self, tmp_path, capsys):
+        config = small_config()
+        config["measurement"]["sampler"]["keep_prob"] = [0.6, 0.0, 0.6, 0.6]
+        acquired(config["measurement"]["sampler"]).save(tmp_path / "data.json")
+        config["measurement"]["data_file"] = str(tmp_path / "data.json")
+        assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_ASSUMPTION == 3
+        assert "never observed in 16 measurements: [1]" in capsys.readouterr().err
+
+    def test_stats_draws_key_rejected_exits_2(self, tmp_path, capsys):
+        config = small_config()
+        config["measurement"]["stats_draws"] = 64
+        assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_CONFIG == 2
+        assert "stats_draws" in capsys.readouterr().err
 
 
 def report_without_clock(config, workers):

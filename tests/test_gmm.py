@@ -224,12 +224,6 @@ class TestDenoise:
         with pytest.raises(ValueError, match="sigma=0"):
             denoise(toy_pair[0], np.zeros(10), 0.0)
 
-    def test_sigma_zero_identity_on_opt_in(self, toy_pair):
-        x = np.arange(10.0)
-        np.testing.assert_array_equal(
-            denoise(toy_pair[0], x, 0.0, allow_zero_sigma=True), x
-        )
-
     def test_point_mass_prior_returns_its_atom(self):
         mu = np.array([2.0, -1.0, 4.0])
         g = single_gaussian(mu, var=1e-8)

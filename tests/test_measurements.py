@@ -21,6 +21,11 @@ from scoreshift.rng import stream
 from tests.conftest import mask_sampler
 
 
+def supports(sampler, count):
+    """The (count, n) supports of operators 0..count-1, stacked."""
+    return np.stack([sample_operator(sampler, i).support for i in range(count)])
+
+
 class TestWalshHadamard:
     def test_self_inverse_and_orthonormal(self):
         rng = stream(0, "fwht")
@@ -138,7 +143,7 @@ class TestSampleOperator:
             keep_prob=0.5,
             patch_edge=4,
         )
-        stats = estimate_projection_stats(sampler, 10**4)
+        stats = estimate_projection_stats(supports(sampler, 10**4))
         assert np.max(np.abs(stats.ep_diag - 0.5)) < 0.02
 
     def test_patch_edge_must_divide_image_edge(self):
@@ -230,12 +235,12 @@ class TestProjectionIdempotence:
 
 class TestProjectionStats:
     def test_full_keep_gives_identity_weights(self):
-        stats = estimate_projection_stats(mask_sampler(dim=8, keep_prob=1.0), 128)
+        stats = estimate_projection_stats(supports(mask_sampler(dim=8, keep_prob=1.0), 128))
         np.testing.assert_array_equal(stats.ep_diag, np.ones(8))
         np.testing.assert_array_equal(stats.w_diag, np.ones(8))
 
     def test_bernoulli_quarter_keeps_give_weight_eight(self):
-        stats = estimate_projection_stats(mask_sampler(dim=10, keep_prob=0.25), 10**4)
+        stats = estimate_projection_stats(supports(mask_sampler(dim=10, keep_prob=0.25), 10**4))
         np.testing.assert_allclose(stats.w_diag, 8.0, rtol=0.05)
 
     def test_band_low_block_is_deterministic(self):
@@ -247,20 +252,19 @@ class TestProjectionStats:
             low_count=8,
             rand_count=8,
         )
-        stats = estimate_projection_stats(sampler, 256)
+        stats = estimate_projection_stats(supports(sampler, 256))
         np.testing.assert_array_equal(stats.ep_diag[:8], np.ones(8))
 
     def test_weight_power_invariant(self):
-        stats = estimate_projection_stats(mask_sampler(dim=12, keep_prob=0.7), 2048)
+        stats = estimate_projection_stats(supports(mask_sampler(dim=12, keep_prob=0.7), 2048))
         np.testing.assert_allclose(stats.w_diag, stats.ep_diag**-1.5, rtol=0, atol=1e-12)
         assert stats.draws_used == 2048
-        assert stats.sampler_id
 
     def test_span_violation_when_coordinate_never_observed(self):
         keep = np.array([0.0, 0.9, 0.9, 0.9])
         sampler = mask_sampler(dim=4, keep_prob=keep)
         with pytest.raises(SpanViolation, match="never observed"):
-            estimate_projection_stats(sampler, 200)
+            estimate_projection_stats(supports(sampler, 200))
 
     def test_invalid_ep_rejected(self):
         with pytest.raises(ValueError):
@@ -296,3 +300,12 @@ class TestSamplerSerialization:
             op_a = sample_operator(sampler, 3)
             op_b = sample_operator(clone, 3)
             np.testing.assert_array_equal(op_a.singular_values, op_b.singular_values)
+
+    @pytest.mark.parametrize("basis_id", ["", "dense:4:0", "dense:4:x", "dense:8:0"])
+    def test_dense_basis_without_its_seed_not_written(self, basis_id):
+        # a seed the matrix was not built from would regenerate another basis
+        q = dense_orthogonal_basis(4, seed=3).matrix[:, ::-1]
+        basis = RightBasis(kind="dense", dim=4, matrix=q, basis_id=basis_id)
+        sampler = mask_sampler(dim=4, keep_prob=0.5, basis=basis)
+        with pytest.raises(ValueError, match="no seed regenerates it"):
+            sampler.to_dict()
