@@ -37,7 +37,6 @@ from .measurements import (
     SpanViolation,
     dense_orthogonal_basis,
     estimate_projection_stats,
-    fwht,
     hadamard_basis,
     identity_basis,
     sample_operator,
@@ -77,7 +76,6 @@ __all__ = [
     "dense_orthogonal_basis",
     "estimate_projection_stats",
     "exact_kl_oracle",
-    "fwht",
     "gaussian_pair",
     "hadamard_basis",
     "identity_basis",

@@ -191,7 +191,7 @@ def _signal_loss_and_grad(
     dL/d(V^T mu). The logit gradient does not depend on the basis.
     """
     loss, grad = _pack_loss_and_grad(
-        rotate(q, basis.inverse), ybar, masks, w, sigmas, eps, train_weights
+        rotate(q, basis.matrix.T), ybar, masks, w, sigmas, eps, train_weights
     )
     k_n = q.means.size
     grad[:k_n] = basis.forward(grad[:k_n].reshape(q.means.shape)).ravel()
@@ -215,7 +215,7 @@ def denoising_loss(q: GaussianMixture, batch: MeasurementDataset, sigmas, rng) -
     w = estimate_projection_stats(batch.support).w_diag
     eps = as_rng(rng).standard_normal((sigmas.size,) + batch.ybar.shape)
     return _pack_loss(
-        rotate(q, batch.sampler.basis.inverse), batch.ybar, batch.support, w, sigmas, eps
+        rotate(q, batch.sampler.basis.matrix.T), batch.ybar, batch.support, w, sigmas, eps
     )
 
 
@@ -303,7 +303,7 @@ def adapt(
     eval_eps = eval_gen.standard_normal((cfg.sigma_draws, n_data, q0.dim))
 
     def eval_loss(params: np.ndarray) -> float:
-        q = rotate(_split_params(params, q0, train_weights), basis.inverse)
+        q = rotate(_split_params(params, q0, train_weights), basis.matrix.T)
         return _pack_loss(q, ybar_all, masks_all, w, eval_sigmas, eval_eps)
 
     params = _initial_params(q0, train_weights)

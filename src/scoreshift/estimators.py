@@ -301,7 +301,7 @@ def kl_measurement(
     support = data.support
     stats = estimate_projection_stats(support)
     factor = stats.w_diag * stats.ep_diag * support  # = ep^(-1/2) on observed coordinates
-    to_basis = data.sampler.basis.inverse
+    to_basis = data.sampler.basis.matrix.T
     return _score_gap_kl(
         rotate(p, to_basis), rotate(q, to_basis), grid, lambda j: data.ybar, len(data), seed,
         workers, "measurement", support=support, factor=factor,
@@ -332,7 +332,7 @@ def kl_invertible(
         raise ValueError(
             f"kl_invertible requires full-rank operators; rank-deficient op_index: {bad}"
         )
-    to_basis = data.sampler.basis.inverse
+    to_basis = data.sampler.basis.matrix.T
     return _score_gap_kl(
         rotate(p, to_basis), rotate(q, to_basis), grid, lambda j: data.ybar, len(data), seed,
         workers, "invertible",

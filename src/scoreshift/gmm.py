@@ -244,16 +244,13 @@ def exact_kl_oracle(
     return value, stderr
 
 
-def rotate(gmm: GaussianMixture, transform) -> GaussianMixture:
+def rotate(gmm: GaussianMixture, matrix: np.ndarray) -> GaussianMixture:
     """Pushforward of the mixture through an orthogonal map x -> M x.
 
-    transform is the (n, n) matrix M, or a callable that applies the map to
-    each row of the (K, n) means, such as RightBasis.inverse (x -> V^T x).
     Isotropic components stay isotropic, so only the means move, and the
-    scores of the result at M x are M times the original's at x.
+    scores of the result at M x are M times the original's at x. Into a
+    basis's projected coordinates (x -> V^T x) that is
+    rotate(gmm, basis.matrix.T).
     """
-    if callable(transform):
-        means = transform(gmm.means)
-    else:
-        means = gmm.means @ np.asarray(transform, dtype=float).T
+    means = gmm.means @ np.asarray(matrix, dtype=float).T
     return GaussianMixture(weights=gmm.weights, means=means, variances=gmm.variances)

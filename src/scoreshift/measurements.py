@@ -3,7 +3,9 @@
 An operator is held as a shared orthogonal right basis V plus a vector of
 singular values s; the left factor is never materialized because samplers
 produce the normalized measurement ybar = pinv(Sigma) U^T y directly. The
-projection P marks observed directions (diag P_i = 1 iff s_i > 0).
+projection P marks observed directions (diag P_i = 1 iff s_i > 0). Every
+basis, Hadamard and identity included, holds V as an (n, n) matrix, so
+moving into the projected coordinates is one product with it.
 
 All operators drawn from one sampler share the same basis object, so
 datasets built from a single sampler satisfy the shared-right-basis
@@ -15,7 +17,6 @@ estimation stops with SpanViolation rather than silently extrapolating.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -34,46 +35,17 @@ class BasisMismatch(ValueError):
     """Raised when measurements from different right bases are combined."""
 
 
-@functools.lru_cache(maxsize=None)
-def _sylvester(size: int) -> np.ndarray:
-    """Unnormalized Sylvester Hadamard matrix of a power-of-two size (read-only)."""
-    h = np.ones((1, 1))
-    while h.shape[0] < size:
-        h = np.block([[h, h], [h, -h]])
-    h.setflags(write=False)
-    return h
-
-
-def fwht(x: np.ndarray) -> np.ndarray:
-    """Orthonormal Walsh-Hadamard transform along the last axis.
-
-    Length n must be a power of two. The transform applies the Sylvester
-    matrix H_n / sqrt(n) (natural order), so it is symmetric, orthogonal
-    and its own inverse. H_n factors as H_a (x) H_b with a = 2^floor(log2(n)/2)
-    and b = n / a, so each row is reshaped to an (a, b) block X and mapped
-    to H_a X H_b: two small matrix products instead of log2(n) butterfly
-    passes over the whole batch. The input is never written to.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    if n & (n - 1) or n == 0:
-        raise ValueError(f"Walsh-Hadamard length must be a power of two, got {n}")
-    a = 1 << ((n.bit_length() - 1) // 2)
-    b = n // a
-    y = _sylvester(a) @ (x.reshape(-1, a, b) @ _sylvester(b))
-    y /= math.sqrt(n)
-    return y.reshape(x.shape)
-
-
 @dataclass(frozen=True)
 class RightBasis:
-    """Orthogonal transform handle on R^n shared by an operator family.
+    """Orthogonal matrix V on R^n shared by an operator family.
 
-    kind is one of "identity", "dense" (explicit orthogonal matrix) or
-    "hadamard" (orthonormal Sylvester Walsh-Hadamard via fwht, power-of-two
-    n; V = V^T). forward applies V, inverse applies V^T; both accept (n,)
-    vectors or (N, n) batches and return a new array, leaving the input
-    untouched.
+    kind is one of "identity" (V = I), "dense" (the explicit orthogonal
+    matrix given) or "hadamard" (the Sylvester Walsh-Hadamard matrix
+    H_n / sqrt(n) in natural order, power-of-two n, so V = V^T). Identity
+    and Hadamard bases build their matrix once, at construction; past that,
+    kind only names the basis when a sampler is written out. forward
+    applies V, inverse applies V^T; both accept (..., n) arrays and return
+    a new array, leaving the input untouched.
     """
 
     kind: str
@@ -82,38 +54,35 @@ class RightBasis:
     basis_id: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("identity", "dense", "hadamard"):
-            raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.kind == "hadamard" and (self.dim & (self.dim - 1)):
-            raise ValueError("hadamard basis requires power-of-two dim")
-        if self.kind == "dense":
+        if self.kind == "identity":
+            m = np.eye(self.dim)
+        elif self.kind == "hadamard":
+            if self.dim < 1 or self.dim & (self.dim - 1):
+                raise ValueError("hadamard basis requires power-of-two dim")
+            m = np.ones((1, 1))
+            while m.shape[0] < self.dim:
+                m = np.block([[m, m], [m, -m]])
+            m /= math.sqrt(self.dim)
+        elif self.kind == "dense":
             m = np.asarray(self.matrix, dtype=float)
             if m.shape != (self.dim, self.dim):
                 raise ValueError("dense basis matrix must be (dim, dim)")
             if not np.allclose(m @ m.T, np.eye(self.dim), atol=1e-10):
                 raise ValueError("dense basis matrix is not orthogonal to 1e-10")
-            m.setflags(write=False)
-            object.__setattr__(self, "matrix", m)
+        else:
+            raise ValueError(f"unknown basis kind {self.kind!r}")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
         if not self.basis_id:
             object.__setattr__(self, "basis_id", f"{self.kind}:{self.dim}")
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Apply V (lift from projected coordinates to signal coordinates)."""
-        u = np.asarray(u, dtype=float)
-        if self.kind == "identity":
-            return u.copy()
-        if self.kind == "hadamard":
-            return fwht(u)
-        return u @ self.matrix.T
+        return np.asarray(u, dtype=float) @ self.matrix.T
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
         """Apply V^T (drop into the shared projected coordinates)."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "identity":
-            return x.copy()
-        if self.kind == "hadamard":
-            return fwht(x)
-        return x @ self.matrix
+        return np.asarray(x, dtype=float) @ self.matrix
 
 
 def identity_basis(dim: int) -> RightBasis:

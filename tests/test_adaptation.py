@@ -68,7 +68,7 @@ class TestDenoisingLoss:
     def test_scaling_weights_scales_loss_quadratically(self, toy_pair, toy_masked_data):
         p, q = toy_pair
         sampler, stats, _, data = toy_masked_data
-        rotated = rotate(q, sampler.basis.inverse)
+        rotated = rotate(q, sampler.basis.matrix.T)
         sigmas = np.array([0.3, 0.9])
         eps = stream(34, "loss").standard_normal((sigmas.size,) + data.ybar.shape)
         w = stats.w_diag
@@ -95,7 +95,7 @@ class TestFiniteDifferenceGradient:
         eps = stream(37, "fd").standard_normal((3, 64, 10))
 
         def loss_at(params):
-            mix = rotate(_split_params(params, q, False), sampler.basis.inverse)
+            mix = rotate(_split_params(params, q, False), sampler.basis.matrix.T)
             return _pack_loss(mix, ybar, masks, stats.w_diag, sigmas, eps)
 
         h = 1e-3
@@ -146,7 +146,7 @@ class TestProjectedLoss:
             resid = (ybar - basis.inverse(denoise(q, lifted, sigma))) * w
             total += float(np.einsum("bi,bi->b", resid, resid).sum())
         lifted_loss = total / (sigmas.size * len(data))
-        loss = _pack_loss(rotate(q, basis.inverse), ybar, masks, w, sigmas, eps)
+        loss = _pack_loss(rotate(q, basis.matrix.T), ybar, masks, w, sigmas, eps)
         if basis_kind == "identity":
             assert loss == lifted_loss
         else:
@@ -165,7 +165,7 @@ class TestClosedFormGradient:
                 # differentiate in signal-coordinate parameters, through the
                 # rotation into the projected basis
                 def loss_at(params, q=q, train_weights=train_weights):
-                    mix = rotate(_split_params(params, q, train_weights), basis.inverse)
+                    mix = rotate(_split_params(params, q, train_weights), basis.matrix.T)
                     return _pack_loss(mix, ybar, masks, w, sigmas, eps)
 
                 params = _initial_params(q, train_weights)

@@ -377,13 +377,17 @@ class TestDatasetLoadValidation:
 
 
 class TestBatchedAcquisition:
-    """from_samples against a literal one-row-at-a-time acquisition."""
+    """from_samples against a literal one-row-at-a-time acquisition.
+
+    A batch and a single row go through different matrix-product kernels,
+    so they agree exactly only where V = I makes every product exact.
+    """
 
     @pytest.mark.parametrize(
         "basis, exact",
         [
             (identity_basis(16), True),
-            (hadamard_basis(16), True),
+            (hadamard_basis(16), False),
             (dense_orthogonal_basis(16, seed=3), False),
         ],
         ids=["identity", "hadamard", "dense"],

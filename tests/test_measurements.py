@@ -10,7 +10,6 @@ from scoreshift import (
     SpanViolation,
     dense_orthogonal_basis,
     estimate_projection_stats,
-    fwht,
     hadamard_basis,
     identity_basis,
     sample_operator,
@@ -26,56 +25,70 @@ def supports(sampler, count):
     return np.stack([sample_operator(sampler, i).support for i in range(count)])
 
 
+ALL_BASES = {
+    "identity": identity_basis(16),
+    "hadamard": hadamard_basis(16),
+    "dense": dense_orthogonal_basis(16, seed=5),
+}
+
+
 class TestWalshHadamard:
     def test_self_inverse_and_orthonormal(self):
-        rng = stream(0, "fwht")
-        x = rng.standard_normal(64)
-        np.testing.assert_allclose(fwht(fwht(x)), x, atol=1e-12)
-        assert np.linalg.norm(fwht(x)) == pytest.approx(np.linalg.norm(x), abs=1e-10)
+        basis = hadamard_basis(64)
+        x = stream(0, "hadamard").standard_normal(64)
+        np.testing.assert_array_equal(basis.matrix, basis.matrix.T)
+        np.testing.assert_allclose(basis.forward(basis.forward(x)), x, atol=1e-12)
+        assert np.linalg.norm(basis.inverse(x)) == pytest.approx(np.linalg.norm(x), abs=1e-10)
 
     def test_first_basis_vector_maps_to_constant(self):
         e0 = np.zeros(16)
         e0[0] = 1.0
-        np.testing.assert_allclose(fwht(e0), np.full(16, 0.25), atol=1e-14)
+        np.testing.assert_allclose(hadamard_basis(16).inverse(e0), np.full(16, 0.25), atol=1e-14)
 
     def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError, match="power of two"):
-            fwht(np.zeros(12))
+        for dim in (0, 12):
+            with pytest.raises(ValueError, match="power-of-two"):
+                hadamard_basis(dim)
 
     def test_batch_rows_transform_independently(self):
-        rng = stream(1, "fwht-batch")
-        batch = rng.standard_normal((5, 32))
-        together = fwht(batch)
+        basis = hadamard_basis(32)
+        batch = stream(1, "hadamard-batch").standard_normal((5, 32))
+        together = basis.inverse(batch)
         for i in range(5):
-            np.testing.assert_allclose(together[i], fwht(batch[i]), atol=1e-13)
-
+            np.testing.assert_allclose(together[i], basis.inverse(batch[i]), atol=1e-13)
 
 
 class TestKroneckerWalshHadamard:
+    """The Hadamard matrix against np.kron; every basis kind on any batch shape."""
+
     @pytest.mark.parametrize("n", [2**k for k in range(11)])
     def test_matches_kron_built_sylvester(self, n):
         h = np.ones((1, 1))
         while h.shape[0] < n:
             h = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]), h)
-        np.testing.assert_allclose(fwht(np.eye(n)), h / np.sqrt(n), rtol=0, atol=1e-14)
+        v = hadamard_basis(n).matrix
+        np.testing.assert_allclose(v, h / np.sqrt(n), rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(v, v.T)
 
     def test_leading_axes_give_the_same_rows(self):
-        rng = stream(2, "fwht-axes")
-        cube = rng.standard_normal((2, 3, 64))
-        flat = fwht(cube.reshape(6, 64))
-        np.testing.assert_array_equal(fwht(cube).reshape(6, 64), flat)
-        for i, row in enumerate(cube.reshape(6, 64)):
-            np.testing.assert_array_equal(fwht(row), flat[i])
+        cube = stream(2, "basis-axes").standard_normal((2, 3, 16))
+        for basis in ALL_BASES.values():
+            for apply in (basis.forward, basis.inverse):
+                flat = apply(cube.reshape(6, 16))
+                np.testing.assert_allclose(apply(cube).reshape(6, 16), flat, rtol=0, atol=1e-13)
+                for i, row in enumerate(cube.reshape(6, 16)):
+                    np.testing.assert_allclose(apply(row), flat[i], rtol=0, atol=1e-13)
 
     def test_read_only_input_left_unchanged(self):
-        x = stream(3, "fwht-ro").standard_normal((4, 256))
+        x = stream(3, "basis-ro").standard_normal((4, 16))
         x.setflags(write=False)
         before = x.copy()
-        basis = hadamard_basis(256)
-        for y in (fwht(x), basis.forward(x), basis.inverse(x)):
-            assert y is not x and y.flags.writeable
-            np.testing.assert_array_equal(x, before)
-        np.testing.assert_allclose(basis.inverse(basis.forward(x)), before, atol=1e-13)
+        for basis in ALL_BASES.values():
+            for y in (basis.forward(x), basis.inverse(x)):
+                assert y is not x and y.flags.writeable
+                np.testing.assert_array_equal(x, before)
+            np.testing.assert_allclose(basis.inverse(basis.forward(x)), before, atol=1e-13)
+
 
 class TestRightBasis:
     def test_identity_round_trip(self):
@@ -102,6 +115,16 @@ class TestRightBasis:
     def test_hadamard_requires_power_of_two(self):
         with pytest.raises(ValueError):
             hadamard_basis(10)
+
+    @pytest.mark.parametrize("kind", ALL_BASES)
+    def test_matrix_is_orthogonal(self, kind):
+        v = ALL_BASES[kind].matrix
+        np.testing.assert_allclose(v @ v.T, np.eye(16), rtol=0, atol=1e-12)
+        assert not v.flags.writeable
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown basis kind"):
+            RightBasis(kind="fourier", dim=4)
 
 
 class TestSampleOperator:
