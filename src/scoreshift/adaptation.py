@@ -27,7 +27,7 @@ makes the plateau rule and the divergence guard deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,6 +79,10 @@ class AdaptationConfig:
             raise ValueError("iteration cap must be >= 1")
         if self.batch < 1 or self.sigma_draws < 1:
             raise ValueError("batch and sigma_draws must be >= 1")
+        if self.plateau_window < 1 or self.divergence_patience < 1:
+            raise ValueError("plateau_window and divergence_patience must be >= 1")
+        if self.sigma_range is not None and not 0 < self.sigma_range[0] < self.sigma_range[1]:
+            raise ValueError(f"sigma_range must satisfy 0 < low < high, got {self.sigma_range}")
 
 
 @dataclass
@@ -96,7 +100,6 @@ class AdaptationReport:
     kl_measurement_after: KlEstimate | None = None
     kl_image_before: KlEstimate | None = None
     kl_image_after: KlEstimate | None = None
-    diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         def est(e):

@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .adaptation import DivergenceError
 from .estimators import MeasurementDataset, kl_image, kl_measurement
-from .experiments import CONFIG_SCHEMA, ConfigError, load_config, run, sweep
+from .experiments import CONFIG_SCHEMA, SWEEP_AXES, ConfigError, load_config, run, sweep
 from .gmm import denoise, sample, score
 from .measurements import BasisMismatch, OperatorSampler, SpanViolation, identity_basis
 from .priors import gaussian_pair, triangle_pair
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--axis",
         required=True,
-        choices=["keep_prob", "n_measurements", "sigma_z"],
+        choices=SWEEP_AXES,
         help="which knob to vary",
     )
     sweep_p.add_argument(

@@ -215,7 +215,10 @@ def load_config(path) -> dict:
 
 def _build_grid(config: dict) -> SigmaGrid:
     g = config["grid"]
-    return make_log_grid(g["sigma_min"], g["sigma_max"], g["nodes"])
+    try:
+        return make_log_grid(g["sigma_min"], g["sigma_max"], g["nodes"])
+    except ValueError as err:
+        raise ConfigError(f"grid: {err}") from err
 
 
 def _build_mixtures(config: dict) -> tuple[GaussianMixture, GaussianMixture]:
@@ -313,7 +316,13 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
                 raise BasisMismatch("provided dataset was acquired under a different sampler")
             data = dataset
         elif "data_file" in meas_cfg:
-            data = MeasurementDataset.load(meas_cfg["data_file"])
+            try:
+                data = MeasurementDataset.load(meas_cfg["data_file"])
+            except (OSError, ValueError, KeyError, TypeError) as err:
+                raise ConfigError(
+                    f"measurement.data_file: cannot load {meas_cfg['data_file']}: "
+                    f"{type(err).__name__}: {err}"
+                ) from err
             if data.sampler.fingerprint() != sampler.fingerprint():
                 raise BasisMismatch(
                     "measurement.data_file was acquired under a different sampler"

@@ -190,6 +190,13 @@ class TestAdaptationConfig:
             AdaptationConfig(step_size=0.0)
         with pytest.raises(ValueError):
             AdaptationConfig(iterations=0)
+        for field in ("plateau_window", "divergence_patience"):
+            with pytest.raises(ValueError, match=field):
+                AdaptationConfig(**{field: 0})
+        for sigma_range in ((0.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (2.0, 1.0)):
+            with pytest.raises(ValueError, match="sigma_range"):
+                AdaptationConfig(sigma_range=sigma_range)
+        AdaptationConfig(plateau_window=1, divergence_patience=1, sigma_range=(0.01, 1.0))
 
 
 class TestAdapt:

@@ -1,4 +1,4 @@
-"""Experiment runner: projection stats of sweep runs, dataset guards, exit codes, workers."""
+"""Experiment runner: sweep projection stats, dataset guards, exit codes, config hash, workers."""
 
 import json
 
@@ -113,6 +113,63 @@ class TestRunExitCodes:
         config["measurement"]["stats_draws"] = 64
         assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_CONFIG == 2
         assert "stats_draws" in capsys.readouterr().err
+
+    def test_inverted_grid_exits_2(self, tmp_path, capsys):
+        config = small_config()
+        config["grid"].update(sigma_min=10.0, sigma_max=0.1)
+        assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_CONFIG
+        assert "grid: need 0 < sigma_min < sigma_max" in capsys.readouterr().err
+
+    def test_missing_data_file_exits_2(self, tmp_path, capsys):
+        config = small_config()
+        config["measurement"]["data_file"] = str(tmp_path / "absent.json")
+        assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_CONFIG
+        assert "measurement.data_file: cannot load" in capsys.readouterr().err
+
+    def test_data_file_that_is_not_a_dataset_exits_2(self, tmp_path, capsys):
+        config = small_config()
+        (tmp_path / "data.json").write_text("{}")
+        config["measurement"]["data_file"] = str(tmp_path / "data.json")
+        assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_CONFIG
+        assert "measurement.data_file: cannot load" in capsys.readouterr().err
+
+    def test_diverging_adaptation_exits_4(self, tmp_path, capsys):
+        config = small_config()
+        config["adaptation"] = {
+            "optimizer": "gradient-descent",
+            "step_size": 1e4,
+            "iterations": 60,
+            "batch": 8,
+            "sigma_draws": 2,
+            "eval_samples": 16,
+        }
+        assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_DIVERGENCE
+        assert "evaluation loss rose for 20 consecutive steps" in capsys.readouterr().err
+
+
+def mixture_files_config(tmp_path, name, shift):
+    """A config in tmp_path/name whose ind.json has its first mean moved by shift."""
+    p, q = triangle_pair(dim=4)
+    out = tmp_path / name
+    out.mkdir()
+    ind = p.to_dict()
+    ind["means"][0][0] += shift
+    (out / "ind.json").write_text(json.dumps(ind))
+    q.save(out / "ood.json")
+    config = small_config()
+    config["mixtures"] = {"ind": {"file": "ind.json"}, "ood": {"file": "ood.json"}}
+    return config_file(out, config)
+
+
+class TestConfigHash:
+    def test_covers_inlined_mixture_files(self, tmp_path):
+        hashes = [
+            experiments.config_hash(
+                experiments.load_config(mixture_files_config(tmp_path, name, shift))
+            )
+            for name, shift in (("a", 0.0), ("b", 0.0), ("c", 0.5))
+        ]
+        assert hashes[0] == hashes[1] != hashes[2]
 
 
 def report_without_clock(config, workers):
