@@ -1,11 +1,11 @@
 """Config-driven experiment runs: validation, execution, report emission.
 
-A run is described by a single JSON document with a versioned schema;
-unknown keys are rejected so stale configs fail loudly. Every output file
-records the hash of the effective config and the seed, which together
-pin all randomness: rerunning the same config single-threaded reproduces
-every estimate bit for bit (wall-clock time is the one report field
-exempt from that guarantee).
+A run is one JSON document with a versioned schema, checked against the subset
+of JSON Schema it uses (integers must be JSON integers); unknown keys are
+rejected so stale configs fail loudly. Every output file records the hash of
+the effective config and the seed, which together pin all randomness:
+rerunning the same config single-threaded reproduces every estimate bit for
+bit (wall-clock time is the one report field exempt from that guarantee).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -161,7 +160,6 @@ CONFIG_SCHEMA = {
                 "eval_samples": {"type": "integer", "minimum": 2},
             },
         },
-        "output_dir": {"type": "string"},
     },
 }
 
@@ -175,20 +173,67 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+_TYPES = dict(object=dict, array=list, string=str, boolean=bool, integer=int, number=(int, float))
+
+
+def _same(a, b) -> bool:
+    """JSON equality: 1 equals 1.0, and True equals neither."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _schema_errors(value, schema: dict, path: str):
+    """Yield (json path, message) for each way value breaks schema, for the keywords
+    CONFIG_SCHEMA uses. Callers take the first, so a check may assume earlier ones held."""
+    if "oneOf" in schema:
+        errors = [next(_schema_errors(value, alt, path), None) for alt in schema["oneOf"]]
+        if errors.count(None) != 1:
+            # the failure that got deepest into value, if one got past path
+            unfit = (path, f"{value!r} is not valid under exactly one of the allowed forms")
+            yield max([unfit, *filter(None, errors)], key=lambda err: len(err[0]))
+    kind = schema.get("type")
+    if kind and (not isinstance(value, _TYPES[kind])
+                 or isinstance(value, bool) != (kind == "boolean")):
+        yield path, f"{value!r} is not of type {kind!r}"
+    if "const" in schema and not _same(value, schema["const"]):
+        yield path, f"{schema['const']!r} was expected, got {value!r}"
+    if "enum" in schema and not any(_same(value, v) for v in schema["enum"]):
+        yield path, f"{value!r} is not one of {schema['enum']!r}"
+    for key, holds in (("minimum", lambda bound: value >= bound),
+                       ("maximum", lambda bound: value <= bound),
+                       ("exclusiveMinimum", lambda bound: value > bound)):
+        if key in schema and not holds(schema[key]):
+            yield path, f"{value!r} is out of range: {key} is {schema[key]!r}"
+    for key in schema.get("required", ()):
+        if key not in value:
+            yield path, f"{key!r} is a required property"
+    if schema.get("additionalProperties") is False:
+        for key in [k for k in value if k not in schema["properties"]]:
+            yield path, f"unknown key {key!r}"
+    for key, sub in schema.get("properties", {}).items():
+        if key in value:
+            yield from _schema_errors(value[key], sub, f"{path}.{key}")
+    for i, item in enumerate(value if "items" in schema else ()):
+        yield from _schema_errors(item, schema["items"], f"{path}[{i}]")
+    if "minItems" in schema and len(value) < schema["minItems"]:
+        yield path, f"{value!r} has fewer than {schema['minItems']} items"
+    if schema.get("uniqueItems"):
+        if any(_same(a, b) for i, a in enumerate(value) for b in value[:i]):
+            yield path, f"{value!r} has non-unique elements"
+
+
 def validate_config(config: dict) -> None:
-    """Schema-check a config dict; raises ConfigError naming the bad field."""
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as err:
-        raise ConfigError(f"config field {err.json_path}: {err.message}") from err
+    """Check config against CONFIG_SCHEMA (a JSON Schema subset; integers must be
+    JSON integers, not 4.0); raises ConfigError naming the bad field."""
+    for path, message in _schema_errors(config, CONFIG_SCHEMA, "$"):
+        raise ConfigError(f"config field {path}: {message}")
 
 
 def load_config(path) -> dict:
-    """Read, parse and validate a config file; resolves mixture file refs.
+    """Read, parse and validate a config file; resolves file refs.
 
-    File references inside mixtures are resolved relative to the config
-    file's directory and inlined, so the returned dict is self-contained
-    and its hash covers the actual mixtures used.
+    Mixture file refs and measurement.data_file resolve against the config
+    file's directory. Mixtures are inlined, so the hash covers the actual
+    mixtures used; data_file becomes an absolute path.
     """
     path = Path(path)
     try:
@@ -210,6 +255,9 @@ def load_config(path) -> dict:
                 config["mixtures"][side] = GaussianMixture.load(gmm_path).to_dict()
             except (OSError, ValueError, KeyError) as err:
                 raise ConfigError(f"mixtures.{side}: cannot load {gmm_path}: {err}") from err
+    meas = config.get("measurement", {})
+    if "data_file" in meas:
+        meas["data_file"] = str((path.parent / meas["data_file"]).resolve())
     return config
 
 

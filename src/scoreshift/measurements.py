@@ -42,8 +42,8 @@ class RightBasis:
     kind is one of "identity" (V = I), "dense" (the explicit orthogonal
     matrix given) or "hadamard" (the Sylvester Walsh-Hadamard matrix
     H_n / sqrt(n) in natural order, power-of-two n, so V = V^T). Identity
-    and Hadamard bases build their matrix once, at construction; past that,
-    kind only names the basis when a sampler is written out. forward
+    and Hadamard bases build their matrix once, at construction, and take
+    none; past that, kind only names the basis for a sampler file. forward
     applies V, inverse applies V^T; both accept (..., n) arrays and return
     a new array, leaving the input untouched.
     """
@@ -54,6 +54,8 @@ class RightBasis:
     basis_id: str = ""
 
     def __post_init__(self):
+        if self.matrix is not None and self.kind in ("identity", "hadamard"):
+            raise ValueError(f"{self.kind} basis builds its own matrix; pass none")
         if self.kind == "identity":
             m = np.eye(self.dim)
         elif self.kind == "hadamard":

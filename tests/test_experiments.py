@@ -1,6 +1,11 @@
-"""Experiment runner: sweep projection stats, dataset guards, exit codes, config hash, workers."""
+"""Experiment runner: sweep projection stats, dataset guards, exit codes, config checks,
+config hash, workers."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +92,23 @@ class TestRunSamplerGuard:
         config["measurement"]["data_file"] = str(tmp_path / "data.json")
         assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_ASSUMPTION == 3
 
+    def test_relative_data_file_resolves_beside_the_config(self, tmp_path, monkeypatch):
+        config = small_config()
+        data = acquired(config["measurement"]["sampler"])
+        (tmp_path / "cfg").mkdir()
+        (tmp_path / "elsewhere").mkdir()
+        data.save(tmp_path / "cfg" / "data.json")
+        config["measurement"]["data_file"] = "data.json"
+        path = config_file(tmp_path / "cfg", config)
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert cli.main(["run", "--config", path, "--out", "out"]) == cli.EXIT_OK
+        from_cli = json.loads(Path("out", "report.json").read_text())
+        in_memory = experiments.run(experiments.load_config(path), dataset=data).to_dict()
+        in_memory = json.loads(json.dumps(in_memory))
+        for doc in (from_cli, in_memory):
+            doc.pop("wall_clock_s")
+        assert from_cli == in_memory
+
     def test_matching_data_file_reproduces_in_memory_run(self, tmp_path):
         config = small_config()
         data = acquired(config["measurement"]["sampler"])
@@ -145,6 +167,135 @@ class TestRunExitCodes:
         }
         assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_DIVERGENCE
         assert "evaluation loss rose for 20 consecutive steps" in capsys.readouterr().err
+
+
+def set_field(dotted, value):
+    """A mutation of small_config that sets the field at a dotted path."""
+
+    def mutate(config):
+        *parents, last = dotted.split(".")
+        for key in parents:
+            config = config[key]
+        config[last] = value
+
+    return mutate
+
+
+BAD_CONFIGS = [
+    ("unknown-key-output_dir", set_field("output_dir", "runs"), "$: unknown key 'output_dir'"),
+    ("missing-required", lambda c: c["grid"].pop("nodes"), "$.grid: 'nodes' is a required"),
+    ("wrong-type", set_field("seed", "3"), "$.seed: '3' is not of type 'integer'"),
+    ("true-for-integer", set_field("n_samples", True), "$.n_samples: True is not of type"),
+    ("nodes-as-float", set_field("grid.nodes", 4.0), "$.grid.nodes: 4.0 is not of type 'integer'"),
+    ("n_samples-as-float", set_field("n_samples", 16.0), "$.n_samples: 16.0 is not of type"),
+    (
+        "n_measurements-as-float",
+        set_field("measurement.n_measurements", 16.0),
+        "$.measurement.n_measurements: 16.0 is not of type",
+    ),
+    ("below-minimum", set_field("seed", -1), "$.seed: -1 is out of range: minimum is 0"),
+    (
+        "above-maximum",
+        set_field("measurement.sampler.keep_prob", [0.6, 1.5, 0.6, 0.6]),
+        "$.measurement.sampler.keep_prob[1]: 1.5 is out of range: maximum is 1",
+    ),
+    (
+        "at-exclusive-minimum",
+        set_field("grid.sigma_min", 0),
+        "$.grid.sigma_min: 0 is out of range: exclusiveMinimum is 0",
+    ),
+    (
+        "bad-enum",
+        set_field("measurement.sampler.kind", "blur"),
+        "$.measurement.sampler.kind: 'blur' is not one of",
+    ),
+    ("schema-version-2", set_field("schema_version", 2), "$.schema_version: 1 was expected"),
+    (
+        "schema-version-true",
+        set_field("schema_version", True),
+        "$.schema_version: 1 was expected, got True",
+    ),
+    ("empty-estimators", set_field("estimators", []), "$.estimators: [] has fewer than 1 items"),
+    (
+        "repeated-estimator",
+        set_field("estimators", ["image", "image"]),
+        "$.estimators: ['image', 'image'] has non-unique elements",
+    ),
+    (
+        "mixture-neither-ref-nor-document",
+        set_field("mixtures.ind", {"file": "ind.json", "weights": [1.0]}),
+        "$.mixtures.ind: {'file': 'ind.json', 'weights': [1.0]} is not valid under exactly one",
+    ),
+    (
+        "keep_prob-neither-number-nor-array",
+        set_field("measurement.sampler.keep_prob", "high"),
+        "$.measurement.sampler.keep_prob: 'high' is not valid under exactly one",
+    ),
+]
+
+# What the checker implements, and the type each keyword's check assumes beside it.
+CHECKED_KEYWORDS = {
+    "type": None,
+    "const": None,
+    "enum": None,
+    "oneOf": None,
+    "minimum": ("integer", "number"),
+    "maximum": ("integer", "number"),
+    "exclusiveMinimum": ("integer", "number"),
+    "required": ("object",),
+    "properties": ("object",),
+    "additionalProperties": ("object",),
+    "items": ("array",),
+    "minItems": ("array",),
+    "uniqueItems": ("array",),
+}
+
+
+def subschemas(schema):
+    yield schema
+    for sub in [*schema.get("properties", {}).values(), *schema.get("oneOf", [])]:
+        yield from subschemas(sub)
+    if "items" in schema:
+        yield from subschemas(schema["items"])
+
+
+class TestConfigChecker:
+    @pytest.mark.parametrize(
+        "mutate, expected", [c[1:] for c in BAD_CONFIGS], ids=[c[0] for c in BAD_CONFIGS]
+    )
+    def test_bad_config_exits_2_naming_the_field(self, tmp_path, capsys, mutate, expected):
+        config = small_config()
+        mutate(config)
+        assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_CONFIG
+        assert f"config error: config field {expected}" in capsys.readouterr().err
+
+    def test_schema_uses_only_checked_keywords(self):
+        for schema in subschemas(experiments.CONFIG_SCHEMA):
+            for keyword in schema:
+                assert keyword in CHECKED_KEYWORDS, f"checker ignores {keyword!r}"
+                if CHECKED_KEYWORDS[keyword]:
+                    assert schema.get("type") in CHECKED_KEYWORDS[keyword], keyword
+            assert schema.get("additionalProperties", False) is False
+
+    def test_show_config_schema_prints_the_schema(self, capsys):
+        assert cli.main(["show-config-schema"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out) == experiments.CONFIG_SCHEMA
+
+    def test_loading_a_config_imports_no_jsonschema(self, tmp_path):
+        code = (
+            "import sys; from scoreshift import experiments; "
+            f"experiments.load_config({config_file(tmp_path, small_config())!r}); "
+            "print('jsonschema' in sys.modules)"
+        )
+        src = str(Path(experiments.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 def mixture_files_config(tmp_path, name, shift):

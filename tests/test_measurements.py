@@ -125,6 +125,11 @@ class TestRightBasis:
         with pytest.raises(ValueError, match="unknown basis kind"):
             RightBasis(kind="fourier", dim=4)
 
+    @pytest.mark.parametrize("kind", ["identity", "hadamard"])
+    def test_matrix_for_a_built_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match="builds its own matrix"):
+            RightBasis(kind=kind, dim=4, matrix=np.full((4, 4), 7.0))
+
 
 class TestSampleOperator:
     def test_deterministic_in_seed_and_index(self):
