@@ -2,30 +2,33 @@
 
 The divergence is the integral over sigma of E||grad log p_sigma -
 grad log q_sigma||^2 sigma, and one kernel, _score_gap_kl, evaluates it in
-all three settings. Node j of the sigma grid draws eps (N, dim) from the
-stream (seed, "sigma-noise", j), masks it to a support, takes the two
-priors' score gap at base + sigma * eps, optionally weights it per
-coordinate, and averages its squared norm; the node means are then
-integrated. The kernel never sees a basis.
+all three settings. Node j of the sigma grid gets its (N, dim) points from
+the estimator, takes the two priors' score gap there block by block of
+rows, optionally weights it per coordinate, and averages its squared norm;
+the node means are then integrated. The kernel never sees a basis.
 
-  * image domain: base points x ~ p (or one fixed array); nothing else.
-  * measurement domain: base ybar from a MeasurementDataset, noise masked
-    to each row's support P. The priors are first rotated into the
-    sampler's projected basis (means V^T mu_k). The components are
-    isotropic and V is orthogonal, so ||V y - mu_k|| = ||y - V^T mu_k||
-    and the rotated scores at ybar_sigma equal V^T (grad log p - grad log
-    q) at the lift V ybar_sigma. The gap is the noised-measurement
-    marginal score difference P E[P] V^T (grad log p - grad log q),
-    weighted by W = E[P]^(-3/2), so observed coordinates carry E[P]^(-1/2)
-    in all. E[P] is the dataset's own observation frequency, so a full
-    observation reduces exactly to the image-domain estimator.
+  * image domain: fresh points x_sigma ~ p_sigma drawn from the stream
+    (seed, "node-x", j), or one fixed array noised as base + sigma * eps
+    with eps from (seed, "sigma-noise", j).
+  * measurement domain: base ybar from a MeasurementDataset, noised the
+    same way with eps masked to each row's support P. The priors are
+    first rotated into the sampler's projected basis (means V^T mu_k).
+    The components are isotropic and V is orthogonal, so ||V y - mu_k|| =
+    ||y - V^T mu_k|| and the rotated scores at ybar_sigma equal
+    V^T (grad log p - grad log q) at the lift V ybar_sigma. The gap is the
+    noised-measurement marginal score difference P E[P] V^T (grad log p -
+    grad log q), weighted by W = E[P]^(-3/2), so observed coordinates
+    carry E[P]^(-1/2) in all. E[P] is the dataset's own observation
+    frequency, so a full observation reduces exactly to the image-domain
+    estimator.
   * invertible case: full-rank operators make ybar recover V^T x exactly,
     so the image-domain integral applies to the rotated priors.
 
 A MeasurementDataset holds observations as columns: ybar (N, n), op_index
 (N,), sigma_z (N,) and the boolean support (N, n) of each row's P. Since
-every estimator draws its noise in the one kernel, full-observation runs on
-shared points match the image-domain estimator bit for bit.
+fixed points and measurements are noised by the one helper, _noised,
+full-observation runs on shared points match the image-domain estimator
+bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gmm import GaussianMixture, rotate, sample, score
+from .gmm import GaussianMixture, convolve, rotate, sample, score
 from .measurements import (
     MeasurementOperator,
     OperatorSampler,
@@ -50,6 +53,9 @@ from .rng import stream
 _NOISE_TAG = "sigma-noise"
 _NODE_X_TAG = "node-x"
 _DATA_Z_TAG = "meas-z"
+# Budget for one (rows, K, dim) float64 temporary of score per block: 1 MiB
+# leaves room for the block's other temporaries in a 2 MiB L2 cache.
+_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -200,28 +206,50 @@ class MeasurementDataset:
         )
 
 
+def _noised(base: np.ndarray, seed: int, support=None):
+    """Node points base + sigma * (eps * support), eps from (seed, "sigma-noise", j).
+
+    The (N, dim) base is reused at every node; only its noise is fresh. A
+    None support is the identity and is skipped, not applied.
+    """
+
+    def points(j: int, sigma: float) -> np.ndarray:
+        eps = stream(seed, _NOISE_TAG, j).standard_normal(base.shape)
+        if support is not None:
+            eps *= support
+        return base + sigma * eps
+
+    return points
+
+
 def _score_gap_kl(
-    p: GaussianMixture, q: GaussianMixture, grid: SigmaGrid, base, count: int, seed: int,
-    workers: int, mode: str, support=None, factor=None,
+    p: GaussianMixture, q: GaussianMixture, grid: SigmaGrid, points, count: int,
+    workers: int, mode: str, factor=None,
 ) -> KlEstimate:
     """The one score-gap kernel: per-node squared gaps, node statistics, quadrature.
 
-    Node j draws eps (count, dim) from (seed, "sigma-noise", j), masks it to
-    support, evaluates both scores at base(j) + sigma * eps and reduces the
-    squared gap per row, weighted by factor when a factor is given. p, q and
-    base share one coordinate system. A None support or factor is the
-    identity and is skipped, not applied.
+    Node j takes its (count, dim) points from points(j, sigma) once, then
+    walks them in blocks of rows: both scores, their gap (times the block's
+    rows of factor, when a factor is given) and each row's squared norm,
+    written into one (count,) array whose mean and stderr are the node's.
+    A block holds max(1, _BLOCK_BYTES // (8 K dim)) rows, 170 for K = 3 at
+    dim 256, so score's (rows, K, dim) float64 temporaries stay in cache
+    (2048 rows at once would make 12.6 MB ones). Blocking is exact: each
+    step computes row i from row i alone, in an order that does not depend
+    on the rows beside it. p, q and the points share one coordinate system.
+    A None factor is the identity and is skipped.
     """
+    rows = max(1, _BLOCK_BYTES // (8 * max(p.n_components, q.n_components) * p.dim))
 
     def node(j: int, sigma: float) -> tuple[float, float]:
-        eps = stream(seed, _NOISE_TAG, j).standard_normal((count, p.dim))
-        if support is not None:
-            eps *= support
-        pts = base(j) + sigma * eps
-        gap = score(p, pts, sigma) - score(q, pts, sigma)
-        if factor is not None:
-            gap *= factor
-        vals = np.einsum("ni,ni->n", gap, gap)
+        pts = points(j, sigma)
+        vals = np.empty(count)
+        for start in range(0, count, rows):
+            block = slice(start, start + rows)
+            gap = score(p, pts[block], sigma) - score(q, pts[block], sigma)
+            if factor is not None:
+                gap *= factor[block]
+            vals[block] = np.einsum("ni,ni->n", gap, gap)
         stderr = float(vals.std(ddof=1) / np.sqrt(count)) if count > 1 else 0.0
         return float(vals.mean()), stderr
 
@@ -249,13 +277,17 @@ def kl_image(
     """Image-domain divergence: integrated squared score gap at noised draws.
 
     Args:
-        n_samples: draw a fresh batch x ~ p at every sigma node (default
-            estimator; node means then have independent errors).
+        n_samples: draw a fresh batch x_sigma ~ p_sigma at every sigma node
+            (default estimator; node means then have independent errors).
+            p_sigma = convolve(p, sigma) is again a mixture, so the batch is
+            one sample() call from the stream (seed, "node-x", j): x ~ p
+            plus sigma * eps in distribution, from half the normal draws.
         samples: instead reuse one fixed (N, n) array of points at every
-            node (common random numbers; noise is still fresh per node).
+            node (common random numbers), noised per node as base +
+            sigma * eps with eps from (seed, "sigma-noise", j), the same
+            noise the measurement estimators draw, so a full observation
+            of these points follows this estimator bit for bit.
             Exactly one of n_samples / samples must be given.
-        seed: stream seed; node j uses (seed, "node-x", j) for draws and
-            (seed, "sigma-noise", j) for the added noise.
     """
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: p dim {p.dim}, q dim {q.dim}")
@@ -263,15 +295,16 @@ def kl_image(
         raise ValueError("pass exactly one of n_samples or samples")
     if samples is None and n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    fixed = None if samples is None else np.atleast_2d(samples)
-    if fixed is not None and fixed.shape[1:] != (p.dim,):
-        raise ValueError(f"samples must be (N, {p.dim}) for these priors, got {fixed.shape}")
-    count = n_samples if fixed is None else fixed.shape[0]
+    if samples is not None:
+        fixed = np.atleast_2d(samples)
+        if fixed.shape[1:] != (p.dim,):
+            raise ValueError(f"samples must be (N, {p.dim}) for these priors, got {fixed.shape}")
+        return _score_gap_kl(p, q, grid, _noised(fixed, seed), len(fixed), workers, "image")
 
-    def base(j: int) -> np.ndarray:
-        return sample(p, count, stream(seed, _NODE_X_TAG, j)) if fixed is None else fixed
+    def points(j: int, sigma: float) -> np.ndarray:
+        return sample(convolve(p, sigma), n_samples, stream(seed, _NODE_X_TAG, j))
 
-    return _score_gap_kl(p, q, grid, base, count, seed, workers, "image")
+    return _score_gap_kl(p, q, grid, points, n_samples, workers, "image")
 
 
 def kl_measurement(
@@ -303,8 +336,8 @@ def kl_measurement(
     factor = stats.w_diag * stats.ep_diag * support  # = ep^(-1/2) on observed coordinates
     to_basis = data.sampler.basis.matrix.T
     return _score_gap_kl(
-        rotate(p, to_basis), rotate(q, to_basis), grid, lambda j: data.ybar, len(data), seed,
-        workers, "measurement", support=support, factor=factor,
+        rotate(p, to_basis), rotate(q, to_basis), grid, _noised(data.ybar, seed, support),
+        len(data), workers, "measurement", factor=factor,
     )
 
 
@@ -334,6 +367,6 @@ def kl_invertible(
         )
     to_basis = data.sampler.basis.matrix.T
     return _score_gap_kl(
-        rotate(p, to_basis), rotate(q, to_basis), grid, lambda j: data.ybar, len(data), seed,
+        rotate(p, to_basis), rotate(q, to_basis), grid, _noised(data.ybar, seed), len(data),
         workers, "invertible",
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
+import reprlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -181,15 +182,34 @@ def _same(a, b) -> bool:
     return a == b and isinstance(a, bool) == isinstance(b, bool)
 
 
+def _one_of_error(value, forms: list, errors: list, path: str) -> tuple[str, str]:
+    """The (json path, message) to report for a value valid under no form or several.
+
+    When every form fails and exactly one form fits value's keys (value has
+    all its required keys and no key that only another form knows), that
+    form's error is the one that names the bad field. Otherwise the failure
+    that got deepest into value, if one got past path, or a summary with
+    value shortened, so a large inline mixture is not dumped whole.
+    """
+    keys = set(value) if isinstance(value, dict) else set()
+    known = [set(form.get("properties", ())) for form in forms]
+    fitting = [
+        err for err, form, own in zip(errors, forms, known)
+        if set(form.get("required", ())) <= keys and not (keys & set().union(*known)) - own
+    ]
+    if None not in errors and len(fitting) == 1:
+        return fitting[0]
+    unfit = (path, f"{reprlib.repr(value)} is not valid under exactly one of the allowed forms")
+    return max([unfit, *filter(None, errors)], key=lambda err: len(err[0]))
+
+
 def _schema_errors(value, schema: dict, path: str):
     """Yield (json path, message) for each way value breaks schema, for the keywords
     CONFIG_SCHEMA uses. Callers take the first, so a check may assume earlier ones held."""
     if "oneOf" in schema:
         errors = [next(_schema_errors(value, alt, path), None) for alt in schema["oneOf"]]
         if errors.count(None) != 1:
-            # the failure that got deepest into value, if one got past path
-            unfit = (path, f"{value!r} is not valid under exactly one of the allowed forms")
-            yield max([unfit, *filter(None, errors)], key=lambda err: len(err[0]))
+            yield _one_of_error(value, schema["oneOf"], errors, path)
     kind = schema.get("type")
     if kind and (not isinstance(value, _TYPES[kind])
                  or isinstance(value, bool) != (kind == "boolean")):

@@ -224,6 +224,101 @@ class TestProjectedCoordinates:
             np.testing.assert_allclose(est.series.means, reference, rtol=1e-11, atol=0)
 
 
+# At dim 256 the triangle pair's score temporaries fill a block at ROWS rows;
+# N = 2 * ROWS + 37 makes the kernel walk two full blocks and a ragged one.
+WIDE_DIM = 256
+ROWS = estimators._BLOCK_BYTES // (8 * 3 * WIDE_DIM)
+WIDE_N = 2 * ROWS + 37
+
+
+def unblocked_series(p, q, grid, points, factor=None):
+    """Node means and stderrs the literal way: one score call per prior on all rows."""
+    means, stderrs = [], []
+    for j, sigma in enumerate(grid.nodes):
+        pts = points(j, sigma)
+        gap = score(p, pts, sigma) - score(q, pts, sigma)
+        if factor is not None:
+            gap = gap * factor
+        vals = np.einsum("ni,ni->n", gap, gap)
+        means.append(vals.mean())
+        stderrs.append(vals.std(ddof=1) / np.sqrt(len(vals)))
+    return np.array(means), np.array(stderrs)
+
+
+def noised(base, seed, support=True):
+    """base + sigma * eps with eps from (seed, "sigma-noise", j), masked to support."""
+    return lambda j, sigma: base + sigma * (
+        stream(seed, "sigma-noise", j).standard_normal(base.shape) * support
+    )
+
+
+class TestBlockedKernel:
+    """The blocked kernel against an unblocked recompute, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        p, q = triangle_pair(WIDE_DIM)
+        assert 1 < ROWS < WIDE_N // 2
+        return p, q, make_log_grid(1e-2, 1e3, 5), sample(p, WIDE_N, stream(50, "data-x"))
+
+    def assert_same_series(self, est, reference):
+        np.testing.assert_array_equal(est.series.means, reference[0])
+        np.testing.assert_array_equal(est.series.stderrs, reference[1])
+
+    def test_fixed_sample_image(self, wide):
+        p, q, grid, draws = wide
+        est = kl_image(p, q, grid, samples=draws, seed=51)
+        self.assert_same_series(est, unblocked_series(p, q, grid, noised(draws, 51)))
+
+    @pytest.mark.parametrize("basis_kind", ["identity", "hadamard"])
+    def test_measurement(self, wide, basis_kind):
+        p, q, grid, draws = wide
+        basis = {"identity": identity_basis, "hadamard": hadamard_basis}[basis_kind](WIDE_DIM)
+        sampler = mask_sampler(dim=WIDE_DIM, keep_prob=0.6, base_seed=13, basis=basis)
+        data = MeasurementDataset.from_samples(sampler, draws, seed=52)
+        est = kl_measurement(p, q, data, grid, seed=53)
+        stats = estimate_projection_stats(data.support)
+        factor = stats.w_diag * stats.ep_diag * data.support
+        to_basis = basis.matrix.T
+        reference = unblocked_series(
+            rotate(p, to_basis), rotate(q, to_basis), grid,
+            noised(data.ybar, 53, data.support), factor,
+        )
+        self.assert_same_series(est, reference)
+
+    def test_invertible(self, wide):
+        p, q, grid, draws = wide
+        sampler = mask_sampler(dim=WIDE_DIM, keep_prob=1.0, base_seed=14)
+        data = MeasurementDataset.from_samples(sampler, draws, seed=54)
+        est = kl_invertible(p, q, data, grid, seed=55)
+        self.assert_same_series(est, unblocked_series(p, q, grid, noised(data.ybar, 55)))
+
+    def test_scores_each_node_in_blocks(self, wide, monkeypatch):
+        p, q, grid, draws = wide
+        rows_seen = []
+
+        def recording(gmm, x, sigma):
+            rows_seen.append(len(x))
+            return score(gmm, x, sigma)
+
+        monkeypatch.setattr(estimators, "score", recording)
+        kl_image(p, q, grid, samples=draws, seed=56)
+        per_node = [ROWS, ROWS, ROWS, ROWS, 37, 37]  # p and q for each block
+        assert rows_seen == per_node * len(grid)
+
+    def test_fresh_draws_are_samples_of_the_noised_prior(self, wide):
+        p, q, grid, _ = wide
+        est = kl_image(p, q, grid, n_samples=WIDE_N, seed=57)
+
+        def fresh(j, sigma):
+            return sample(convolve(p, sigma), WIDE_N, stream(57, "node-x", j))
+
+        self.assert_same_series(est, unblocked_series(p, q, grid, fresh))
+        threaded = kl_image(p, q, grid, n_samples=WIDE_N, seed=57, workers=4)
+        self.assert_same_series(threaded, (est.series.means, est.series.stderrs))
+        assert threaded.value == est.value and threaded.stderr == est.stderr
+
+
 class TestKlInvertible:
     def test_identity_operator_matches_image_pathwise(self, toy_pair, toy_grid):
         p, q = toy_pair

@@ -122,6 +122,11 @@ class TestRunSamplerGuard:
 
 
 class TestRunExitCodes:
+    def test_self_test_passes_exits_0(self, capsys):
+        assert cli.main(["self-test"]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "[FAIL]" not in out and "all self-test checks passed" in out
+
     def test_data_file_leaving_a_coordinate_unobserved_exits_3(self, tmp_path, capsys):
         config = small_config()
         config["measurement"]["sampler"]["keep_prob"] = [0.6, 0.0, 0.6, 0.6]
@@ -268,6 +273,24 @@ class TestConfigChecker:
         mutate(config)
         assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_CONFIG
         assert f"config error: config field {expected}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "added, expected, limit",
+        [
+            ({"extra": 1}, "$.mixtures.ind: unknown key 'extra'", 200),
+            ({"file": "ind.json"}, "$.mixtures.ind: {'dim': 256, 'file': 'ind.json', ", 400),
+        ],
+        ids=["extra-key", "file-and-document"],
+    )
+    def test_bad_inline_mixture_error_is_short(self, tmp_path, capsys, added, expected, limit):
+        # every form of the mixture oneOf fails; the message names the key when
+        # one form fits the value, and never dumps the (3, 256) means (4 kB)
+        config = small_config()
+        config["mixtures"]["ind"] = {**triangle_pair(dim=256)[0].to_dict(), **added}
+        assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert f"config error: config field {expected}" in err
+        assert len(err) < limit, err
 
     def test_schema_uses_only_checked_keywords(self):
         for schema in subschemas(experiments.CONFIG_SCHEMA):
