@@ -1,10 +1,11 @@
 """Estimate the divergence between score-based priors from corrupted measurements.
 
 The package provides analytic Gaussian-mixture priors (exact scores and
-denoisers at every noise level), SVD-form measurement operators, three
-score-gap divergence estimators (image domain, measurement domain,
-invertible-operator case), a measurement-only adaptation loop, and a
-config-driven experiment runner with a CLI front end.
+denoisers at every noise level), measurement operators (a sampler's shared
+basis plus each operator's boolean support), three score-gap divergence
+estimators (image domain, measurement domain, and the invertible case, the
+measurement one on full-rank data), a measurement-only adaptation loop,
+and a config-driven experiment runner with a CLI front end.
 """
 
 __version__ = "0.1.0"
@@ -30,7 +31,6 @@ from .gmm import (
 )
 from .measurements import (
     BasisMismatch,
-    MeasurementOperator,
     OperatorSampler,
     ProjectionStats,
     RightBasis,
@@ -62,7 +62,6 @@ __all__ = [
     "IntegrandSeries",
     "KlEstimate",
     "MeasurementDataset",
-    "MeasurementOperator",
     "OperatorSampler",
     "ProjectionStats",
     "RightBasis",

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .adaptation import DivergenceError
-from .estimators import MeasurementDataset, kl_image, kl_measurement
+from .estimators import MeasurementDataset, kl_image, kl_invertible, kl_measurement
 from .experiments import CONFIG_SCHEMA, SWEEP_AXES, ConfigError, load_config, run, sweep
 from .gmm import denoise, sample, score
 from .measurements import BasisMismatch, OperatorSampler, SpanViolation, identity_basis
@@ -136,10 +136,14 @@ def _selftest_checks():
 
     i_est = kl_image(wp, wq, grid, samples=draws, seed=3)
     m_est = kl_measurement(wp, wq, data, grid, seed=3)
+    v_est = kl_invertible(wp, wq, data, grid, seed=3)
     yield (
         "full observation reduces to the image-domain estimator bit for bit",
-        i_est.value == m_est.value and np.array_equal(i_est.series.means, m_est.series.means),
-        f"image={i_est.value!r} measurement={m_est.value!r}",
+        all(
+            est.value == i_est.value and np.array_equal(est.series.means, i_est.series.means)
+            for est in (m_est, v_est)
+        ),
+        f"image={i_est.value!r} measurement={m_est.value!r} invertible={v_est.value!r}",
     )
 
     x = sample(p, 16, stream(5, "probe"))

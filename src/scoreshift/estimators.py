@@ -22,7 +22,8 @@ the node means are then integrated. The kernel never sees a basis.
     frequency, so a full observation reduces exactly to the image-domain
     estimator.
   * invertible case: full-rank operators make ybar recover V^T x exactly,
-    so the image-domain integral applies to the rotated priors.
+    so the image-domain integral applies to the rotated priors; with E[P]
+    = 1 that is the measurement-domain estimator bit for bit.
 
 A MeasurementDataset holds observations as columns: ybar (N, n), op_index
 (N,), sigma_z (N,) and the boolean support (N, n) of each row's P. Since
@@ -35,13 +36,12 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .gmm import GaussianMixture, convolve, rotate, sample, score
 from .measurements import (
-    MeasurementOperator,
     OperatorSampler,
     estimate_projection_stats,
     sample_operator,
@@ -103,7 +103,6 @@ class MeasurementDataset:
     op_index: np.ndarray
     sigma_z: np.ndarray
     support: np.ndarray = field(init=False, repr=False)
-    _operators: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         ybar = np.asarray(self.ybar, dtype=float)
@@ -123,7 +122,7 @@ class MeasurementDataset:
         if sigma_z.shape != (count,) or np.any(sigma_z < 0):
             raise ValueError(f"sigma_z must be {count} values >= 0")
         indices, rows = np.unique(op_index, return_inverse=True)
-        drawn = np.stack([sample_operator(self.sampler, int(i)).support for i in indices])
+        drawn = np.stack([sample_operator(self.sampler, int(i)) for i in indices])
         support = drawn[rows]
         for name, value in (
             ("ybar", ybar), ("op_index", op_index), ("sigma_z", sigma_z), ("support", support)
@@ -134,16 +133,12 @@ class MeasurementDataset:
     def __len__(self) -> int:
         return len(self.ybar)
 
-    def operators(self) -> list[MeasurementOperator]:
-        """Each row's operator, built from its support once per distinct op_index."""
-        cache = self._operators
-        for i, idx in enumerate(self.op_index.tolist()):
-            if idx not in cache:
-                cache[idx] = MeasurementOperator(
-                    basis=self.sampler.basis,
-                    singular_values=np.where(self.support[i], self.sampler.singular_value, 0.0),
-                )
-        return [cache[idx] for idx in self.op_index.tolist()]
+    def operators(self) -> np.ndarray:
+        """Each row's singular values, (N, n): the sampler's scalar on the support.
+
+        With sampler.basis as V, row i is operator op_index[i] in SVD form.
+        """
+        return np.where(self.support, self.sampler.singular_value, 0.0)
 
     @classmethod
     def from_samples(
@@ -354,19 +349,15 @@ def kl_invertible(
     With every singular value positive, ybar recovers V^T x exactly, so the
     image-domain integral applies directly to noised measurements under the
     priors rotated into the projected basis: no weighting and no operator
-    distribution are involved. With an identity operator this follows the
-    image-domain estimator's sample paths exactly.
+    distribution are involved. Full-rank rows have E[P] = 1 and full
+    supports, so kl_measurement weights by 1.0 and masks nothing: this is
+    it bit for bit, under mode "invertible". With an identity operator it
+    follows the image-domain estimator's sample paths exactly.
     """
-    if p.dim != q.dim or p.dim != data.sampler.dim:
-        raise ValueError("dimension mismatch between priors and measurements")
     full = data.support.all(axis=1)
     if not full.all():
         bad = np.unique(data.op_index[~full])[:4].tolist()
         raise ValueError(
             f"kl_invertible requires full-rank operators; rank-deficient op_index: {bad}"
         )
-    to_basis = data.sampler.basis.matrix.T
-    return _score_gap_kl(
-        rotate(p, to_basis), rotate(q, to_basis), grid, _noised(data.ybar, seed), len(data),
-        workers, "invertible",
-    )
+    return replace(kl_measurement(p, q, data, grid, seed, workers), mode="invertible")

@@ -220,8 +220,9 @@ def sample(gmm: GaussianMixture, count: int, rng) -> np.ndarray:
         raise ValueError(f"count must be >= 1, got {count}")
     gen = as_rng(rng)
     idx = gen.choice(gmm.n_components, size=count, p=gmm.weights)
-    eps = gen.standard_normal((count, gmm.dim))
-    pts = gmm.means[idx] + np.sqrt(gmm.variances[idx])[:, None] * eps
+    pts = gen.standard_normal((count, gmm.dim))
+    pts *= np.sqrt(gmm.variances[idx])[:, None]
+    pts += gmm.means[idx]
     pts.setflags(write=False)
     return pts
 

@@ -1,18 +1,18 @@
-"""SVD-form linear measurement operators and projected-coordinate transforms.
+"""Measurement operators in SVD form and projected-coordinate transforms.
 
-An operator is held as a shared orthogonal right basis V plus a vector of
-singular values s; the left factor is never materialized because samplers
-produce the normalized measurement ybar = pinv(Sigma) U^T y directly. The
-projection P marks observed directions (diag P_i = 1 iff s_i > 0). Every
-basis, Hadamard and identity included, holds V as an (n, n) matrix, so
-moving into the projected coordinates is one product with it.
+An operator is a sampler's shared orthogonal right basis V plus a support,
+the boolean diagonal of its projection P; its singular value is the
+sampler's scalar singular_value on the support. The left factor is never
+materialized because samplers produce ybar = pinv(Sigma) U^T y directly.
+Every basis holds V as an (n, n) matrix, so moving into the projected
+coordinates is one product with it.
 
-All operators drawn from one sampler share the same basis object, so
-datasets built from a single sampler satisfy the shared-right-basis
-requirement by construction. E[P] is taken from the measurements at hand:
-the fraction of rows that observe each projected coordinate
-(estimate_projection_stats). If some coordinate is observed by no row,
-estimation stops with SpanViolation rather than silently extrapolating.
+Every operator drawn from one sampler shares its basis, so datasets built
+from a single sampler satisfy the shared-right-basis requirement by
+construction. E[P] is taken from the measurements at hand: the fraction of
+rows that observe each projected coordinate (estimate_projection_stats).
+If some coordinate is observed by no row, estimation stops with
+SpanViolation rather than silently extrapolating.
 """
 
 from __future__ import annotations
@@ -109,41 +109,6 @@ def dense_orthogonal_basis(dim: int, seed: int) -> RightBasis:
 
 
 @dataclass(frozen=True)
-class MeasurementOperator:
-    """One linear operator in SVD form: basis V plus singular values s >= 0.
-
-    Zeros in s mark unobserved directions; the projection diagonal is the
-    indicator s > 0.
-    """
-
-    basis: RightBasis
-    singular_values: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.singular_values, dtype=float)
-        if s.ndim != 1 or s.size != self.basis.dim:
-            raise ValueError("singular_values must be a length-dim vector")
-        if np.any(s < 0):
-            raise ValueError("singular values must be nonnegative")
-        s.setflags(write=False)
-        object.__setattr__(self, "singular_values", s)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    @property
-    def support(self) -> np.ndarray:
-        """Boolean mask of observed coordinates (diag of P as bools)."""
-        return self.singular_values > 0
-
-    @property
-    def projection_diag(self) -> np.ndarray:
-        """Diagonal of P = pinv(Sigma) Sigma, entries in {0, 1}."""
-        return (self.singular_values > 0).astype(float)
-
-
-@dataclass(frozen=True)
 class OperatorSampler:
     """Distribution over measurement operators with one shared right basis.
 
@@ -175,8 +140,10 @@ class OperatorSampler:
         if self.singular_value <= 0:
             raise ValueError("singular_value must be positive")
         if self.kind in ("coordinate-mask", "patch-inpainting"):
+            if self.keep_prob is None:
+                raise ValueError(f"{self.kind} needs keep_prob")
             p = np.asarray(self.keep_prob, dtype=float)
-            if np.any(p < 0) or np.any(p > 1):
+            if not np.all((p >= 0) & (p <= 1)):
                 raise ValueError("keep_prob entries must lie in [0, 1]")
             if self.kind == "patch-inpainting":
                 if p.ndim != 0:
@@ -311,7 +278,14 @@ class ProjectionStats:
         }
 
 
-def _draw_mask(sampler: OperatorSampler, index: int) -> np.ndarray:
+def sample_operator(sampler: OperatorSampler, index: int) -> np.ndarray:
+    """Operator index's support, the (dim,) boolean diagonal of its projection P.
+
+    A pure function of (base_seed, index). With the sampler's basis V and
+    its scalar singular_value on the support, this is the whole operator.
+    """
+    if index < 0:
+        raise ValueError(f"index must be >= 0, got {index}")
     gen = stream(sampler.base_seed, "operator", index)
     if sampler.kind == "coordinate-mask":
         p = np.broadcast_to(np.asarray(sampler.keep_prob, dtype=float), (sampler.dim,))
@@ -332,15 +306,6 @@ def _draw_mask(sampler: OperatorSampler, index: int) -> np.ndarray:
         picked = gen.choice(rest, size=rand, replace=False)
         mask[picked] = True
     return mask
-
-
-def sample_operator(sampler: OperatorSampler, index: int) -> MeasurementOperator:
-    """Deterministic operator draw: a pure function of (base_seed, index)."""
-    if index < 0:
-        raise ValueError(f"index must be >= 0, got {index}")
-    mask = _draw_mask(sampler, index)
-    s = np.where(mask, sampler.singular_value, 0.0)
-    return MeasurementOperator(basis=sampler.basis, singular_values=s)
 
 
 def to_projected(

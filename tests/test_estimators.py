@@ -355,6 +355,33 @@ class TestKlInvertible:
             kl_invertible(p, q, data, toy_grid, seed=16)
 
 
+class TestInvertibleIsMeasurement:
+    """On full-rank data kl_invertible is kl_measurement bit for bit, as mode "invertible"."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "basis",
+        [identity_basis(16), hadamard_basis(16), dense_orthogonal_basis(16, seed=8)],
+        ids=["identity", "hadamard", "dense"],
+    )
+    def test_same_bits_as_measurement(self, basis, workers):
+        p, q = triangle_pair(16)
+        sampler = OperatorSampler(
+            kind="coordinate-mask", dim=16, basis=basis, base_seed=4, keep_prob=1.0,
+            singular_value=2.5,
+        )
+        draws = sample(p, 150, stream(60, "data-x"))
+        data = MeasurementDataset.from_samples(sampler, draws, sigma_z=0.7, seed=60, n_operators=7)
+        grid = make_log_grid(1e-2, 1e3, 12)
+        inv = kl_invertible(p, q, data, grid, seed=61, workers=workers)
+        meas = kl_measurement(p, q, data, grid, seed=61, workers=workers)
+        assert inv.mode == "invertible" and meas.mode == "measurement"
+        assert inv.value == meas.value and inv.stderr == meas.stderr
+        np.testing.assert_array_equal(inv.series.means, meas.series.means)
+        np.testing.assert_array_equal(inv.series.stderrs, meas.series.stderrs)
+        assert inv.n_samples == meas.n_samples == 150
+
+
 class TestMeasurementDataset:
     def test_round_trip_preserves_estimates(self, toy_pair, toy_grid, toy_masked_data, tmp_path):
         p, q = toy_pair
@@ -390,10 +417,10 @@ class TestMeasurementDataset:
         second = data.operators()
         assert sorted(drawn) == [0, 1, 2, 3]
         for ops in (first, second):
-            assert len(ops) == len(data)
-            for index, op in zip(data.op_index.tolist(), ops):
+            assert ops.shape == (len(data), 10)
+            for index, row in zip(data.op_index.tolist(), ops):
                 fresh = sample_operator(sampler, index)
-                np.testing.assert_array_equal(op.singular_values, fresh.singular_values)
+                np.testing.assert_array_equal(row, np.where(fresh, sampler.singular_value, 0.0))
 
     def test_equality_is_identity(self, toy_pair):
         p, _ = toy_pair
@@ -500,11 +527,10 @@ class TestBatchedAcquisition:
         data = MeasurementDataset.from_samples(sampler, x, sigma_z=0.5, seed=31, n_operators=7)
         reference = np.zeros((40, 16))
         for i, row in enumerate(x):
-            op = sample_operator(sampler, i % 7)
-            on = op.support
+            on = sample_operator(sampler, i % 7)
             reference[i] = np.where(on, basis.inverse(row), 0.0)
             noise = stream(31, "meas-z", i).standard_normal(int(on.sum()))
-            reference[i, on] += noise * (0.5 / op.singular_values[on])
+            reference[i, on] += noise * (0.5 / sampler.singular_value)
             np.testing.assert_array_equal(data.support[i], on)
         assert np.all(data.sigma_z == 0.5)
         if exact:

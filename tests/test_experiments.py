@@ -1,5 +1,5 @@
-"""Experiment runner: sweep projection stats, dataset guards, exit codes, config checks,
-config hash, workers."""
+"""Experiment runner: sweep projection stats and semantics, dataset guards, exit codes,
+config checks, config hash, workers."""
 
 import json
 import os
@@ -7,15 +7,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from scoreshift import (
     BasisMismatch,
+    GaussianMixture,
     MeasurementDataset,
     OperatorSampler,
     cli,
     experiments,
     sample,
+    to_projected,
 )
 from scoreshift.priors import triangle_pair
 from scoreshift.rng import stream
@@ -61,6 +64,55 @@ class TestSweepProjectionStats:
         for value, report in zip(values, reports):
             fresh = experiments.run(with_value(config, axis, value))
             assert report.projection_stats.to_dict() == fresh.projection_stats.to_dict()
+
+
+class TestSweepSemantics:
+    """A sweep measures the same draws through the same operators; only its axis moves."""
+
+    @pytest.fixture
+    def swept(self, monkeypatch):
+        """Run a sweep of small_config on a Hadamard basis; return the datasets it ran."""
+        datasets = []
+        real_run = experiments.run
+
+        def capturing(config, out_dir=None, workers=1, dataset=None):
+            datasets.append(dataset)
+            return real_run(config, out_dir, workers, dataset=dataset)
+
+        monkeypatch.setattr(experiments, "run", capturing)
+        config = small_config()
+        config["measurement"]["sampler"]["basis"] = {"kind": "hadamard"}
+
+        def sweep(axis, values):
+            experiments.sweep(config, axis, values)
+            assert len(datasets) == len(values)
+            return config, datasets
+
+        return sweep
+
+    def test_sigma_z_moves_only_the_noise(self, swept):
+        _, (d0, d_half, d1) = swept("sigma_z", [0.0, 0.5, 1.0])
+        for data in (d_half, d1):
+            np.testing.assert_array_equal(data.op_index, d0.op_index)
+            np.testing.assert_array_equal(data.support, d0.support)
+        assert [d.sigma_z[0] for d in (d0, d_half, d1)] == [0.0, 0.5, 1.0]
+        full, half = d1.ybar - d0.ybar, d_half.ybar - d0.ybar
+        np.testing.assert_allclose(full, 2 * half, rtol=0, atol=1e-12)
+        assert np.all(full[~d0.support] == 0.0) and np.all(half[~d0.support] == 0.0)
+        assert np.all(full[d0.support] != 0.0)
+
+    def test_keep_prob_moves_only_the_masks(self, swept):
+        values = [0.5, 0.7, 0.9]
+        config, datasets = swept("keep_prob", values)
+        p = GaussianMixture.from_dict(config["mixtures"]["ind"])
+        draws = sample(p, 16, stream(config["seed"], "data-x"))
+        for value, data in zip(values, datasets):
+            assert data.sampler.keep_prob == value
+            np.testing.assert_array_equal(data.op_index, datasets[0].op_index)
+            np.testing.assert_array_equal(
+                data.ybar, to_projected(data.sampler.basis, data.support, draws)
+            )
+        assert not np.array_equal(datasets[0].support, datasets[-1].support)
 
 
 def acquired(sampler_doc):
@@ -134,6 +186,20 @@ class TestRunExitCodes:
         config["measurement"]["data_file"] = str(tmp_path / "data.json")
         assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_ASSUMPTION == 3
         assert "never observed in 16 measurements: [1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            {"kind": "coordinate-mask", "dim": 4, "base_seed": 2},
+            {"kind": "patch-inpainting", "dim": 4, "base_seed": 2, "patch_edge": 1},
+        ],
+        ids=["coordinate-mask", "patch-inpainting"],
+    )
+    def test_mask_sampler_without_keep_prob_exits_2(self, tmp_path, capsys, sampler):
+        config = small_config()
+        config["measurement"]["sampler"] = sampler
+        assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_CONFIG
+        assert f"measurement.sampler: {sampler['kind']} needs keep_prob" in capsys.readouterr().err
 
     def test_stats_draws_key_rejected_exits_2(self, tmp_path, capsys):
         config = small_config()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from scoreshift import (
-    MeasurementOperator,
     OperatorSampler,
     ProjectionStats,
     SpanViolation,
@@ -22,7 +21,7 @@ from tests.conftest import mask_sampler
 
 def supports(sampler, count):
     """The (count, n) supports of operators 0..count-1, stacked."""
-    return np.stack([sample_operator(sampler, i).support for i in range(count)])
+    return np.stack([sample_operator(sampler, i) for i in range(count)])
 
 
 ALL_BASES = {
@@ -136,14 +135,18 @@ class TestSampleOperator:
         sampler = mask_sampler(dim=20, keep_prob=0.5, base_seed=3)
         a = sample_operator(sampler, 7)
         b = sample_operator(sampler, 7)
-        np.testing.assert_array_equal(a.singular_values, b.singular_values)
+        np.testing.assert_array_equal(a, b)
         c = sample_operator(sampler, 8)
-        assert not np.array_equal(a.singular_values, c.singular_values)
+        assert not np.array_equal(a, c)
+
+    def test_support_is_a_boolean_vector(self):
+        sampler = mask_sampler(dim=20, keep_prob=0.5, base_seed=3)
+        support = sample_operator(sampler, 7)
+        assert support.shape == (20,) and support.dtype == bool
 
     def test_full_keep_gives_identity_projection(self):
         sampler = mask_sampler(dim=12, keep_prob=1.0)
-        op = sample_operator(sampler, 0)
-        np.testing.assert_array_equal(op.projection_diag, np.ones(12))
+        np.testing.assert_array_equal(sample_operator(sampler, 0), np.ones(12, dtype=bool))
 
     def test_patch_masks_keep_whole_patches(self):
         sampler = OperatorSampler(
@@ -154,8 +157,7 @@ class TestSampleOperator:
             keep_prob=0.5,
             patch_edge=4,
         )
-        op = sample_operator(sampler, 3)
-        img = op.projection_diag.reshape(8, 8)
+        img = sample_operator(sampler, 3).reshape(8, 8)
         for r in range(0, 8, 4):
             for c in range(0, 8, 4):
                 block = img[r : r + 4, c : c + 4]
@@ -183,6 +185,24 @@ class TestSampleOperator:
                 patch_edge=3,
             )
 
+    @pytest.mark.parametrize("kind", ["coordinate-mask", "patch-inpainting"])
+    def test_mask_kind_without_keep_prob_rejected(self, kind):
+        with pytest.raises(ValueError, match=f"{kind} needs keep_prob"):
+            OperatorSampler(kind=kind, dim=16, basis=identity_basis(16), patch_edge=2)
+
+    @pytest.mark.parametrize(
+        "kind, keep",
+        [
+            ("coordinate-mask", float("nan")),
+            ("coordinate-mask", np.array([0.5, np.nan, 0.5, 0.5])),
+            ("patch-inpainting", float("nan")),
+        ],
+        ids=["mask-scalar", "mask-vector", "patch"],
+    )
+    def test_nan_keep_prob_rejected(self, kind, keep):
+        with pytest.raises(ValueError, match="keep_prob entries must lie in"):
+            OperatorSampler(kind=kind, dim=4, basis=identity_basis(4), keep_prob=keep, patch_edge=2)
+
     def test_band_subsample_exact_counts(self):
         sampler = OperatorSampler(
             kind="band-subsample",
@@ -193,9 +213,9 @@ class TestSampleOperator:
             rand_count=50,
         )
         for idx in range(5):
-            op = sample_operator(sampler, idx)
-            assert int(op.support.sum()) == 80
-            assert op.support[:30].all()
+            support = sample_operator(sampler, idx)
+            assert int(support.sum()) == 80
+            assert support[:30].all()
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
@@ -205,59 +225,47 @@ class TestSampleOperator:
 class TestToProjected:
     def test_identity_operator_passthrough(self):
         sampler = mask_sampler(dim=6, keep_prob=1.0)
-        op = sample_operator(sampler, 0)
         x = np.arange(6.0)
-        np.testing.assert_array_equal(to_projected(op.basis, op.support, x), x)
+        np.testing.assert_array_equal(
+            to_projected(sampler.basis, sample_operator(sampler, 0), x), x
+        )
 
     def test_zero_signal_gives_zero(self):
-        op = sample_operator(mask_sampler(dim=6, keep_prob=0.5), 1)
+        sampler = mask_sampler(dim=6, keep_prob=0.5)
         np.testing.assert_array_equal(
-            to_projected(op.basis, op.support, np.zeros(6)), np.zeros(6)
+            to_projected(sampler.basis, sample_operator(sampler, 1), np.zeros(6)), np.zeros(6)
         )
 
     def test_hand_evaluated_mask(self):
-        op = MeasurementOperator(
-            basis=identity_basis(4),
-            singular_values=np.array([1.0, 0.0, 1.0, 0.0]),
-        )
-        ybar = to_projected(op.basis, op.support, np.array([1.0, 2.0, 3.0, 4.0]))
+        support = np.array([True, False, True, False])
+        ybar = to_projected(identity_basis(4), support, np.array([1.0, 2.0, 3.0, 4.0]))
         np.testing.assert_array_equal(ybar, [1.0, 0.0, 3.0, 0.0])
 
     def test_measurement_noise_only_on_support(self):
-        op = MeasurementOperator(
-            basis=identity_basis(4),
-            singular_values=np.array([2.0, 0.0, 0.5, 0.0]),
-        )
-        ybar = to_projected(
-            op.basis, op.support, np.zeros(4), 0.3, [stream(3, "z")], op.singular_values
-        )
+        s = np.array([2.0, 0.0, 0.5, 0.0])
+        ybar = to_projected(identity_basis(4), s > 0, np.zeros(4), 0.3, [stream(3, "z")], s)
         assert ybar[1] == 0.0 and ybar[3] == 0.0
         assert ybar[0] != 0.0 and ybar[2] != 0.0
 
     def test_noise_scale_follows_singular_values(self):
         # std on coordinate i is sigma_z / s_i
-        op = MeasurementOperator(
-            basis=identity_basis(2),
-            singular_values=np.array([2.0, 0.5]),
-        )
+        s = np.array([2.0, 0.5])
         gen = stream(4, "zscale")
-        draws = to_projected(
-            op.basis, op.support, np.zeros((4000, 2)), 1.0, [gen] * 4000, op.singular_values
-        )
+        draws = to_projected(identity_basis(2), s > 0, np.zeros((4000, 2)), 1.0, [gen] * 4000, s)
         np.testing.assert_allclose(draws.std(axis=0), [0.5, 2.0], rtol=0.1)
 
     def test_dimension_mismatch(self):
-        op = sample_operator(mask_sampler(dim=6), 0)
+        sampler = mask_sampler(dim=6)
         with pytest.raises(ValueError, match="shape"):
-            to_projected(op.basis, op.support, np.zeros(5))
+            to_projected(sampler.basis, sample_operator(sampler, 0), np.zeros(5))
 
 
 class TestProjectionIdempotence:
     def test_masking_twice_equals_once(self):
-        op = sample_operator(mask_sampler(dim=16, keep_prob=0.4), 5)
+        support = sample_operator(mask_sampler(dim=16, keep_prob=0.4), 5)
         v = stream(10, "idem").standard_normal(16)
-        once = op.projection_diag * v
-        np.testing.assert_array_equal(op.projection_diag * once, once)
+        once = support * v
+        np.testing.assert_array_equal(support * once, once)
 
 
 class TestProjectionStats:
@@ -300,14 +308,6 @@ class TestProjectionStats:
             )
 
 
-class TestSharedBasisByConstruction:
-    def test_operators_share_the_sampler_basis_object(self):
-        sampler = mask_sampler(dim=8, keep_prob=0.5)
-        ops = [sample_operator(sampler, i) for i in range(10)]
-        assert all(op.basis is sampler.basis for op in ops)
-        assert len({op.basis.basis_id for op in ops}) == 1
-
-
 class TestSamplerSerialization:
     def test_round_trip_preserves_fingerprint(self):
         for sampler in (
@@ -324,9 +324,7 @@ class TestSamplerSerialization:
         ):
             clone = OperatorSampler.from_dict(sampler.to_dict())
             assert clone.fingerprint() == sampler.fingerprint()
-            op_a = sample_operator(sampler, 3)
-            op_b = sample_operator(clone, 3)
-            np.testing.assert_array_equal(op_a.singular_values, op_b.singular_values)
+            np.testing.assert_array_equal(sample_operator(sampler, 3), sample_operator(clone, 3))
 
     @pytest.mark.parametrize("basis_id", ["", "dense:4:0", "dense:4:x", "dense:8:0"])
     def test_dense_basis_without_its_seed_not_written(self, basis_id):
