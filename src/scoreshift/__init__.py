@@ -10,7 +10,7 @@ and a config-driven experiment runner with a CLI front end.
 
 __version__ = "0.1.0"
 
-from .adaptation import AdaptationConfig, AdaptationReport, DivergenceError, adapt, denoising_loss
+from .adaptation import AdaptationConfig, AdaptationReport, DivergenceError, adapt
 from .estimators import (
     KlEstimate,
     MeasurementDataset,
@@ -71,7 +71,6 @@ __all__ = [
     "convolve",
     "cumulative_integral",
     "denoise",
-    "denoising_loss",
     "dense_orthogonal_basis",
     "estimate_projection_stats",
     "exact_kl_oracle",

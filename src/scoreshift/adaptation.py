@@ -35,7 +35,7 @@ from .estimators import KlEstimate, MeasurementDataset, kl_image, kl_measurement
 from .gmm import GaussianMixture, _component_log_densities, _logsumexp, rotate, score
 from .measurements import estimate_projection_stats
 from .quadrature import SigmaGrid
-from .rng import as_rng, stream
+from .rng import stream
 
 TRAINABLE = ("means-only", "means-and-weights")
 OPTIMIZERS = ("gradient-descent", "adaptive-moments")
@@ -199,27 +199,6 @@ def _signal_loss_and_grad(
     k_n = q.means.size
     grad[:k_n] = basis.forward(grad[:k_n].reshape(q.means.shape)).ravel()
     return loss, grad
-
-
-def denoising_loss(q: GaussianMixture, batch: MeasurementDataset, sigmas, rng) -> float:
-    """Mean weighted denoising error of q over (measurement x sigma) pairs.
-
-    For each measurement and each sigma, noise is added on the observed
-    coordinates, the denoiser of q rotated into the projected basis is
-    applied, and the result is compared against the clean measurement
-    under the per-coordinate weights w_diag = E[P]^(-3/2), with E[P] the
-    batch's own observation frequency (see estimate_projection_stats).
-    """
-    sigmas = np.asarray(sigmas, dtype=float)
-    if sigmas.ndim != 1 or sigmas.size == 0 or np.any(sigmas <= 0):
-        raise ValueError("sigmas must be a nonempty list of positive values")
-    if q.dim != batch.sampler.dim:
-        raise ValueError("mixture dim does not match measurement dim")
-    w = estimate_projection_stats(batch.support).w_diag
-    eps = as_rng(rng).standard_normal((sigmas.size,) + batch.ybar.shape)
-    return _pack_loss(
-        rotate(q, batch.sampler.basis.matrix.T), batch.ybar, batch.support, w, sigmas, eps
-    )
 
 
 def _split_params(

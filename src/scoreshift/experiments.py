@@ -380,7 +380,7 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
         if sampler.dim != p.dim:
             raise ConfigError(f"sampler dim {sampler.dim} != mixture dim {p.dim}")
         if dataset is not None:
-            if dataset.sampler.fingerprint() != sampler.fingerprint():
+            if dataset.sampler.to_dict() != sampler.to_dict():
                 raise BasisMismatch("provided dataset was acquired under a different sampler")
             data = dataset
         elif "data_file" in meas_cfg:
@@ -391,7 +391,7 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
                     f"measurement.data_file: cannot load {meas_cfg['data_file']}: "
                     f"{type(err).__name__}: {err}"
                 ) from err
-            if data.sampler.fingerprint() != sampler.fingerprint():
+            if data.sampler.to_dict() != sampler.to_dict():
                 raise BasisMismatch(
                     "measurement.data_file was acquired under a different sampler"
                 )

@@ -4,23 +4,25 @@ An operator is a sampler's shared orthogonal right basis V plus a support,
 the boolean diagonal of its projection P; its singular value is the
 sampler's scalar singular_value on the support. The left factor is never
 materialized because samplers produce ybar = pinv(Sigma) U^T y directly.
-Every basis holds V as an (n, n) matrix, so moving into the projected
-coordinates is one product with it.
+A basis is its spec (kind, dim, seed); V is built on first use as an
+(n, n) matrix, so moving into the projected coordinates is one product
+with it.
 
 Every operator drawn from one sampler shares its basis, so datasets built
 from a single sampler satisfy the shared-right-basis requirement by
-construction. E[P] is taken from the measurements at hand: the fraction of
-rows that observe each projected coordinate (estimate_projection_stats).
-If some coordinate is observed by no row, estimation stops with
-SpanViolation rather than silently extrapolating.
+construction. A sampler is likewise its spec: two samplers draw the same
+operators in the same basis exactly when their to_dict agree. E[P] is
+taken from the measurements at hand: the fraction of rows that observe
+each projected coordinate (estimate_projection_stats). If some coordinate
+is observed by no row, estimation stops with SpanViolation rather than
+silently extrapolating.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,44 +41,48 @@ class BasisMismatch(ValueError):
 class RightBasis:
     """Orthogonal matrix V on R^n shared by an operator family.
 
-    kind is one of "identity" (V = I), "dense" (the explicit orthogonal
-    matrix given) or "hadamard" (the Sylvester Walsh-Hadamard matrix
-    H_n / sqrt(n) in natural order, power-of-two n, so V = V^T). Identity
-    and Hadamard bases build their matrix once, at construction, and take
-    none; past that, kind only names the basis for a sampler file. forward
-    applies V, inverse applies V^T; both accept (..., n) arrays and return
-    a new array, leaving the input untouched.
+    A basis is its spec: kind is one of "identity" (V = I), "hadamard" (the
+    Sylvester Walsh-Hadamard matrix H_n / sqrt(n) in natural order,
+    power-of-two n, so V = V^T) or "dense" (a Haar-ish orthogonal matrix
+    from a QR factorization seeded by seed, which only this kind reads).
+    V is built on first use of matrix and kept read-only, so bases compare
+    by spec and making one costs nothing. forward applies V, inverse
+    applies V^T; both accept (..., n) arrays and return a new array,
+    leaving the input untouched.
     """
 
     kind: str
     dim: int
-    matrix: np.ndarray | None = None
-    basis_id: str = ""
+    seed: int = 0
 
     def __post_init__(self):
-        if self.matrix is not None and self.kind in ("identity", "hadamard"):
-            raise ValueError(f"{self.kind} basis builds its own matrix; pass none")
+        if self.kind not in ("identity", "hadamard", "dense"):
+            raise ValueError(f"unknown basis kind {self.kind!r}")
+        if self.kind == "hadamard" and (self.dim < 1 or self.dim & (self.dim - 1)):
+            raise ValueError("hadamard basis requires power-of-two dim")
+        if self.seed and self.kind != "dense":
+            raise ValueError(f"{self.kind} basis takes no seed, got {self.seed}")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """V as a read-only (dim, dim) array, built on first use.
+
+        The dense QR pushes the sign of each diagonal entry of R into Q, so
+        V is a deterministic function of (dim, seed).
+        """
         if self.kind == "identity":
             m = np.eye(self.dim)
         elif self.kind == "hadamard":
-            if self.dim < 1 or self.dim & (self.dim - 1):
-                raise ValueError("hadamard basis requires power-of-two dim")
             m = np.ones((1, 1))
             while m.shape[0] < self.dim:
                 m = np.block([[m, m], [m, -m]])
             m /= math.sqrt(self.dim)
-        elif self.kind == "dense":
-            m = np.asarray(self.matrix, dtype=float)
-            if m.shape != (self.dim, self.dim):
-                raise ValueError("dense basis matrix must be (dim, dim)")
-            if not np.allclose(m @ m.T, np.eye(self.dim), atol=1e-10):
-                raise ValueError("dense basis matrix is not orthogonal to 1e-10")
         else:
-            raise ValueError(f"unknown basis kind {self.kind!r}")
+            a = stream(self.seed, "dense-basis").standard_normal((self.dim, self.dim))
+            q, r = np.linalg.qr(a)
+            m = q * np.sign(np.diag(r))[None, :]
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        if not self.basis_id:
-            object.__setattr__(self, "basis_id", f"{self.kind}:{self.dim}")
+        return m
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Apply V (lift from projected coordinates to signal coordinates)."""
@@ -96,16 +102,15 @@ def hadamard_basis(dim: int) -> RightBasis:
 
 
 def dense_orthogonal_basis(dim: int, seed: int) -> RightBasis:
-    """Haar-ish orthogonal matrix from a seeded QR factorization.
+    return RightBasis(kind="dense", dim=dim, seed=seed)
 
-    The sign of each diagonal entry of R is pushed into Q so the result is
-    a deterministic function of (dim, seed).
-    """
-    gen = stream(seed, "dense-basis")
-    a = gen.standard_normal((dim, dim))
-    q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))[None, :]
-    return RightBasis(kind="dense", dim=dim, matrix=q, basis_id=f"dense:{dim}:{seed}")
+
+# the sampler fields each kind never reads
+_UNREAD = {
+    "coordinate-mask": ("patch_edge", "low_count", "rand_count"),
+    "patch-inpainting": ("low_count", "rand_count"),
+    "band-subsample": ("keep_prob", "patch_edge"),
+}
 
 
 @dataclass(frozen=True)
@@ -120,6 +125,9 @@ class OperatorSampler:
             patch is kept independently with probability keep_prob.
         "band-subsample": always keep the lowest low_count coordinates and
             a uniform random rand_count-subset of the rest.
+
+    A field its kind never reads is rejected, so two samplers that draw the
+    same operators have the same to_dict, which is how samplers compare.
     """
 
     kind: str
@@ -162,44 +170,15 @@ class OperatorSampler:
             rand = int(self.rand_count or 0)
             if low < 0 or rand < 0 or low + rand > self.dim or low + rand == 0:
                 raise ValueError("band-subsample needs 0 <= low_count + rand_count <= dim, > 0")
-
-    def fingerprint(self) -> str:
-        """Short stable hash of the sampler configuration."""
-        doc = {
-            "kind": self.kind,
-            "dim": self.dim,
-            "basis": self.basis.basis_id,
-            "base_seed": self.base_seed,
-            "keep_prob": np.asarray(self.keep_prob).tolist()
-            if self.keep_prob is not None
-            else None,
-            "patch_edge": self.patch_edge,
-            "low_count": self.low_count,
-            "rand_count": self.rand_count,
-            "singular_value": self.singular_value,
-        }
-        blob = json.dumps(doc, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:12]
+        stray = [name for name in _UNREAD[self.kind] if getattr(self, name) is not None]
+        if stray:
+            raise ValueError(f"{self.kind} sampler does not read {', '.join(stray)}")
 
     def to_dict(self) -> dict:
         doc = {"kind": self.kind, "dim": self.dim, "base_seed": self.base_seed}
         basis = {"kind": self.basis.kind}
         if self.basis.kind == "dense":
-            # a dense basis is written as the seed it regenerates from, so it
-            # must be the one dense_orthogonal_basis builds from that seed
-            prefix, _, seed = self.basis.basis_id.rpartition(":")
-            if not (
-                prefix == f"dense:{self.dim}"
-                and seed.isdigit()
-                and np.array_equal(
-                    dense_orthogonal_basis(self.dim, int(seed)).matrix, self.basis.matrix
-                )
-            ):
-                raise ValueError(
-                    f"dense basis {self.basis.basis_id!r} was not built by "
-                    "dense_orthogonal_basis, so no seed regenerates it"
-                )
-            basis["seed"] = int(seed)
+            basis["seed"] = self.basis.seed
         doc["basis"] = basis
         if self.keep_prob is not None:
             p = np.asarray(self.keep_prob)
@@ -219,14 +198,9 @@ class OperatorSampler:
         dim = int(doc["dim"])
         basis_doc = doc.get("basis", {"kind": "identity"})
         bkind = basis_doc.get("kind", "identity")
-        if bkind == "identity":
-            basis = identity_basis(dim)
-        elif bkind == "hadamard":
-            basis = hadamard_basis(dim)
-        elif bkind in ("dense", "dense-orthogonal"):
-            basis = dense_orthogonal_basis(dim, int(basis_doc.get("seed", 0)))
-        else:
-            raise ValueError(f"unknown basis kind {bkind!r}")
+        basis = RightBasis(
+            "dense" if bkind == "dense-orthogonal" else bkind, dim, int(basis_doc.get("seed", 0))
+        )
         keep_prob = doc.get("keep_prob")
         if isinstance(keep_prob, list):
             keep_prob = np.asarray(keep_prob, dtype=float)
@@ -314,21 +288,20 @@ def to_projected(
     x: np.ndarray,
     sigma_z: float = 0.0,
     rngs=(),
-    singular_values=1.0,
+    singular_value: float = 1.0,
 ) -> np.ndarray:
     """Acquire ybar = P V^T x + zbar for a batch of clean signals.
 
     x holds one signal per row, (N, n) or a single (n,) vector. Row i is
     measured by an operator whose projection P_i is the boolean support[i]
-    and whose singular values are singular_values (both broadcast against
-    x; the singular values must be positive on the support and are not read
-    off it). All rows go through one basis.inverse call, and ybar is exactly
-    zero off each row's support. Measurement noise z ~ N(0, sigma_z^2 I) in
-    the raw measurement domain lands on row i's observed coordinates with
-    per-coordinate std sigma_z / s, drawn from the i-th generator of rngs.
-    rngs is only read when sigma_z > 0 and must then yield one generator
-    per row; it may be a lazy iterable, so the generators need not all
-    exist at once.
+    (broadcast against x) and whose singular value on it is the positive
+    scalar singular_value. All rows go through one basis.inverse call, and
+    ybar is exactly zero off each row's support. Measurement noise z ~ N(0,
+    sigma_z^2 I) in the raw measurement domain lands on row i's observed
+    coordinates with std sigma_z / singular_value, drawn from the i-th
+    generator of rngs. rngs is only read when sigma_z > 0 and must then
+    yield one generator per row; it may be a lazy iterable, so the
+    generators need not all exist at once.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (basis.dim,):
@@ -340,11 +313,9 @@ def to_projected(
     ybar[~observed] = 0.0
     if sigma_z > 0:
         n = basis.dim
-        s = np.broadcast_to(np.asarray(singular_values, dtype=float), x.shape)
-        for y, s_row, on, gen in zip(
-            ybar.reshape(-1, n), s.reshape(-1, n), observed.reshape(-1, n), rngs, strict=True
-        ):
-            y[on] += as_rng(gen).standard_normal(int(on.sum())) * (sigma_z / s_row[on])
+        std = sigma_z / singular_value
+        for y, on, gen in zip(ybar.reshape(-1, n), observed.reshape(-1, n), rngs, strict=True):
+            y[on] += as_rng(gen).standard_normal(int(on.sum())) * std
     return ybar
 
 

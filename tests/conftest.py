@@ -33,6 +33,19 @@ def wide_grid():
     return make_log_grid(1e-2, 1e3, 256)
 
 
+def count_qr(monkeypatch):
+    """Wrap np.linalg.qr for one test; return the list each call appends its shape to."""
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
 def mask_sampler(dim=10, keep_prob=0.8, base_seed=5, basis=None):
     return OperatorSampler(
         kind="coordinate-mask",

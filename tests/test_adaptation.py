@@ -10,7 +10,6 @@ from scoreshift import (
     MeasurementDataset,
     adapt,
     denoise,
-    denoising_loss,
     estimate_projection_stats,
     make_log_grid,
     rotate,
@@ -25,8 +24,26 @@ from scoreshift.measurements import (
     identity_basis,
 )
 from scoreshift.priors import gaussian_pair, triangle_pair
-from scoreshift.rng import stream
+from scoreshift.rng import as_rng, stream
 from tests.conftest import mask_sampler
+
+
+def denoising_loss(q, batch, sigmas, rng):
+    """Reference: mean weighted denoising error of q over (measurement x sigma) pairs.
+
+    For each measurement and each sigma, noise is added on the observed
+    coordinates, the denoiser of q rotated into the projected basis is
+    applied, and the result is compared against the clean measurement
+    under the per-coordinate weights w_diag = E[P]^(-3/2), with E[P] the
+    batch's own observation frequency.
+    """
+    sigmas = np.asarray(sigmas, dtype=float)
+    if sigmas.ndim != 1 or sigmas.size == 0 or np.any(sigmas <= 0):
+        raise ValueError("sigmas must be a nonempty list of positive values")
+    w = estimate_projection_stats(batch.support).w_diag
+    eps = as_rng(rng).standard_normal((sigmas.size,) + batch.ybar.shape)
+    rotated = rotate(q, batch.sampler.basis.matrix.T)
+    return _pack_loss(rotated, batch.ybar, batch.support, w, sigmas, eps)
 
 
 def full_observation_data(p, count, seed):

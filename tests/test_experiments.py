@@ -22,6 +22,7 @@ from scoreshift import (
 )
 from scoreshift.priors import triangle_pair
 from scoreshift.rng import stream
+from tests.conftest import count_qr
 
 
 def small_config():
@@ -138,6 +139,15 @@ class TestRunSamplerGuard:
         with pytest.raises(BasisMismatch):
             experiments.run(config, dataset=acquired(other_sampler(config)))
 
+    def test_dataset_from_other_dense_seed_rejected(self):
+        config = small_config()
+        sampler = config["measurement"]["sampler"]
+        sampler["basis"] = {"kind": "dense-orthogonal", "seed": 1}
+        experiments.run(config, dataset=acquired(sampler))
+        other = {**sampler, "basis": {"kind": "dense", "seed": 2}}
+        with pytest.raises(BasisMismatch):
+            experiments.run(config, dataset=acquired(other))
+
     def test_data_file_from_other_sampler_exits_3(self, tmp_path):
         config = small_config()
         acquired(other_sampler(config)).save(tmp_path / "data.json")
@@ -173,6 +183,28 @@ class TestRunSamplerGuard:
         assert from_file == in_memory
 
 
+class TestBasisBuilds:
+    """A dense V is factorized once per sampler that measures with it, never to compare or save."""
+
+    def test_three_value_dense_sweep_does_three_qrs(self, monkeypatch):
+        config = small_config()
+        config["measurement"]["sampler"] = {
+            "kind": "patch-inpainting", "dim": 4, "keep_prob": 0.6, "patch_edge": 1,
+            "base_seed": 2, "basis": {"kind": "dense-orthogonal", "seed": 1},
+        }
+        config["measurement"]["n_operators"] = 8
+        calls = count_qr(monkeypatch)
+        experiments.sweep(config, "sigma_z", [0.0, 0.5, 2.0], workers=2)
+        assert calls == [(4, 4)] * 3
+
+    def test_saving_a_dense_dataset_does_no_qr(self, monkeypatch, tmp_path):
+        config = small_config()
+        data = acquired({**config["measurement"]["sampler"], "basis": {"kind": "dense", "seed": 1}})
+        calls = count_qr(monkeypatch)
+        data.save(tmp_path / "data.json")
+        assert calls == []
+
+
 class TestRunExitCodes:
     def test_self_test_passes_exits_0(self, capsys):
         assert cli.main(["self-test"]) == cli.EXIT_OK
@@ -200,6 +232,22 @@ class TestRunExitCodes:
         config["measurement"]["sampler"] = sampler
         assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_CONFIG
         assert f"measurement.sampler: {sampler['kind']} needs keep_prob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("low_count", 1, "coordinate-mask sampler does not read low_count"),
+            ("basis", {"kind": "hadamard", "seed": 3}, "hadamard basis takes no seed, got 3"),
+        ],
+        ids=["low_count", "hadamard-seed"],
+    )
+    def test_sampler_field_its_kind_never_reads_exits_2(
+        self, tmp_path, capsys, field, value, message
+    ):
+        config = small_config()
+        config["measurement"]["sampler"][field] = value
+        assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_CONFIG
+        assert f"measurement.sampler: {message}" in capsys.readouterr().err
 
     def test_stats_draws_key_rejected_exits_2(self, tmp_path, capsys):
         config = small_config()

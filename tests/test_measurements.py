@@ -16,7 +16,7 @@ from scoreshift import (
 )
 from scoreshift.measurements import RightBasis
 from scoreshift.rng import stream
-from tests.conftest import mask_sampler
+from tests.conftest import count_qr, mask_sampler
 
 
 def supports(sampler, count):
@@ -101,14 +101,13 @@ class TestRightBasis:
         assert np.linalg.norm(b.inverse(x)) == pytest.approx(np.linalg.norm(x), abs=1e-10)
 
     def test_dense_is_deterministic_in_seed(self):
+        # a basis is its spec: equal specs are equal bases with equal matrices
         a = dense_orthogonal_basis(6, seed=9)
-        b = dense_orthogonal_basis(6, seed=9)
+        b = RightBasis(kind="dense", dim=6, seed=9)
+        assert a == b and hash(a) == hash(b)
         np.testing.assert_array_equal(a.matrix, b.matrix)
-        assert a.basis_id == b.basis_id == "dense:6:9"
-
-    def test_non_orthogonal_matrix_rejected(self):
-        with pytest.raises(ValueError, match="orthogonal"):
-            RightBasis(kind="dense", dim=3, matrix=np.ones((3, 3)))
+        other = dense_orthogonal_basis(6, seed=10)
+        assert other != a and not np.array_equal(other.matrix, a.matrix)
 
     def test_hadamard_requires_power_of_two(self):
         with pytest.raises(ValueError):
@@ -125,9 +124,16 @@ class TestRightBasis:
             RightBasis(kind="fourier", dim=4)
 
     @pytest.mark.parametrize("kind", ["identity", "hadamard"])
-    def test_matrix_for_a_built_kind_rejected(self, kind):
-        with pytest.raises(ValueError, match="builds its own matrix"):
-            RightBasis(kind=kind, dim=4, matrix=np.full((4, 4), 7.0))
+    def test_seed_for_a_seedless_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match="takes no seed"):
+            RightBasis(kind=kind, dim=4, seed=3)
+
+    def test_matrix_built_on_first_use_and_kept(self, monkeypatch):
+        calls = count_qr(monkeypatch)
+        basis = dense_orthogonal_basis(8, seed=1)
+        assert calls == []
+        assert basis.matrix is basis.matrix
+        assert len(calls) == 1
 
 
 class TestSampleOperator:
@@ -203,6 +209,30 @@ class TestSampleOperator:
         with pytest.raises(ValueError, match="keep_prob entries must lie in"):
             OperatorSampler(kind=kind, dim=4, basis=identity_basis(4), keep_prob=keep, patch_edge=2)
 
+    @pytest.mark.parametrize(
+        "kind, stray",
+        [
+            ("band-subsample", {"keep_prob": 0.5}),
+            ("band-subsample", {"patch_edge": 2}),
+            ("coordinate-mask", {"patch_edge": 2}),
+            ("coordinate-mask", {"low_count": 1}),
+            ("coordinate-mask", {"rand_count": 1}),
+            ("patch-inpainting", {"low_count": 1, "rand_count": 1}),
+        ],
+        ids=["band-keep_prob", "band-patch_edge", "mask-patch_edge", "mask-low_count",
+             "mask-rand_count", "patch-counts"],
+    )
+    def test_field_the_kind_never_reads_rejected(self, kind, stray):
+        # without the stray field each of these samplers is valid
+        valid = {
+            "band-subsample": {"low_count": 2, "rand_count": 2},
+            "coordinate-mask": {"keep_prob": 0.5},
+            "patch-inpainting": {"keep_prob": 0.5, "patch_edge": 2},
+        }[kind]
+        OperatorSampler(kind=kind, dim=16, basis=identity_basis(16), **valid)
+        with pytest.raises(ValueError, match=f"{kind} sampler does not read {', '.join(stray)}"):
+            OperatorSampler(kind=kind, dim=16, basis=identity_basis(16), **valid, **stray)
+
     def test_band_subsample_exact_counts(self):
         sampler = OperatorSampler(
             kind="band-subsample",
@@ -242,17 +272,20 @@ class TestToProjected:
         np.testing.assert_array_equal(ybar, [1.0, 0.0, 3.0, 0.0])
 
     def test_measurement_noise_only_on_support(self):
-        s = np.array([2.0, 0.0, 0.5, 0.0])
-        ybar = to_projected(identity_basis(4), s > 0, np.zeros(4), 0.3, [stream(3, "z")], s)
+        support = np.array([True, False, True, False])
+        ybar = to_projected(identity_basis(4), support, np.zeros(4), 0.3, [stream(3, "z")], 2.0)
         assert ybar[1] == 0.0 and ybar[3] == 0.0
         assert ybar[0] != 0.0 and ybar[2] != 0.0
 
     def test_noise_scale_follows_singular_values(self):
-        # std on coordinate i is sigma_z / s_i
-        s = np.array([2.0, 0.5])
-        gen = stream(4, "zscale")
-        draws = to_projected(identity_basis(2), s > 0, np.zeros((4000, 2)), 1.0, [gen] * 4000, s)
-        np.testing.assert_allclose(draws.std(axis=0), [0.5, 2.0], rtol=0.1)
+        # std on every observed coordinate is sigma_z / singular_value
+        support = np.ones(2, dtype=bool)
+        for s in (2.0, 0.5):
+            gen = stream(4, "zscale")
+            draws = to_projected(
+                identity_basis(2), support, np.zeros((4000, 2)), 1.0, [gen] * 4000, s
+            )
+            np.testing.assert_allclose(draws.std(axis=0), 1.0 / s, rtol=0.1)
 
     def test_dimension_mismatch(self):
         sampler = mask_sampler(dim=6)
@@ -310,6 +343,7 @@ class TestProjectionStats:
 
 class TestSamplerSerialization:
     def test_round_trip_preserves_fingerprint(self):
+        # a sampler's fingerprint is its to_dict; a basis is its spec
         for sampler in (
             mask_sampler(dim=8, keep_prob=0.3, base_seed=9),
             mask_sampler(dim=8, keep_prob=0.3, basis=dense_orthogonal_basis(8, seed=2)),
@@ -323,14 +357,7 @@ class TestSamplerSerialization:
             ),
         ):
             clone = OperatorSampler.from_dict(sampler.to_dict())
-            assert clone.fingerprint() == sampler.fingerprint()
+            assert clone.to_dict() == sampler.to_dict()
+            assert clone.basis == sampler.basis
+            np.testing.assert_array_equal(clone.basis.matrix, sampler.basis.matrix)
             np.testing.assert_array_equal(sample_operator(sampler, 3), sample_operator(clone, 3))
-
-    @pytest.mark.parametrize("basis_id", ["", "dense:4:0", "dense:4:x", "dense:8:0"])
-    def test_dense_basis_without_its_seed_not_written(self, basis_id):
-        # a seed the matrix was not built from would regenerate another basis
-        q = dense_orthogonal_basis(4, seed=3).matrix[:, ::-1]
-        basis = RightBasis(kind="dense", dim=4, matrix=q, basis_id=basis_id)
-        sampler = mask_sampler(dim=4, keep_prob=0.5, basis=basis)
-        with pytest.raises(ValueError, match="no seed regenerates it"):
-            sampler.to_dict()
