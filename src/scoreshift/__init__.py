@@ -32,13 +32,9 @@ from .gmm import (
 from .measurements import (
     BasisMismatch,
     OperatorSampler,
-    ProjectionStats,
     RightBasis,
     SpanViolation,
-    dense_orthogonal_basis,
     estimate_projection_stats,
-    hadamard_basis,
-    identity_basis,
     sample_operator,
     to_projected,
 )
@@ -63,7 +59,6 @@ __all__ = [
     "KlEstimate",
     "MeasurementDataset",
     "OperatorSampler",
-    "ProjectionStats",
     "RightBasis",
     "SigmaGrid",
     "SpanViolation",
@@ -71,12 +66,9 @@ __all__ = [
     "convolve",
     "cumulative_integral",
     "denoise",
-    "dense_orthogonal_basis",
     "estimate_projection_stats",
     "exact_kl_oracle",
     "gaussian_pair",
-    "hadamard_basis",
-    "identity_basis",
     "integrate",
     "kl_image",
     "kl_invertible",

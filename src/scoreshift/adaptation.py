@@ -21,8 +21,10 @@ the denoiser is the mixture's closed-form posterior mean (Tweedie's
 formula), so its derivatives in the means and weight logits follow from
 the responsibilities (see _pack_loss_and_grad). fd_gradient, the central
 finite-difference gradient, is kept as the reference the tests compare
-against. Progress is tracked on a separate frozen evaluation pack, which
-makes the plateau rule and the divergence guard deterministic.
+against. The update is Adam on uniform minibatches, with sigma drawn
+log-uniformly over the run's grid, sigma_min to sigma_max. Progress is
+tracked on a separate frozen evaluation pack, which makes the plateau rule
+and the divergence guard deterministic.
 """
 
 from __future__ import annotations
@@ -38,7 +40,10 @@ from .quadrature import SigmaGrid
 from .rng import stream
 
 TRAINABLE = ("means-only", "means-and-weights")
-OPTIMIZERS = ("gradient-descent", "adaptive-moments")
+# stopping rules (see AdaptationConfig)
+PLATEAU_REL = 0.005
+PLATEAU_WINDOW = 10
+DIVERGENCE_PATIENCE = 20
 
 
 class DivergenceError(RuntimeError):
@@ -47,42 +52,39 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class AdaptationConfig:
-    """Knobs of the first-order adaptation loop.
+    """A config's adaptation block, plus the run's seed.
 
-    sigma draws per step are log-uniform over sigma_range (defaulting to
-    the diagnostic grid's range inside adapt). shared_mask_batches groups
-    each minibatch by a single operator, for datasets where operators are
-    reused across measurements.
+    Every field but seed is a key of that block, so AdaptationConfig(seed=s,
+    **config["adaptation"]) builds it. eval_samples is the image-domain
+    sample count of the report's before/after kl_image.
+
+    The stopping rules are module constants, not fields: a run stops at a
+    plateau once the best evaluation loss of the last PLATEAU_WINDOW (10)
+    steps is within PLATEAU_REL (0.5%) of the best before them, and raises
+    DivergenceError after DIVERGENCE_PATIENCE (20) rising steps in a row.
+    No config could reach them, so fixing them keeps the config the whole
+    description of a run.
     """
 
     trainable: str = "means-only"
-    optimizer: str = "adaptive-moments"
     step_size: float = 0.05
     iterations: int = 200
     batch: int = 32
     sigma_draws: int = 8
+    eval_samples: int = 2048
     seed: int = 0
-    sigma_range: tuple[float, float] | None = None
-    plateau_rel: float = 0.005
-    plateau_window: int = 10
-    divergence_patience: int = 20
-    shared_mask_batches: bool = False
 
     def __post_init__(self):
         if self.trainable not in TRAINABLE:
             raise ValueError(f"trainable must be one of {TRAINABLE}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.step_size <= 0:
             raise ValueError("step_size must be > 0")
         if self.iterations < 1:
             raise ValueError("iteration cap must be >= 1")
         if self.batch < 1 or self.sigma_draws < 1:
             raise ValueError("batch and sigma_draws must be >= 1")
-        if self.plateau_window < 1 or self.divergence_patience < 1:
-            raise ValueError("plateau_window and divergence_patience must be >= 1")
-        if self.sigma_range is not None and not 0 < self.sigma_range[0] < self.sigma_range[1]:
-            raise ValueError(f"sigma_range must satisfy 0 < low < high, got {self.sigma_range}")
+        if self.eval_samples < 2:
+            raise ValueError("eval_samples must be >= 2")
 
 
 @dataclass
@@ -241,23 +243,23 @@ def adapt(
     cfg: AdaptationConfig,
     grid: SigmaGrid,
     ind_model: GaussianMixture | None = None,
-    n_image_samples: int = 2048,
 ) -> tuple[GaussianMixture, AdaptationReport]:
-    """Minimize the weighted projected denoising loss over q0's parameters.
+    """Minimize the weighted projected denoising loss over q0's parameters by Adam.
 
     Args:
         q0: starting out-of-distribution mixture.
         data: corrupted in-distribution measurements; the only
             data-dependent input to the optimization. The loss weights
-            w_diag = E[P]^(-3/2) come from its observation frequency over
-            all rows (estimate_projection_stats), so every minibatch is
-            weighted alike.
-        grid: sigma grid; supplies the sigma sampling range and the
-            quadrature for the recomputed divergences.
+            E[P]^(-3/2) come from its observation frequency over all rows
+            (estimate_projection_stats), so every minibatch is weighted
+            alike.
+        grid: sigma grid; each step draws sigma log-uniformly between its
+            sigma_min and sigma_max, and it is the quadrature for the
+            recomputed divergences.
         ind_model: optional in-distribution prior. When given, the report
             carries measurement-domain and image-domain divergences before
-            and after adaptation (purely diagnostic; the optimizer never
-            sees it).
+            and after adaptation, the latter from cfg.eval_samples fresh
+            draws (purely diagnostic; the optimizer never sees it).
 
     Returns:
         (adapted mixture, report). The returned mixture is the best
@@ -265,23 +267,23 @@ def adapt(
         the starting point's.
 
     Raises:
-        DivergenceError: if the evaluation loss rises for
-            cfg.divergence_patience consecutive steps.
+        DivergenceError: if the evaluation loss rises (or is not finite)
+            for DIVERGENCE_PATIENCE consecutive steps.
     """
     if q0.dim != data.sampler.dim:
         raise ValueError("mixture dim does not match measurement dim")
     train_weights = cfg.trainable == "means-and-weights"
     basis = data.sampler.basis
-    w = estimate_projection_stats(data.support).w_diag
-    lo, hi = cfg.sigma_range if cfg.sigma_range else (grid.sigma_min, grid.sigma_max)
+    w = estimate_projection_stats(data.support) ** -1.5
+    log_lo, log_hi = np.log(grid.sigma_min), np.log(grid.sigma_max)
 
-    ybar_all, masks_all, op_ids = data.ybar, data.support, data.op_index
+    ybar_all, masks_all = data.ybar, data.support
     n_data = len(data)
 
     # Frozen evaluation pack: the plateau rule and divergence guard track a
     # deterministic function of the parameters.
     eval_gen = stream(cfg.seed, "adapt-eval")
-    eval_sigmas = np.exp(eval_gen.uniform(np.log(lo), np.log(hi), size=cfg.sigma_draws))
+    eval_sigmas = np.exp(eval_gen.uniform(log_lo, log_hi, size=cfg.sigma_draws))
     eval_eps = eval_gen.standard_normal((cfg.sigma_draws, n_data, q0.dim))
 
     def eval_loss(params: np.ndarray) -> float:
@@ -299,31 +301,22 @@ def adapt(
     rising = 0
 
     for t in range(1, cfg.iterations + 1):
-        pick_gen = stream(cfg.seed, "adapt-batch", t)
-        if cfg.shared_mask_batches:
-            shared = pick_gen.choice(np.unique(op_ids))
-            pool = np.flatnonzero(op_ids == shared)
-            idx = pool[pick_gen.integers(0, pool.size, size=min(cfg.batch, pool.size))]
-        else:
-            idx = pick_gen.integers(0, n_data, size=min(cfg.batch, n_data))
+        idx = stream(cfg.seed, "adapt-batch", t).integers(0, n_data, size=min(cfg.batch, n_data))
         ybar = ybar_all[idx]
         masks = masks_all[idx]
         sig_gen = stream(cfg.seed, "adapt-sigma", t)
-        sigmas = np.exp(sig_gen.uniform(np.log(lo), np.log(hi), size=cfg.sigma_draws))
+        sigmas = np.exp(sig_gen.uniform(log_lo, log_hi, size=cfg.sigma_draws))
         eps = stream(cfg.seed, "adapt-noise", t).standard_normal(
             (cfg.sigma_draws, idx.size, q0.dim)
         )
 
         q = _split_params(params, q0, train_weights)
         _, grad = _signal_loss_and_grad(q, basis, ybar, masks, w, sigmas, eps, train_weights)
-        if cfg.optimizer == "gradient-descent":
-            params = params - cfg.step_size * grad
-        else:
-            adam_m = 0.9 * adam_m + 0.1 * grad
-            adam_v = 0.999 * adam_v + 0.001 * grad**2
-            mhat = adam_m / (1 - 0.9**t)
-            vhat = adam_v / (1 - 0.999**t)
-            params = params - cfg.step_size * mhat / (np.sqrt(vhat) + 1e-8)
+        adam_m = 0.9 * adam_m + 0.1 * grad
+        adam_v = 0.999 * adam_v + 0.001 * grad**2
+        mhat = adam_m / (1 - 0.9**t)
+        vhat = adam_v / (1 - 0.999**t)
+        params = params - cfg.step_size * mhat / (np.sqrt(vhat) + 1e-8)
 
         current = eval_loss(params)
         losses.append(current)
@@ -332,17 +325,17 @@ def adapt(
             best_params = params.copy()
         # non-finite losses count as rising so runaway steps still abort
         rising = rising + 1 if (not np.isfinite(current) or current > losses[-2]) else 0
-        if rising >= cfg.divergence_patience:
+        if rising >= DIVERGENCE_PATIENCE:
             raise DivergenceError(
                 f"evaluation loss rose for {rising} consecutive steps "
                 f"(last {losses[-1]:.6g}, best {best_loss:.6g}); "
                 "reduce step_size or check the measurement weights"
             )
         # a rising streak is never a plateau: let the divergence guard see it
-        if rising == 0 and t >= cfg.plateau_window:
-            prior_best = min(losses[: -cfg.plateau_window])
-            recent_best = min(losses[-cfg.plateau_window :])
-            if recent_best > (1 - cfg.plateau_rel) * prior_best:
+        if rising == 0 and t >= PLATEAU_WINDOW:
+            prior_best = min(losses[:-PLATEAU_WINDOW])
+            recent_best = min(losses[-PLATEAU_WINDOW:])
+            if recent_best > (1 - PLATEAU_REL) * prior_best:
                 stop_reason = "plateau"
                 break
 
@@ -362,9 +355,9 @@ def adapt(
             ind_model, adapted, data, grid, seed=cfg.seed
         )
         report.kl_image_before = kl_image(
-            ind_model, q0, grid, n_samples=n_image_samples, seed=cfg.seed
+            ind_model, q0, grid, n_samples=cfg.eval_samples, seed=cfg.seed
         )
         report.kl_image_after = kl_image(
-            ind_model, adapted, grid, n_samples=n_image_samples, seed=cfg.seed
+            ind_model, adapted, grid, n_samples=cfg.eval_samples, seed=cfg.seed
         )
     return adapted, report

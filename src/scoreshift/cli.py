@@ -18,7 +18,7 @@ from .adaptation import DivergenceError
 from .estimators import MeasurementDataset, kl_image, kl_invertible, kl_measurement
 from .experiments import CONFIG_SCHEMA, SWEEP_AXES, ConfigError, load_config, run, sweep
 from .gmm import denoise, sample, score
-from .measurements import BasisMismatch, OperatorSampler, SpanViolation, identity_basis
+from .measurements import BasisMismatch, OperatorSampler, RightBasis, SpanViolation
 from .priors import gaussian_pair, triangle_pair
 from .quadrature import IntegrandSeries, integrate, make_log_grid
 from .rng import stream
@@ -122,7 +122,7 @@ def _selftest_checks():
     # three blocks of rows at every node
     wp, wq = triangle_pair(256)
     sampler = OperatorSampler(
-        kind="coordinate-mask", dim=wp.dim, basis=identity_basis(wp.dim), base_seed=7,
+        kind="coordinate-mask", dim=wp.dim, basis=RightBasis("identity", wp.dim), base_seed=7,
         keep_prob=1.0,
     )
     draws = sample(wp, 400, stream(11, "data-x"))
@@ -155,7 +155,7 @@ def _selftest_checks():
     dmu_sq = float(np.sum((gq.means[0] - gp.means[0]) ** 2))
     qgrid = make_log_grid(1e-2, 1e3, 256)
     half_masked = OperatorSampler(
-        kind="coordinate-mask", dim=gp.dim, basis=identity_basis(gp.dim), base_seed=7,
+        kind="coordinate-mask", dim=gp.dim, basis=RightBasis("identity", gp.dim), base_seed=7,
         keep_prob=0.5,
     )
     gdata = MeasurementDataset.from_samples(half_masked, sample(gp, 250, stream(13, "data-x")))

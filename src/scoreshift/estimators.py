@@ -316,8 +316,8 @@ def kl_measurement(
     sigma node every measurement is re-noised on its observed coordinates
     and both rotated priors' smoothed scores are evaluated there. The score
     gap is masked to the measurement's support and weighted per coordinate
-    by w_diag * ep_diag (the W = E[P]^(-3/2) compensation applied to the
-    projected marginal's score difference, which carries P E[P]). E[P] is
+    by ep^(-3/2) * ep (the W = E[P]^(-3/2) compensation applied to the
+    projected marginal's score difference, which carries P E[P]). ep is
     the data's own observation frequency (estimate_projection_stats), so
     each coordinate contributes the mean squared gap over the rows that
     observed it, and a coordinate no row observes raises SpanViolation.
@@ -327,8 +327,8 @@ def kl_measurement(
     if p.dim != q.dim or p.dim != data.sampler.dim:
         raise ValueError("dimension mismatch between priors and measurements")
     support = data.support
-    stats = estimate_projection_stats(support)
-    factor = stats.w_diag * stats.ep_diag * support  # = ep^(-1/2) on observed coordinates
+    ep = estimate_projection_stats(support)
+    factor = ep**-1.5 * ep * support  # = ep^(-1/2) on observed coordinates
     to_basis = data.sampler.basis.matrix.T
     return _score_gap_kl(
         rotate(p, to_basis), rotate(q, to_basis), grid, _noised(data.ybar, seed, support),

@@ -30,12 +30,7 @@ from .estimators import (
     kl_measurement,
 )
 from .gmm import GaussianMixture, sample
-from .measurements import (
-    BasisMismatch,
-    OperatorSampler,
-    ProjectionStats,
-    estimate_projection_stats,
-)
+from .measurements import BasisMismatch, OperatorSampler, estimate_projection_stats
 from .quadrature import SigmaGrid, make_log_grid, series_csv
 from .rng import stream
 
@@ -152,12 +147,10 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "trainable": {"enum": ["means-only", "means-and-weights"]},
-                "optimizer": {"enum": ["gradient-descent", "adaptive-moments"]},
                 "step_size": {"type": "number", "exclusiveMinimum": 0},
                 "iterations": {"type": "integer", "minimum": 1},
                 "batch": {"type": "integer", "minimum": 1},
                 "sigma_draws": {"type": "integer", "minimum": 1},
-                "shared_mask_batches": {"type": "boolean"},
                 "eval_samples": {"type": "integer", "minimum": 2},
             },
         },
@@ -314,7 +307,7 @@ class RunReport:
     config_hash: str
     seed: int
     estimates: dict[str, KlEstimate] = field(default_factory=dict)
-    projection_stats: ProjectionStats | None = None
+    ep_diag: np.ndarray | None = None
     adaptation: AdaptationReport | None = None
     adapted_mixture: GaussianMixture | None = None
     wall_clock_s: float = 0.0
@@ -330,8 +323,8 @@ class RunReport:
                 mode: {**est.to_dict(), "config_hash": self.config_hash, "seed": self.seed}
                 for mode, est in self.estimates.items()
             },
-            "projection_stats": self.projection_stats.to_dict()
-            if self.projection_stats
+            "projection_stats": {"ep_diag": self.ep_diag.tolist()}
+            if self.ep_diag is not None
             else None,
             "adaptation": self.adaptation.to_dict() if self.adaptation else None,
         }
@@ -351,8 +344,8 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
 
     Outputs (when out_dir is given): report.json, one integrand_<mode>.csv
     per estimator, and adapted_mixture.json when adaptation ran. The
-    report's projection_stats is E[P] of the run's dataset, the frequency
-    the estimators weight with.
+    report's projection_stats holds ep_diag, E[P] of the run's dataset,
+    the frequency the estimators weight with.
 
     Args:
         dataset: pre-acquired MeasurementDataset to use instead of drawing
@@ -405,7 +398,7 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
                 seed=seed,
                 n_operators=meas_cfg.get("n_operators"),
             )
-        report.projection_stats = estimate_projection_stats(data.support)
+        report.ep_diag = estimate_projection_stats(data.support)
 
     if "image" in wanted:
         report.estimates["image"] = kl_image(
@@ -426,10 +419,8 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
         )
 
     if "adaptation" in config:
-        acfg_doc = dict(config["adaptation"])
-        eval_samples = acfg_doc.pop("eval_samples", 2048)
-        acfg = AdaptationConfig(seed=seed, **acfg_doc)
-        adapted, adaptation = adapt(q, data, acfg, grid, ind_model=p, n_image_samples=eval_samples)
+        acfg = AdaptationConfig(seed=seed, **config["adaptation"])
+        adapted, adaptation = adapt(q, data, acfg, grid, ind_model=p)
         report.adaptation = adaptation
         report.adapted_mixture = adapted
 
@@ -462,6 +453,8 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
     many of the shared draws are used. The per-run seed (recorded in each
     report) is base seed + index. Each run takes E[P] from its own
     dataset's observation frequency, as a run of that config alone would.
+    Each run writes to out_dir/<axis>=<value>, so values that are equal as
+    floats raise ConfigError before any run.
 
     Returns (reports, summary_rows) where each summary row is
     (axis_value, kl_measurement, kl_image, abs_gap).
@@ -473,6 +466,8 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
         raise ConfigError("sweep needs a measurement block")
     if not values:
         raise ConfigError("sweep needs at least one axis value")
+    if len({float(v) for v in values}) < len(values):
+        raise ConfigError(f"sweep axis values repeat; a run would overwrite another: {values}")
     for mode in ("image", "measurement"):
         if mode not in config["estimators"]:
             raise ConfigError(f"sweep requires the {mode!r} estimator")

@@ -11,11 +11,12 @@ with it.
 Every operator drawn from one sampler shares its basis, so datasets built
 from a single sampler satisfy the shared-right-basis requirement by
 construction. A sampler is likewise its spec: two samplers draw the same
-operators in the same basis exactly when their to_dict agree. E[P] is
-taken from the measurements at hand: the fraction of rows that observe
-each projected coordinate (estimate_projection_stats). If some coordinate
-is observed by no row, estimation stops with SpanViolation rather than
-silently extrapolating.
+operators in the same basis exactly when their to_dict agree. E[P] is one
+(n,) array taken from the measurements at hand: the fraction of rows that
+observe each projected coordinate (estimate_projection_stats); the
+estimators derive their weight E[P]^(-3/2) from it where they use it. If
+some coordinate is observed by no row, estimation stops with SpanViolation
+rather than silently extrapolating.
 """
 
 from __future__ import annotations
@@ -91,18 +92,6 @@ class RightBasis:
     def inverse(self, x: np.ndarray) -> np.ndarray:
         """Apply V^T (drop into the shared projected coordinates)."""
         return np.asarray(x, dtype=float) @ self.matrix
-
-
-def identity_basis(dim: int) -> RightBasis:
-    return RightBasis(kind="identity", dim=dim)
-
-
-def hadamard_basis(dim: int) -> RightBasis:
-    return RightBasis(kind="hadamard", dim=dim)
-
-
-def dense_orthogonal_basis(dim: int, seed: int) -> RightBasis:
-    return RightBasis(kind="dense", dim=dim, seed=seed)
 
 
 # the sampler fields each kind never reads
@@ -217,41 +206,6 @@ class OperatorSampler:
         )
 
 
-@dataclass(frozen=True)
-class ProjectionStats:
-    """Empirical E[P] diagonal and the compensation weights built from it.
-
-    w_diag is ep_diag^(-3/2), the diagonal scaling that makes unevenly
-    observed coordinates contribute proportionally to the measurement-domain
-    divergence. draws_used is the number of operator rows ep_diag averages.
-    """
-
-    ep_diag: np.ndarray
-    w_diag: np.ndarray
-    draws_used: int
-
-    def __post_init__(self):
-        ep = np.asarray(self.ep_diag, dtype=float)
-        w = np.asarray(self.w_diag, dtype=float)
-        if ep.shape != w.shape or ep.ndim != 1:
-            raise ValueError("ep_diag and w_diag must be 1-D of equal length")
-        if np.any(ep <= 0) or np.any(ep > 1):
-            raise ValueError("ep_diag entries must lie in (0, 1]")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("w_diag entries must be finite")
-        ep.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "ep_diag", ep)
-        object.__setattr__(self, "w_diag", w)
-
-    def to_dict(self) -> dict:
-        return {
-            "ep_diag": self.ep_diag.tolist(),
-            "w_diag": self.w_diag.tolist(),
-            "draws_used": self.draws_used,
-        }
-
-
 def sample_operator(sampler: OperatorSampler, index: int) -> np.ndarray:
     """Operator index's support, the (dim,) boolean diagonal of its projection P.
 
@@ -319,15 +273,16 @@ def to_projected(
     return ybar
 
 
-def estimate_projection_stats(support: np.ndarray) -> ProjectionStats:
-    """E[P] as each coordinate's observation frequency over the (N, n) supports.
+def estimate_projection_stats(support: np.ndarray) -> np.ndarray:
+    """E[P], each coordinate's observation frequency over the (N, n) supports.
 
-    The estimators weight with the frequency in the very rows they average,
-    not with the sampler's population E[P]: coordinate i's weighted term
-    then becomes sum_r P_ri g_ri^2 / sum_r P_ri, the mean squared gap over
-    the rows that observed it, so the mask-sampling error cancels. That is
+    Returns the read-only (n,) array ep. The estimators weight with the
+    frequency in the very rows they average, not with the sampler's
+    population E[P]: under the weight W = ep^(-3/2), coordinate i's term
+    becomes sum_r P_ri g_ri^2 / sum_r P_ri, the mean squared gap over the
+    rows that observed it, so the mask-sampling error cancels. That is
     exact when the gap is constant (a Gaussian shift), and with every
-    coordinate observed in every row ep_diag = w_diag = 1.
+    coordinate observed in every row ep = 1.
 
     Raises:
         SpanViolation: if no row observes some coordinate; the measurements
@@ -342,4 +297,5 @@ def estimate_projection_stats(support: np.ndarray) -> ProjectionStats:
             f"coordinates never observed in {len(support)} measurements: "
             f"{dead[:8].tolist()}{'...' if dead.size > 8 else ''}"
         )
-    return ProjectionStats(ep_diag=ep, w_diag=ep ** -1.5, draws_used=len(support))
+    ep.setflags(write=False)
+    return ep

@@ -4,8 +4,8 @@ import pytest
 from scoreshift import (
     MeasurementDataset,
     OperatorSampler,
+    RightBasis,
     estimate_projection_stats,
-    identity_basis,
     make_log_grid,
     sample,
 )
@@ -50,7 +50,7 @@ def mask_sampler(dim=10, keep_prob=0.8, base_seed=5, basis=None):
     return OperatorSampler(
         kind="coordinate-mask",
         dim=dim,
-        basis=basis if basis is not None else identity_basis(dim),
+        basis=basis if basis is not None else RightBasis("identity", dim),
         base_seed=base_seed,
         keep_prob=keep_prob,
     )
@@ -58,7 +58,7 @@ def mask_sampler(dim=10, keep_prob=0.8, base_seed=5, basis=None):
 
 @pytest.fixture(scope="session")
 def toy_masked_data(toy_pair):
-    """Shared 0.8-keep masked dataset of 400 toy draws, with its stats."""
+    """Shared 0.8-keep masked dataset of 400 toy draws, with its E[P]."""
     p, _ = toy_pair
     sampler = mask_sampler(dim=p.dim, keep_prob=0.8, base_seed=5)
     draws = sample(p, 400, stream(17, "data-x"))

@@ -9,12 +9,10 @@ import pytest
 from scoreshift import (
     MeasurementDataset,
     OperatorSampler,
+    RightBasis,
     convolve,
-    dense_orthogonal_basis,
     estimate_projection_stats,
     exact_kl_oracle,
-    hadamard_basis,
-    identity_basis,
     integrate,
     kl_image,
     kl_invertible,
@@ -144,7 +142,7 @@ class TestKlMeasurement:
 
     def test_rotation_invariance(self, toy_pair, toy_grid):
         p, q = toy_pair
-        basis = dense_orthogonal_basis(10, seed=77)
+        basis = RightBasis("dense", 10, seed=77)
         draws = sample(p, 200, stream(23, "data-x"))
         plain_sampler = mask_sampler(dim=10, keep_prob=0.6, base_seed=5)
         rot_sampler = mask_sampler(dim=10, keep_prob=0.6, base_seed=5, basis=basis)
@@ -191,8 +189,8 @@ class TestKlMeasurement:
 def lifted_node_means(p, q, data, grid, seed):
     """kl_measurement's node means the literal way: lift, score, take back, weight."""
     basis = data.sampler.basis
-    stats = estimate_projection_stats(data.support)
-    factor = stats.w_diag * stats.ep_diag * data.support
+    ep = estimate_projection_stats(data.support)
+    factor = ep**-1.5 * ep * data.support
     means = []
     for j, sigma in enumerate(grid.nodes):
         eps = stream(seed, "sigma-noise", j).standard_normal(data.ybar.shape) * data.support
@@ -208,9 +206,9 @@ class TestProjectedCoordinates:
         dim = 16
         p, q = triangle_pair(dim)
         basis = {
-            "identity": identity_basis(dim),
-            "dense": dense_orthogonal_basis(dim, seed=3),
-            "hadamard": hadamard_basis(dim),
+            "identity": RightBasis("identity", dim),
+            "dense": RightBasis("dense", dim, seed=3),
+            "hadamard": RightBasis("hadamard", dim),
         }[basis_kind]
         sampler = mask_sampler(dim=dim, keep_prob=0.6, base_seed=11, basis=basis)
         draws = sample(p, 200, stream(41, "data-x"))
@@ -273,12 +271,12 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("basis_kind", ["identity", "hadamard"])
     def test_measurement(self, wide, basis_kind):
         p, q, grid, draws = wide
-        basis = {"identity": identity_basis, "hadamard": hadamard_basis}[basis_kind](WIDE_DIM)
+        basis = RightBasis(basis_kind, WIDE_DIM)
         sampler = mask_sampler(dim=WIDE_DIM, keep_prob=0.6, base_seed=13, basis=basis)
         data = MeasurementDataset.from_samples(sampler, draws, seed=52)
         est = kl_measurement(p, q, data, grid, seed=53)
-        stats = estimate_projection_stats(data.support)
-        factor = stats.w_diag * stats.ep_diag * data.support
+        ep = estimate_projection_stats(data.support)
+        factor = ep**-1.5 * ep * data.support
         to_basis = basis.matrix.T
         reference = unblocked_series(
             rotate(p, to_basis), rotate(q, to_basis), grid,
@@ -332,7 +330,7 @@ class TestKlInvertible:
 
     def test_dense_orthogonal_matches_image_within_error(self, toy_pair, toy_grid):
         p, q = toy_pair
-        basis = dense_orthogonal_basis(10, seed=31)
+        basis = RightBasis("dense", 10, seed=31)
         sampler = mask_sampler(dim=10, keep_prob=1.0, base_seed=6, basis=basis)
         draws = sample(p, 600, stream(26, "data-x"))
         data = MeasurementDataset.from_samples(sampler, draws, seed=26)
@@ -361,7 +359,7 @@ class TestInvertibleIsMeasurement:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
         "basis",
-        [identity_basis(16), hadamard_basis(16), dense_orthogonal_basis(16, seed=8)],
+        [RightBasis("identity", 16), RightBasis("hadamard", 16), RightBasis("dense", 16, seed=8)],
         ids=["identity", "hadamard", "dense"],
     )
     def test_same_bits_as_measurement(self, basis, workers):
@@ -508,9 +506,9 @@ class TestBatchedAcquisition:
     @pytest.mark.parametrize(
         "basis, exact",
         [
-            (identity_basis(16), True),
-            (hadamard_basis(16), False),
-            (dense_orthogonal_basis(16, seed=3), False),
+            (RightBasis("identity", 16), True),
+            (RightBasis("hadamard", 16), False),
+            (RightBasis("dense", 16, seed=3), False),
         ],
         ids=["identity", "hadamard", "dense"],
     )

@@ -64,7 +64,7 @@ class TestSweepProjectionStats:
         reports, _ = experiments.sweep(config, axis, values)
         for value, report in zip(values, reports):
             fresh = experiments.run(with_value(config, axis, value))
-            assert report.projection_stats.to_dict() == fresh.projection_stats.to_dict()
+            np.testing.assert_array_equal(report.ep_diag, fresh.ep_diag)
 
 
 class TestSweepSemantics:
@@ -274,17 +274,30 @@ class TestRunExitCodes:
         assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_CONFIG
         assert "measurement.data_file: cannot load" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", ["0.5,0.5", "0.5,2,0.50"])
+    def test_repeated_sweep_value_exits_2_writing_nothing(self, tmp_path, capsys, values):
+        # two equal values would write one sigma_z=0.5/ directory twice
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", config_file(tmp_path, small_config()), "--axis", "sigma_z",
+                "--values", values, "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "sweep axis values repeat" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diverging_adaptation_exits_4(self, tmp_path, capsys):
         config = small_config()
         config["adaptation"] = {
-            "optimizer": "gradient-descent",
-            "step_size": 1e4,
+            "step_size": 1e300,
             "iterations": 60,
             "batch": 8,
             "sigma_draws": 2,
             "eval_samples": 16,
         }
-        assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_DIVERGENCE
+        # Adam's steps are bounded by step_size: only an overflowing loss
+        # reaches the guard
+        with np.errstate(all="ignore"):
+            code = cli.main(["run", "--config", config_file(tmp_path, config)])
+        assert code == cli.EXIT_DIVERGENCE
         assert "evaluation loss rose for 20 consecutive steps" in capsys.readouterr().err
 
 
@@ -349,6 +362,16 @@ BAD_CONFIGS = [
         "keep_prob-neither-number-nor-array",
         set_field("measurement.sampler.keep_prob", "high"),
         "$.measurement.sampler.keep_prob: 'high' is not valid under exactly one",
+    ),
+    (
+        "adaptation-optimizer",
+        set_field("adaptation", {"optimizer": "adaptive-moments"}),
+        "$.adaptation: unknown key 'optimizer'",
+    ),
+    (
+        "adaptation-shared_mask_batches",
+        set_field("adaptation", {"shared_mask_batches": False}),
+        "$.adaptation: unknown key 'shared_mask_batches'",
     ),
 ]
 

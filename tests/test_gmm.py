@@ -17,7 +17,7 @@ from scoreshift import (
     sample,
     score,
 )
-from scoreshift.measurements import dense_orthogonal_basis
+from scoreshift.measurements import RightBasis
 from scoreshift.priors import gaussian_pair, triangle_pair
 from scoreshift.rng import stream
 
@@ -193,7 +193,7 @@ class TestScore:
 
     def test_orthogonal_equivariance(self, toy_pair):
         p, _ = toy_pair
-        basis = dense_orthogonal_basis(p.dim, seed=3)
+        basis = RightBasis("dense", p.dim, seed=3)
         v = basis.matrix
         rotated = rotate(p, v)
         rng = stream(4, "equiv-probe")
