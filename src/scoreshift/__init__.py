@@ -2,10 +2,12 @@
 
 The package provides analytic Gaussian-mixture priors (exact scores and
 denoisers at every noise level), measurement operators (a sampler's shared
-basis plus each operator's boolean support), three score-gap divergence
-estimators (image domain, measurement domain, and the invertible case, the
-measurement one on full-rank data), a measurement-only adaptation loop,
-and a config-driven experiment runner with a CLI front end.
+basis plus each operator's boolean support, with measurement noise of std
+sigma_z), three score-gap divergence estimators (image domain, measurement
+domain, and the invertible case, the measurement one on full-rank data),
+each returning its value with the per-node integrand means and standard
+errors behind it, a measurement-only adaptation loop, and a config-driven
+experiment runner with a CLI front end.
 """
 
 __version__ = "0.1.0"
@@ -40,7 +42,6 @@ from .measurements import (
 )
 from .priors import gaussian_pair, triangle_pair
 from .quadrature import (
-    IntegrandSeries,
     SigmaGrid,
     cumulative_integral,
     integrate,
@@ -55,7 +56,6 @@ __all__ = [
     "BasisMismatch",
     "DivergenceError",
     "GaussianMixture",
-    "IntegrandSeries",
     "KlEstimate",
     "MeasurementDataset",
     "OperatorSampler",

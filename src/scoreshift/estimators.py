@@ -47,12 +47,11 @@ from .measurements import (
     sample_operator,
     to_projected,
 )
-from .quadrature import IntegrandSeries, SigmaGrid, integrate
+from .quadrature import SigmaGrid, integrate
 from .rng import stream
 
 _NOISE_TAG = "sigma-noise"
 _NODE_X_TAG = "node-x"
-_DATA_Z_TAG = "meas-z"
 # Budget for one (rows, K, dim) float64 temporary of score per block: 1 MiB
 # leaves room for the block's other temporaries in a 2 MiB L2 cache.
 _BLOCK_BYTES = 2**20
@@ -62,13 +61,15 @@ _BLOCK_BYTES = 2**20
 class KlEstimate:
     """Output of one estimator run.
 
-    value is exactly the trapezoid quadrature of the recorded series on the
-    recorded grid, so reports can be re-derived from the series alone.
+    node_means and node_stderrs, read-only (m,) arrays, are the integrand's
+    mean and standard error at grid's m nodes; (value, stderr) is exactly
+    integrate(grid, node_means, node_stderrs).
     """
 
     value: float
     stderr: float
-    series: IntegrandSeries
+    node_means: np.ndarray
+    node_stderrs: np.ndarray
     grid: SigmaGrid
     n_samples: int
     mode: str
@@ -89,10 +90,10 @@ class MeasurementDataset:
     """Corrupted observations in columns, plus the sampler of their operators.
 
     Row i is one observation: ybar[i] (n,) in the sampler's shared projected
-    basis, taken through operator op_index[i] at measurement-noise level
-    sigma_z[i] (image units, 0 for noiseless data). One sampler means one
-    right basis, so every row's projected coordinates are comparable.
-    Construction validates the columns and derives support, the boolean
+    basis, taken through operator op_index[i] with noise of std sigma_z[i]
+    on each observed coordinate (0 for noiseless data). One sampler means
+    one right basis, so every row's projected coordinates are comparable.
+    Construction validates the finite columns and derives support, the boolean
     (N, n) diagonal of each row's projection P, by drawing every distinct
     operator index once. All four arrays are read-only. Datasets compare by
     identity, as array columns have no single truth value.
@@ -115,12 +116,14 @@ class MeasurementDataset:
             raise ValueError(
                 f"ybar must be (N, {self.sampler.dim}) for this sampler, got {ybar.shape}"
             )
+        if not np.all(np.isfinite(ybar)):
+            raise ValueError("ybar entries must be finite")
         if op_index.shape != (count,) or op_index.dtype.kind not in "iu":
             raise ValueError(f"op_index must be {count} integers")
         if np.any(op_index < 0):
             raise ValueError("op_index entries must be >= 0")
-        if sigma_z.shape != (count,) or np.any(sigma_z < 0):
-            raise ValueError(f"sigma_z must be {count} values >= 0")
+        if sigma_z.shape != (count,) or not np.all(np.isfinite(sigma_z) & (sigma_z >= 0)):
+            raise ValueError(f"sigma_z must be {count} finite values >= 0")
         indices, rows = np.unique(op_index, return_inverse=True)
         drawn = np.stack([sample_operator(self.sampler, int(i)) for i in indices])
         support = drawn[rows]
@@ -134,11 +137,11 @@ class MeasurementDataset:
         return len(self.ybar)
 
     def operators(self) -> np.ndarray:
-        """Each row's singular values, (N, n): the sampler's scalar on the support.
+        """Each row's singular values, (N, n): one on the support, zero off it.
 
         With sampler.basis as V, row i is operator op_index[i] in SVD form.
         """
-        return np.where(self.support, self.sampler.singular_value, 0.0)
+        return np.where(self.support, 1.0, 0.0)
 
     @classmethod
     def from_samples(
@@ -152,7 +155,7 @@ class MeasurementDataset:
         """Acquire one measurement per row of points, an (N, n) array.
 
         Measurement i uses operator index i (or i mod n_operators when a
-        limited pool of operators should be reused) and measurement noise
+        limited pool of operators should be reused) and noise of std sigma_z
         from the stream (seed, "meas-z", i), so datasets built at different
         sigma_z from the same seed share their x draws and noise shapes.
         The dataset is built first, on an all-zero placeholder ybar, which
@@ -164,10 +167,7 @@ class MeasurementDataset:
         op_index = np.arange(count) if n_operators is None else np.arange(count) % n_operators
         placeholder = np.broadcast_to(0.0, (count, sampler.dim))
         data = cls(sampler, placeholder, op_index, np.full(count, sigma_z))
-        rngs = (stream(seed, _DATA_Z_TAG, i) for i in range(count)) if sigma_z > 0 else ()
-        ybar = to_projected(
-            sampler.basis, data.support, pts, sigma_z, rngs, sampler.singular_value
-        )
+        ybar = to_projected(sampler.basis, data.support, pts, sigma_z, seed)
         ybar.setflags(write=False)
         object.__setattr__(data, "ybar", ybar)
         return data
@@ -255,9 +255,10 @@ def _score_gap_kl(
     else:
         per_node = list(map(node, *nodes))
     means, stderrs = (np.array(column) for column in zip(*per_node))
-    series = IntegrandSeries(means=means, stderrs=stderrs, n_samples=count)
-    value, stderr = integrate(grid, series)
-    return KlEstimate(value, stderr, series, grid, count, mode)
+    means.setflags(write=False)
+    stderrs.setflags(write=False)
+    value, stderr = integrate(grid, means, stderrs)
+    return KlEstimate(value, stderr, means, stderrs, grid, count, mode)
 
 
 def kl_image(

@@ -1,9 +1,9 @@
 """Config-driven experiment runs: validation, execution, report emission.
 
 A run is one JSON document with a versioned schema, checked against the subset
-of JSON Schema it uses (integers must be JSON integers); unknown keys are
-rejected so stale configs fail loudly. Every output file records the hash of
-the effective config and the seed, which together pin all randomness:
+of JSON Schema it uses (integers must be JSON integers, numbers finite);
+unknown keys are rejected so stale configs fail loudly. Every output file
+records the hash of the effective config and the seed, which pin all randomness:
 rerunning the same config single-threaded reproduces every estimate bit for
 bit (wall-clock time is the one report field exempt from that guarantee).
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import platform
 import reprlib
 import time
@@ -87,7 +88,6 @@ _SAMPLER = {
         "patch_edge": {"type": "integer", "minimum": 1},
         "low_count": {"type": "integer", "minimum": 0},
         "rand_count": {"type": "integer", "minimum": 0},
-        "singular_value": {"type": "number", "exclusiveMinimum": 0},
         "basis": {
             "type": "object",
             "additionalProperties": False,
@@ -207,6 +207,8 @@ def _schema_errors(value, schema: dict, path: str):
     if kind and (not isinstance(value, _TYPES[kind])
                  or isinstance(value, bool) != (kind == "boolean")):
         yield path, f"{value!r} is not of type {kind!r}"
+    if kind == "number" and isinstance(value, float) and not math.isfinite(value):
+        yield path, f"{value!r} is not a finite number"
     if "const" in schema and not _same(value, schema["const"]):
         yield path, f"{schema['const']!r} was expected, got {value!r}"
     if "enum" in schema and not any(_same(value, v) for v in schema["enum"]):
@@ -236,7 +238,7 @@ def _schema_errors(value, schema: dict, path: str):
 
 def validate_config(config: dict) -> None:
     """Check config against CONFIG_SCHEMA (a JSON Schema subset; integers must be
-    JSON integers, not 4.0); raises ConfigError naming the bad field."""
+    JSON integers, not 4.0, and numbers finite); raises ConfigError naming the bad field."""
     for path, message in _schema_errors(config, CONFIG_SCHEMA, "$"):
         raise ConfigError(f"config field {path}: {message}")
 
@@ -352,6 +354,8 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
             one from the config (its sampler must match the config's);
             sweep uses this to measure the same draws across runs.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     validate_config(config)
     started = time.perf_counter()
     seed = int(config["seed"])
@@ -434,7 +438,7 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
             fh.write("\n")
         for mode, est in report.estimates.items():
             (out / f"integrand_{mode}.csv").write_text(
-                series_csv(est.grid, est.series), encoding="utf-8"
+                series_csv(est.grid, est.node_means, est.node_stderrs), encoding="utf-8"
             )
         if report.adapted_mixture is not None:
             report.adapted_mixture.save(out / "adapted_mixture.json")
@@ -459,6 +463,8 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
     Returns (reports, summary_rows) where each summary row is
     (axis_value, kl_measurement, kl_image, abs_gap).
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     validate_config(config)
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")

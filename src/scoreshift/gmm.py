@@ -90,11 +90,12 @@ class GaussianMixture:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GaussianMixture":
-        gmm = cls(
-            weights=np.asarray(doc["weights"], dtype=float),
-            means=np.asarray(doc["means"], dtype=float),
-            variances=np.asarray(doc["variances"], dtype=float),
-        )
+        """Read a to_dict document, rejecting non-finite numbers (the constructor
+        takes them: adaptation's runaway iterates must reach its divergence guard)."""
+        arrays = [np.asarray(doc[key], dtype=float) for key in ("weights", "means", "variances")]
+        if not all(np.all(np.isfinite(arr)) for arr in arrays):
+            raise ValueError("weights, means and variances must be finite")
+        gmm = cls(*arrays)
         if "dim" in doc and int(doc["dim"]) != gmm.dim:
             raise ValueError(
                 f"declared dim {doc['dim']} does not match means of length {gmm.dim}"

@@ -1,9 +1,9 @@
 """Measurement operators in SVD form and projected-coordinate transforms.
 
 An operator is a sampler's shared orthogonal right basis V plus a support,
-the boolean diagonal of its projection P; its singular value is the
-sampler's scalar singular_value on the support. The left factor is never
-materialized because samplers produce ybar = pinv(Sigma) U^T y directly.
+the boolean diagonal of its projection P; its singular values are one on the
+support, so measurement noise is sigma_z alone. The left factor is never
+materialized because samplers produce ybar = P V^T x + zbar directly.
 A basis is its spec (kind, dim, seed); V is built on first use as an
 (n, n) matrix, so moving into the projected coordinates is one product
 with it.
@@ -22,12 +22,12 @@ rather than silently extrapolating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .rng import as_rng, stream
+from .rng import stream
 
 
 class SpanViolation(Exception):
@@ -117,6 +117,7 @@ class OperatorSampler:
 
     A field its kind never reads is rejected, so two samplers that draw the
     same operators have the same to_dict, which is how samplers compare.
+    to_dict is a config's measurement.sampler block.
     """
 
     kind: str
@@ -127,15 +128,12 @@ class OperatorSampler:
     patch_edge: int | None = None
     low_count: int | None = None
     rand_count: int | None = None
-    singular_value: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("coordinate-mask", "patch-inpainting", "band-subsample"):
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.basis.dim != self.dim:
             raise ValueError("basis dim does not match sampler dim")
-        if self.singular_value <= 0:
-            raise ValueError("singular_value must be positive")
         if self.kind in ("coordinate-mask", "patch-inpainting"):
             if self.keep_prob is None:
                 raise ValueError(f"{self.kind} needs keep_prob")
@@ -165,10 +163,9 @@ class OperatorSampler:
 
     def to_dict(self) -> dict:
         doc = {"kind": self.kind, "dim": self.dim, "base_seed": self.base_seed}
-        basis = {"kind": self.basis.kind}
+        doc["basis"] = {"kind": self.basis.kind}
         if self.basis.kind == "dense":
-            basis["seed"] = self.basis.seed
-        doc["basis"] = basis
+            doc["basis"] = {"kind": "dense-orthogonal", "seed": self.basis.seed}
         if self.keep_prob is not None:
             p = np.asarray(self.keep_prob)
             doc["keep_prob"] = p.tolist() if p.ndim else float(p)
@@ -178,14 +175,18 @@ class OperatorSampler:
             doc["low_count"] = self.low_count
         if self.rand_count is not None:
             doc["rand_count"] = self.rand_count
-        if self.singular_value != 1.0:
-            doc["singular_value"] = self.singular_value
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "OperatorSampler":
-        dim = int(doc["dim"])
+        """Read a config's sampler block or a to_dict (older ones write "dense");
+        a key neither the sampler nor its basis reads raises ValueError."""
         basis_doc = doc.get("basis", {"kind": "identity"})
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        unknown += sorted(f"basis.{key}" for key in set(basis_doc) - {"kind", "seed"})
+        if unknown:
+            raise ValueError(f"unknown sampler key(s): {', '.join(unknown)}")
+        dim = int(doc["dim"])
         bkind = basis_doc.get("kind", "identity")
         basis = RightBasis(
             "dense" if bkind == "dense-orthogonal" else bkind, dim, int(basis_doc.get("seed", 0))
@@ -202,7 +203,6 @@ class OperatorSampler:
             patch_edge=doc.get("patch_edge"),
             low_count=doc.get("low_count"),
             rand_count=doc.get("rand_count"),
-            singular_value=float(doc.get("singular_value", 1.0)),
         )
 
 
@@ -210,7 +210,7 @@ def sample_operator(sampler: OperatorSampler, index: int) -> np.ndarray:
     """Operator index's support, the (dim,) boolean diagonal of its projection P.
 
     A pure function of (base_seed, index). With the sampler's basis V and
-    its scalar singular_value on the support, this is the whole operator.
+    singular values of one on the support, this is the whole operator.
     """
     if index < 0:
         raise ValueError(f"index must be >= 0, got {index}")
@@ -241,21 +241,16 @@ def to_projected(
     support: np.ndarray,
     x: np.ndarray,
     sigma_z: float = 0.0,
-    rngs=(),
-    singular_value: float = 1.0,
+    seed: int = 0,
 ) -> np.ndarray:
     """Acquire ybar = P V^T x + zbar for a batch of clean signals.
 
     x holds one signal per row, (N, n) or a single (n,) vector. Row i is
     measured by an operator whose projection P_i is the boolean support[i]
-    (broadcast against x) and whose singular value on it is the positive
-    scalar singular_value. All rows go through one basis.inverse call, and
-    ybar is exactly zero off each row's support. Measurement noise z ~ N(0,
-    sigma_z^2 I) in the raw measurement domain lands on row i's observed
-    coordinates with std sigma_z / singular_value, drawn from the i-th
-    generator of rngs. rngs is only read when sigma_z > 0 and must then
-    yield one generator per row; it may be a lazy iterable, so the
-    generators need not all exist at once.
+    (broadcast against x). All rows go through one basis.inverse call, and
+    ybar is exactly zero off each row's support. Measurement noise zbar of
+    std sigma_z lands on row i's observed coordinates, drawn from the stream
+    (seed, "meas-z", i) only when sigma_z > 0.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (basis.dim,):
@@ -267,9 +262,8 @@ def to_projected(
     ybar[~observed] = 0.0
     if sigma_z > 0:
         n = basis.dim
-        std = sigma_z / singular_value
-        for y, on, gen in zip(ybar.reshape(-1, n), observed.reshape(-1, n), rngs, strict=True):
-            y[on] += as_rng(gen).standard_normal(int(on.sum())) * std
+        for i, (y, on) in enumerate(zip(ybar.reshape(-1, n), observed.reshape(-1, n))):
+            y[on] += stream(seed, "meas-z", i).standard_normal(int(on.sum())) * sigma_z
     return ybar
 
 

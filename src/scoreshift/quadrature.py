@@ -5,6 +5,8 @@ The divergence estimators all reduce to an integral of the form
 estimated by Monte Carlo. This module owns the sigma grid, the trapezoid
 rule in sigma, standard-error propagation, and the running partial
 integrals used for "divergence accumulated up to noise level sigma" curves.
+The integrand enters as two plain (m,) arrays, its Monte Carlo mean and
+standard error at each of the grid's m nodes.
 
 The formal upper limit of the integral is infinity; the grid truncates it.
 For location-shift pairs the integrand decays like sigma^-3, so the default
@@ -34,8 +36,8 @@ class SigmaGrid:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("grid needs at least 2 nodes")
-        if nodes[0] <= 0 or np.any(np.diff(nodes) <= 0):
-            raise ValueError("grid nodes must be strictly increasing and positive")
+        if not (np.all(np.isfinite(nodes)) and nodes[0] > 0 and np.all(np.diff(nodes) > 0)):
+            raise ValueError("grid nodes must be finite, strictly increasing and positive")
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
 
@@ -59,58 +61,30 @@ class SigmaGrid:
         }
 
 
-@dataclass(frozen=True)
-class IntegrandSeries:
-    """Per-node Monte Carlo summary of the integrand f(sigma).
-
-    Attributes:
-        means: (m,) nonnegative per-node means of the squared weighted
-            score gap.
-        stderrs: (m,) per-node standard errors.
-        n_samples: draws behind each node mean.
-    """
-
-    means: np.ndarray
-    stderrs: np.ndarray
-    n_samples: int
-
-    def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
-        stderrs = np.asarray(self.stderrs, dtype=float)
-        if means.shape != stderrs.shape or means.ndim != 1:
-            raise ValueError("means and stderrs must be 1-D arrays of equal length")
-        if np.any(means < 0):
-            raise ValueError("integrand means must be nonnegative")
-        if np.any(stderrs < 0):
-            raise ValueError("integrand stderrs must be nonnegative")
-        means.setflags(write=False)
-        stderrs.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "stderrs", stderrs)
-
-
 def make_log_grid(sigma_min: float, sigma_max: float, count: int) -> SigmaGrid:
     """Log-uniform grid inclusive of both endpoints."""
-    if not (0 < sigma_min < sigma_max):
-        raise ValueError(f"need 0 < sigma_min < sigma_max, got [{sigma_min}, {sigma_max}]")
+    if not (0 < sigma_min < sigma_max < np.inf):
+        raise ValueError(f"need 0 < sigma_min < sigma_max < inf, got [{sigma_min}, {sigma_max}]")
     if count < 2:
         raise ValueError(f"count must be >= 2, got {count}")
     return SigmaGrid(nodes=np.geomspace(sigma_min, sigma_max, count), spacing="log-uniform")
 
 
-def _check_lengths(grid: SigmaGrid, series: IntegrandSeries) -> None:
-    if series.means.size != len(grid):
-        raise ValueError(
-            f"series has {series.means.size} entries for a grid of {len(grid)} nodes"
-        )
+def _per_node(grid: SigmaGrid, values, name: str) -> np.ndarray:
+    """values as a 1-D float array with one nonnegative entry per grid node."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size != len(grid):
+        raise ValueError(f"{name} has shape {arr.shape} for a grid of {len(grid)} nodes")
+    if np.any(arr < 0):
+        raise ValueError(f"integrand {name} must be nonnegative")
+    return arr
 
 
 def node_weights(grid: SigmaGrid) -> np.ndarray:
     """Trapezoid weight attached to each node's integrand value f(sigma_j).
 
     The weights already include the sigma factor, so the integral is
-    weights @ series.means and the propagated variance is
-    sum (weights * stderrs)^2.
+    weights @ means and the propagated variance is sum (weights * stderrs)^2.
     """
     s = grid.nodes
     widths = np.diff(s)
@@ -120,41 +94,41 @@ def node_weights(grid: SigmaGrid) -> np.ndarray:
     return w * s
 
 
-def cumulative_integral(grid: SigmaGrid, series: IntegrandSeries) -> np.ndarray:
+def cumulative_integral(grid: SigmaGrid, means) -> np.ndarray:
     """Partial integrals up to each node; entry 0 is 0, the last is the total.
 
-    Nondecreasing whenever the integrand means are nonnegative.
+    Nondecreasing, as the integrand means must be nonnegative.
     """
-    _check_lengths(grid, series)
     out = np.zeros(len(grid))
-    g = series.means * grid.nodes  # integrand including the sigma weight
+    g = _per_node(grid, means, "means") * grid.nodes  # integrand including the sigma weight
     out[1:] = np.cumsum(np.diff(grid.nodes) * 0.5 * (g[:-1] + g[1:]))
     return out
 
 
-def integrate(grid: SigmaGrid, series: IntegrandSeries) -> tuple[float, float]:
+def integrate(grid: SigmaGrid, means, stderrs) -> tuple[float, float]:
     """Quadrature value of int f(sigma) sigma dsigma and its standard error.
 
-    Per-node standard errors combine in quadrature: each node mean comes
-    from its own sample slice, so node errors are independent.
+    means and stderrs hold f's Monte Carlo mean and standard error at each
+    node. They combine in quadrature: each node mean comes from its own
+    sample slice, so node errors are independent.
     """
-    _check_lengths(grid, series)
-    value = float(cumulative_integral(grid, series)[-1])
+    value = float(cumulative_integral(grid, means)[-1])
     w = node_weights(grid)
-    stderr = float(np.sqrt(np.sum((w * series.stderrs) ** 2)))
+    stderr = float(np.sqrt(np.sum((w * _per_node(grid, stderrs, "stderrs")) ** 2)))
     return value, stderr
 
 
-def series_csv(grid: SigmaGrid, series: IntegrandSeries) -> str:
+def series_csv(grid: SigmaGrid, means, stderrs) -> str:
     """CSV text (sigma, integrand_mean, integrand_stderr, cumulative_kl).
 
     Numbers carry 17 significant digits so the document round-trips the
     underlying doubles exactly.
     """
-    _check_lengths(grid, series)
-    cum = cumulative_integral(grid, series)
+    means = _per_node(grid, means, "means")
+    stderrs = _per_node(grid, stderrs, "stderrs")
+    cum = cumulative_integral(grid, means)
     buf = io.StringIO()
     buf.write("sigma,integrand_mean,integrand_stderr,cumulative_kl\n")
-    for s, m, e, c in zip(grid.nodes, series.means, series.stderrs, cum):
+    for s, m, e, c in zip(grid.nodes, means, stderrs, cum):
         buf.write(f"{s:.17g},{m:.17g},{e:.17g},{c:.17g}\n")
     return buf.getvalue()

@@ -56,7 +56,7 @@ class TestKlImage:
         p, _ = toy_pair
         est = kl_image(p, p, toy_grid, n_samples=64, seed=0)
         assert est.value == 0.0 and est.stderr == 0.0
-        assert np.all(est.series.means == 0.0)
+        assert np.all(est.node_means == 0.0)
 
     def test_gaussian_closed_form(self, gauss_pair, wide_grid):
         p, q = gauss_pair
@@ -73,7 +73,7 @@ class TestKlImage:
     def test_value_is_quadrature_of_series(self, toy_pair, toy_grid):
         p, q = toy_pair
         est = kl_image(p, q, toy_grid, n_samples=256, seed=3)
-        value, stderr = integrate(est.grid, est.series)
+        value, stderr = integrate(est.grid, est.node_means, est.node_stderrs)
         assert abs(est.value - value) < 1e-12
         assert est.value >= 0.0
         assert est.n_samples == 256 and est.mode == "image"
@@ -102,7 +102,15 @@ class TestKlImage:
         a = kl_image(p, q, toy_grid, n_samples=128, seed=4, workers=1)
         b = kl_image(p, q, toy_grid, n_samples=128, seed=4, workers=4)
         assert a.value == b.value
-        np.testing.assert_array_equal(a.series.means, b.series.means)
+        np.testing.assert_array_equal(a.node_means, b.node_means)
+
+    def test_node_arrays_are_read_only(self, toy_pair, toy_grid):
+        p, q = toy_pair
+        est = kl_image(p, q, toy_grid, n_samples=64, seed=5)
+        for arr in (est.node_means, est.node_stderrs):
+            assert arr.shape == (len(toy_grid),)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
 
 
 class TestKlMeasurement:
@@ -114,7 +122,7 @@ class TestKlMeasurement:
         img = kl_image(p, q, toy_grid, samples=draws, seed=6)
         meas = kl_measurement(p, q, data, toy_grid, seed=6)
         assert abs(img.value - meas.value) < 1e-10
-        np.testing.assert_allclose(img.series.means, meas.series.means, atol=1e-12)
+        np.testing.assert_allclose(img.node_means, meas.node_means, atol=1e-12)
 
     def test_gaussian_closed_form_under_masks(self, gauss_pair, wide_grid):
         p, q = gauss_pair
@@ -217,9 +225,9 @@ class TestProjectedCoordinates:
         est = kl_measurement(p, q, data, grid, seed=42)
         reference = lifted_node_means(p, q, data, grid, seed=42)
         if basis_kind == "identity":
-            np.testing.assert_array_equal(est.series.means, reference)
+            np.testing.assert_array_equal(est.node_means, reference)
         else:
-            np.testing.assert_allclose(est.series.means, reference, rtol=1e-11, atol=0)
+            np.testing.assert_allclose(est.node_means, reference, rtol=1e-11, atol=0)
 
 
 # At dim 256 the triangle pair's score temporaries fill a block at ROWS rows;
@@ -260,8 +268,8 @@ class TestBlockedKernel:
         return p, q, make_log_grid(1e-2, 1e3, 5), sample(p, WIDE_N, stream(50, "data-x"))
 
     def assert_same_series(self, est, reference):
-        np.testing.assert_array_equal(est.series.means, reference[0])
-        np.testing.assert_array_equal(est.series.stderrs, reference[1])
+        np.testing.assert_array_equal(est.node_means, reference[0])
+        np.testing.assert_array_equal(est.node_stderrs, reference[1])
 
     def test_fixed_sample_image(self, wide):
         p, q, grid, draws = wide
@@ -313,7 +321,7 @@ class TestBlockedKernel:
 
         self.assert_same_series(est, unblocked_series(p, q, grid, fresh))
         threaded = kl_image(p, q, grid, n_samples=WIDE_N, seed=57, workers=4)
-        self.assert_same_series(threaded, (est.series.means, est.series.stderrs))
+        self.assert_same_series(threaded, (est.node_means, est.node_stderrs))
         assert threaded.value == est.value and threaded.stderr == est.stderr
 
 
@@ -326,7 +334,7 @@ class TestKlInvertible:
         img = kl_image(p, q, toy_grid, samples=draws, seed=13)
         inv = kl_invertible(p, q, data, toy_grid, seed=13)
         assert img.value == inv.value
-        np.testing.assert_array_equal(img.series.means, inv.series.means)
+        np.testing.assert_array_equal(img.node_means, inv.node_means)
 
     def test_dense_orthogonal_matches_image_within_error(self, toy_pair, toy_grid):
         p, q = toy_pair
@@ -365,8 +373,7 @@ class TestInvertibleIsMeasurement:
     def test_same_bits_as_measurement(self, basis, workers):
         p, q = triangle_pair(16)
         sampler = OperatorSampler(
-            kind="coordinate-mask", dim=16, basis=basis, base_seed=4, keep_prob=1.0,
-            singular_value=2.5,
+            kind="coordinate-mask", dim=16, basis=basis, base_seed=4, keep_prob=1.0
         )
         draws = sample(p, 150, stream(60, "data-x"))
         data = MeasurementDataset.from_samples(sampler, draws, sigma_z=0.7, seed=60, n_operators=7)
@@ -375,8 +382,8 @@ class TestInvertibleIsMeasurement:
         meas = kl_measurement(p, q, data, grid, seed=61, workers=workers)
         assert inv.mode == "invertible" and meas.mode == "measurement"
         assert inv.value == meas.value and inv.stderr == meas.stderr
-        np.testing.assert_array_equal(inv.series.means, meas.series.means)
-        np.testing.assert_array_equal(inv.series.stderrs, meas.series.stderrs)
+        np.testing.assert_array_equal(inv.node_means, meas.node_means)
+        np.testing.assert_array_equal(inv.node_stderrs, meas.node_stderrs)
         assert inv.n_samples == meas.n_samples == 150
 
 
@@ -418,7 +425,7 @@ class TestMeasurementDataset:
             assert ops.shape == (len(data), 10)
             for index, row in zip(data.op_index.tolist(), ops):
                 fresh = sample_operator(sampler, index)
-                np.testing.assert_array_equal(row, np.where(fresh, sampler.singular_value, 0.0))
+                np.testing.assert_array_equal(row, np.where(fresh, 1.0, 0.0))
 
     def test_equality_is_identity(self, toy_pair):
         p, _ = toy_pair
@@ -485,6 +492,8 @@ class TestDatasetLoadValidation:
             pytest.param(lambda recs: [r["ybar"].pop() for r in recs], id="short-ybar"),
             pytest.param(lambda recs: recs[5].update(op_index=-1), id="negative-op-index"),
             pytest.param(lambda recs: recs[7].update(sigma_z=-0.5), id="negative-sigma-z"),
+            pytest.param(lambda recs: recs[7].update(sigma_z=float("inf")), id="infinite-sigma-z"),
+            pytest.param(lambda recs: recs[2]["ybar"].__setitem__(0, float("nan")), id="nan-ybar"),
             pytest.param(lambda recs: recs.clear(), id="empty"),
         ],
     )
@@ -519,7 +528,6 @@ class TestBatchedAcquisition:
             basis=basis,
             base_seed=12,
             keep_prob=0.5,
-            singular_value=2.0,
         )
         x = stream(31, "acq-x").standard_normal((40, 16))
         data = MeasurementDataset.from_samples(sampler, x, sigma_z=0.5, seed=31, n_operators=7)
@@ -528,7 +536,7 @@ class TestBatchedAcquisition:
             on = sample_operator(sampler, i % 7)
             reference[i] = np.where(on, basis.inverse(row), 0.0)
             noise = stream(31, "meas-z", i).standard_normal(int(on.sum()))
-            reference[i, on] += noise * (0.5 / sampler.singular_value)
+            reference[i, on] += noise * 0.5
             np.testing.assert_array_equal(data.support[i], on)
         assert np.all(data.sigma_z == 0.5)
         if exact:

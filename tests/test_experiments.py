@@ -15,6 +15,7 @@ from scoreshift import (
     GaussianMixture,
     MeasurementDataset,
     OperatorSampler,
+    RightBasis,
     cli,
     experiments,
     sample,
@@ -171,6 +172,27 @@ class TestRunSamplerGuard:
             doc.pop("wall_clock_s")
         assert from_cli == in_memory
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda doc: doc["sampler"].update(singular_value=2.0),
+             "unknown sampler key(s): singular_value"),
+            (lambda doc: doc["measurements"][0]["ybar"].__setitem__(1, float("nan")),
+             "ybar entries must be finite"),
+        ],
+        ids=["singular_value", "nan-ybar"],
+    )
+    def test_data_file_the_dataset_cannot_state_exits_2(self, tmp_path, capsys, corrupt, message):
+        config = small_config()
+        path = tmp_path / "data.json"
+        acquired(config["measurement"]["sampler"]).save(path)
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        config["measurement"]["data_file"] = str(path)
+        assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_matching_data_file_reproduces_in_memory_run(self, tmp_path):
         config = small_config()
         data = acquired(config["measurement"]["sampler"])
@@ -254,6 +276,22 @@ class TestRunExitCodes:
         config["measurement"]["stats_draws"] = 64
         assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_CONFIG == 2
         assert "stats_draws" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, workers", [("run", "0"), ("sweep", "-5")])
+    def test_workers_below_one_exits_2_writing_nothing(self, tmp_path, capsys, command, workers):
+        out = tmp_path / "out"
+        argv = [command, "--config", config_file(tmp_path, small_config()),
+                "--workers", workers, "--out", str(out)]
+        if command == "sweep":
+            argv += ["--axis", "sigma_z", "--values", "0,0.5"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mixture_file_with_nan_exits_2(self, tmp_path, capsys):
+        path = mixture_files_config(tmp_path, "nan", float("nan"))
+        assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
 
     def test_inverted_grid_exits_2(self, tmp_path, capsys):
         config = small_config()
@@ -373,6 +411,26 @@ BAD_CONFIGS = [
         set_field("adaptation", {"shared_mask_batches": False}),
         "$.adaptation: unknown key 'shared_mask_batches'",
     ),
+    (
+        "sampler-singular_value",
+        set_field("measurement.sampler.singular_value", 2.0),
+        "$.measurement.sampler: unknown key 'singular_value'",
+    ),
+    (
+        "inline-weights-nan",
+        set_field("mixtures.ind.weights", [float("nan"), 0.5]),
+        "$.mixtures.ind.weights[0]: nan is not a finite number",
+    ),
+    (
+        "sigma_max-infinity",
+        set_field("grid.sigma_max", float("inf")),
+        "$.grid.sigma_max: inf is not a finite number",
+    ),
+    (
+        "ood-variances-nan",
+        set_field("mixtures.ood.variances", [1, float("nan")]),
+        "$.mixtures.ood.variances[1]: nan is not a finite number",
+    ),
 ]
 
 # What the checker implements, and the type each keyword's check assumes beside it.
@@ -470,6 +528,19 @@ def mixture_files_config(tmp_path, name, shift):
     config = small_config()
     config["mixtures"] = {"ind": {"file": "ind.json"}, "ood": {"file": "ood.json"}}
     return config_file(out, config)
+
+
+class TestSamplerDocIsAConfigBlock:
+    @pytest.mark.parametrize("basis", [RightBasis("identity", 4), RightBasis("hadamard", 4),
+                                       RightBasis("dense", 4, seed=7)], ids=lambda b: b.kind)
+    def test_to_dict_validates_and_rebuilds(self, basis):
+        sampler = OperatorSampler(
+            kind="coordinate-mask", dim=4, basis=basis, base_seed=2, keep_prob=0.6
+        )
+        config = small_config()
+        config["measurement"]["sampler"] = json.loads(json.dumps(sampler.to_dict()))
+        experiments.validate_config(config)
+        assert OperatorSampler.from_dict(config["measurement"]["sampler"]) == sampler
 
 
 class TestConfigHash:

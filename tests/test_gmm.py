@@ -326,3 +326,11 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="dim"):
             GaussianMixture.load(path)
+
+    @pytest.mark.parametrize("key", ["weights", "means", "variances"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_document_rejected(self, key, bad):
+        doc = single_gaussian(np.zeros(2)).to_dict()
+        doc[key] = np.full(np.shape(doc[key]), bad).tolist()
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussianMixture.from_dict(doc)

@@ -274,19 +274,22 @@ class TestToProjected:
     def test_measurement_noise_only_on_support(self):
         support = np.array([True, False, True, False])
         basis = RightBasis("identity", 4)
-        ybar = to_projected(basis, support, np.zeros(4), 0.3, [stream(3, "z")], 2.0)
+        ybar = to_projected(basis, support, np.zeros(4), 0.3, seed=3)
         assert ybar[1] == 0.0 and ybar[3] == 0.0
         assert ybar[0] != 0.0 and ybar[2] != 0.0
 
-    def test_noise_scale_follows_singular_values(self):
-        # std on every observed coordinate is sigma_z / singular_value
-        support = np.ones(2, dtype=bool)
-        for s in (2.0, 0.5):
-            gen = stream(4, "zscale")
-            draws = to_projected(
-                RightBasis("identity", 2), support, np.zeros((4000, 2)), 1.0, [gen] * 4000, s
-            )
-            np.testing.assert_allclose(draws.std(axis=0), 1.0 / s, rtol=0.1)
+    def test_noise_std_is_sigma_z(self):
+        # row i's noise is sigma_z times the draws of the stream (seed, "meas-z", i)
+        support = supports(mask_sampler(dim=6, keep_prob=0.5, base_seed=2), 5)
+        basis = RightBasis("identity", 6)
+        ybar = to_projected(basis, support, np.zeros((5, 6)), 0.7, seed=9)
+        for i, (row, on) in enumerate(zip(ybar, support)):
+            noise = stream(9, "meas-z", i).standard_normal(int(on.sum())) * 0.7
+            np.testing.assert_array_equal(row[on], noise)
+            assert np.all(row[~on] == 0.0)
+        np.testing.assert_array_equal(
+            to_projected(basis, support, np.zeros((5, 6)), 0.0, seed=9), np.zeros((5, 6))
+        )
 
     def test_dimension_mismatch(self):
         sampler = mask_sampler(dim=6)
@@ -351,3 +354,23 @@ class TestSamplerSerialization:
             assert clone.basis == sampler.basis
             np.testing.assert_array_equal(clone.basis.matrix, sampler.basis.matrix)
             np.testing.assert_array_equal(sample_operator(sampler, 3), sample_operator(clone, 3))
+
+    def test_dense_basis_written_as_its_config_kind(self):
+        sampler = mask_sampler(dim=8, keep_prob=0.3, basis=RightBasis("dense", 8, seed=2))
+        doc = sampler.to_dict()
+        assert doc["basis"] == {"kind": "dense-orthogonal", "seed": 2}
+        older = {**doc, "basis": {"kind": "dense", "seed": 2}}
+        assert OperatorSampler.from_dict(older) == OperatorSampler.from_dict(doc) == sampler
+
+    @pytest.mark.parametrize(
+        "extra, name",
+        [
+            ({"singular_value": 2.0}, "singular_value"),
+            ({"basis": {"kind": "identity", "dim": 8}}, "basis.dim"),
+        ],
+        ids=["sampler", "basis"],
+    )
+    def test_unknown_key_rejected(self, extra, name):
+        doc = {**mask_sampler(dim=8, keep_prob=0.3).to_dict(), **extra}
+        with pytest.raises(ValueError, match=rf"unknown sampler key\(s\): {name}"):
+            OperatorSampler.from_dict(doc)

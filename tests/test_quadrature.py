@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from scoreshift import (
-    IntegrandSeries,
     SigmaGrid,
     cumulative_integral,
     integrate,
@@ -14,9 +13,11 @@ from scoreshift import (
 
 
 def gaussian_pair_series(grid, dmu_sq=25.0):
-    """Analytic integrand of a unit-variance location shift: exact, no noise."""
-    means = dmu_sq / (1 + grid.nodes**2) ** 2
-    return IntegrandSeries(means=means, stderrs=np.zeros(len(grid)), n_samples=1)
+    """Analytic integrand of a unit-variance location shift: exact, no noise.
+
+    Returns (means, stderrs), the arguments integrate takes after the grid.
+    """
+    return dmu_sq / (1 + grid.nodes**2) ** 2, np.zeros(len(grid))
 
 
 class TestSigmaGrid:
@@ -51,17 +52,24 @@ class TestSigmaGrid:
         with pytest.raises(ValueError):
             SigmaGrid(nodes=np.array([0.1, 0.1, 0.2]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_nodes_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SigmaGrid(nodes=np.array([0.1, 0.2, bad]))
+        with pytest.raises(ValueError, match="sigma_max < inf"):
+            make_log_grid(0.01, bad, 4)
+
 
 class TestIntegrate:
     def test_zero_series(self):
         grid = make_log_grid(0.1, 10.0, 16)
-        value, stderr = integrate(grid, IntegrandSeries(np.zeros(16), np.zeros(16), 4))
+        value, stderr = integrate(grid, np.zeros(16), np.zeros(16))
         assert value == 0.0 and stderr == 0.0
 
     def test_gaussian_pair_closed_form(self):
         # oracle: int_0^inf sigma/(1+sigma^2)^2 dsigma = 1/2 exactly
         grid = make_log_grid(1e-2, 1e3, 256)
-        value, _ = integrate(grid, gaussian_pair_series(grid))
+        value, _ = integrate(grid, *gaussian_pair_series(grid))
         assert value == pytest.approx(12.5, rel=0.005)
 
     def test_truncation_tail_is_negligible_at_default_cap(self):
@@ -72,39 +80,45 @@ class TestIntegrate:
     def test_refinement_changes_little_past_256_nodes(self):
         v256, _ = integrate(
             make_log_grid(1e-2, 1e3, 256),
-            gaussian_pair_series(make_log_grid(1e-2, 1e3, 256)),
+            *gaussian_pair_series(make_log_grid(1e-2, 1e3, 256)),
         )
         v512, _ = integrate(
             make_log_grid(1e-2, 1e3, 512),
-            gaussian_pair_series(make_log_grid(1e-2, 1e3, 512)),
+            *gaussian_pair_series(make_log_grid(1e-2, 1e3, 512)),
         )
         assert abs(v512 - v256) / v256 < 0.002
 
     def test_stderr_combines_in_quadrature(self):
         grid = SigmaGrid(nodes=np.array([1.0, 2.0, 4.0]))
-        series = IntegrandSeries(
-            means=np.array([1.0, 1.0, 1.0]), stderrs=np.array([0.1, 0.2, 0.0]), n_samples=9
-        )
         # trapezoid node weights on g = f * sigma: w = [0.5, 1.5, 1.0] * sigma
-        _, stderr = integrate(grid, series)
+        _, stderr = integrate(grid, np.ones(3), [0.1, 0.2, 0.0])
         expected = np.sqrt((0.5 * 1.0 * 0.1) ** 2 + (1.5 * 2.0 * 0.2) ** 2)
         assert stderr == pytest.approx(expected, rel=1e-12)
 
     def test_length_mismatch(self):
         grid = make_log_grid(0.1, 1.0, 4)
         with pytest.raises(ValueError, match="grid"):
-            integrate(grid, IntegrandSeries(np.zeros(3), np.zeros(3), 1))
+            integrate(grid, np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match="grid"):
+            integrate(grid, np.zeros(4), np.zeros(3))
+        with pytest.raises(ValueError, match="grid"):
+            cumulative_integral(grid, np.zeros((4, 1)))
 
     def test_negative_means_rejected_by_series(self):
+        grid = make_log_grid(0.1, 1.0, 2)
         with pytest.raises(ValueError, match="nonnegative"):
-            IntegrandSeries(np.array([-1.0, 0.0]), np.zeros(2), 1)
+            integrate(grid, [-1.0, 0.0], np.zeros(2))
+        with pytest.raises(ValueError, match="nonnegative"):
+            cumulative_integral(grid, [-1.0, 0.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            integrate(grid, np.zeros(2), [0.0, -1.0])
 
 
 class TestCumulative:
     def test_zero_series_gives_zero_curve(self):
         grid = make_log_grid(0.1, 1.0, 8)
         np.testing.assert_array_equal(
-            cumulative_integral(grid, IntegrandSeries(np.zeros(8), np.zeros(8), 1)),
+            cumulative_integral(grid, np.zeros(8)),
             np.zeros(8),
         )
 
@@ -112,41 +126,36 @@ class TestCumulative:
         grid = make_log_grid(0.1, 10.0, 9)
         means = np.zeros(9)
         means[4] = 1.0
-        curve = cumulative_integral(grid, IntegrandSeries(means, np.zeros(9), 1))
+        curve = cumulative_integral(grid, means)
         assert np.all(curve[:4] == 0.0)
         assert curve[-1] == curve[6] > 0.0  # bump only touches adjacent intervals
         assert np.all(np.diff(curve) >= 0)
 
     def test_final_entry_equals_integrate(self):
         grid = make_log_grid(1e-2, 1e3, 128)
-        series = gaussian_pair_series(grid)
-        curve = cumulative_integral(grid, series)
-        value, _ = integrate(grid, series)
+        means, stderrs = gaussian_pair_series(grid)
+        curve = cumulative_integral(grid, means)
+        value, _ = integrate(grid, means, stderrs)
         assert abs(curve[-1] - value) < 1e-12
         assert curve[-1] == pytest.approx(12.5, rel=0.01)
 
     def test_nondecreasing_for_nonnegative_means(self):
         grid = make_log_grid(0.05, 5.0, 32)
         means = np.abs(np.sin(np.arange(32)))
-        curve = cumulative_integral(grid, IntegrandSeries(means, np.zeros(32), 1))
+        curve = cumulative_integral(grid, means)
         assert np.all(np.diff(curve) >= 0)
 
 
 class TestSeriesCsv:
     def test_header_and_roundtrip_precision(self):
         grid = make_log_grid(0.1, 1.0, 4)
-        series = IntegrandSeries(
-            means=np.array([1 / 3, 0.1, 2.0, 0.0]),
-            stderrs=np.array([0.01, 0.0, 0.5, 0.0]),
-            n_samples=7,
-        )
-        text = series_csv(grid, series)
+        means = np.array([1 / 3, 0.1, 2.0, 0.0])
+        text = series_csv(grid, means, [0.01, 0.0, 0.5, 0.0])
         lines = text.strip().split("\n")
         assert lines[0] == "sigma,integrand_mean,integrand_stderr,cumulative_kl"
         assert len(lines) == 5
         parsed = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
         np.testing.assert_array_equal(parsed[:, 0], grid.nodes)
-        np.testing.assert_array_equal(parsed[:, 1], series.means)
-        np.testing.assert_array_equal(
-            parsed[:, 3], cumulative_integral(grid, series)
-        )
+        np.testing.assert_array_equal(parsed[:, 1], means)
+        np.testing.assert_array_equal(parsed[:, 2], [0.01, 0.0, 0.5, 0.0])
+        np.testing.assert_array_equal(parsed[:, 3], cumulative_integral(grid, means))
