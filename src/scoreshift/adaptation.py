@@ -47,7 +47,7 @@ DIVERGENCE_PATIENCE = 20
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the adaptation loss rises for too many consecutive steps."""
+    """Raised when the evaluation loss is not finite or rises for too many steps in a row."""
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,8 @@ class AdaptationConfig:
     The stopping rules are module constants, not fields: a run stops at a
     plateau once the best evaluation loss of the last PLATEAU_WINDOW (10)
     steps is within PLATEAU_REL (0.5%) of the best before them, and raises
-    DivergenceError after DIVERGENCE_PATIENCE (20) rising steps in a row.
+    DivergenceError at the first non-finite loss or after
+    DIVERGENCE_PATIENCE (20) rising steps in a row.
     No config could reach them, so fixing them keeps the config the whole
     description of a run.
     """
@@ -92,7 +93,8 @@ class AdaptationReport:
     """Trajectory and before/after divergences of one adaptation run.
 
     The divergences are recomputed with the estimators on the same dataset,
-    never read back from the optimizer.
+    never read back from the optimizer, one pass per estimator for both q0
+    and the adapted mixture; each is bit for bit its one-mixture call's.
     """
 
     loss_trajectory: list[float]
@@ -243,6 +245,7 @@ def adapt(
     cfg: AdaptationConfig,
     grid: SigmaGrid,
     ind_model: GaussianMixture | None = None,
+    workers: int = 1,
 ) -> tuple[GaussianMixture, AdaptationReport]:
     """Minimize the weighted projected denoising loss over q0's parameters by Adam.
 
@@ -260,6 +263,7 @@ def adapt(
             carries measurement-domain and image-domain divergences before
             and after adaptation, the latter from cfg.eval_samples fresh
             draws (purely diagnostic; the optimizer never sees it).
+        workers: threads for those estimators; no number depends on it.
 
     Returns:
         (adapted mixture, report). The returned mixture is the best
@@ -267,8 +271,8 @@ def adapt(
         the starting point's.
 
     Raises:
-        DivergenceError: if the evaluation loss rises (or is not finite)
-            for DIVERGENCE_PATIENCE consecutive steps.
+        DivergenceError: at the first non-finite evaluation loss, or once
+            it rises for DIVERGENCE_PATIENCE consecutive steps.
     """
     if q0.dim != data.sampler.dim:
         raise ValueError("mixture dim does not match measurement dim")
@@ -319,12 +323,17 @@ def adapt(
         params = params - cfg.step_size * mhat / (np.sqrt(vhat) + 1e-8)
 
         current = eval_loss(params)
+        # a non-finite iterate never recovers: stop before stepping from it
+        if not np.isfinite(current):
+            raise DivergenceError(
+                f"evaluation loss is not finite at step {t} ({current}); "
+                "reduce step_size or check the measurement weights"
+            )
         losses.append(current)
         if current < best_loss:
             best_loss = current
             best_params = params.copy()
-        # non-finite losses count as rising so runaway steps still abort
-        rising = rising + 1 if (not np.isfinite(current) or current > losses[-2]) else 0
+        rising = rising + 1 if current > losses[-2] else 0
         if rising >= DIVERGENCE_PATIENCE:
             raise DivergenceError(
                 f"evaluation loss rose for {rising} consecutive steps "
@@ -350,14 +359,11 @@ def adapt(
         param_delta=delta,
     )
     if ind_model is not None:
-        report.kl_measurement_before = kl_measurement(ind_model, q0, data, grid, seed=cfg.seed)
-        report.kl_measurement_after = kl_measurement(
-            ind_model, adapted, data, grid, seed=cfg.seed
+        both = (q0, adapted)
+        report.kl_measurement_before, report.kl_measurement_after = kl_measurement(
+            ind_model, both, data, grid, seed=cfg.seed, workers=workers
         )
-        report.kl_image_before = kl_image(
-            ind_model, q0, grid, n_samples=cfg.eval_samples, seed=cfg.seed
-        )
-        report.kl_image_after = kl_image(
-            ind_model, adapted, grid, n_samples=cfg.eval_samples, seed=cfg.seed
+        report.kl_image_before, report.kl_image_after = kl_image(
+            ind_model, both, grid, n_samples=cfg.eval_samples, seed=cfg.seed, workers=workers
         )
     return adapted, report

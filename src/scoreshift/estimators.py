@@ -25,6 +25,10 @@ the node means are then integrated. The kernel never sees a basis.
     so the image-domain integral applies to the rotated priors; with E[P]
     = 1 that is the measurement-domain estimator bit for bit.
 
+kl_image and kl_measurement also take a tuple of qs, scored on one pass
+(points drawn and p scored once); each q's estimate is bit for bit its
+one-q call's. Adaptation scores its before and after mixtures this way.
+
 A MeasurementDataset holds observations as columns: ybar (N, n), op_index
 (N,), sigma_z (N,) and the boolean support (N, n) of each row's P. Since
 fixed points and measurements are noised by the one helper, _noised,
@@ -218,35 +222,42 @@ def _noised(base: np.ndarray, seed: int, support=None):
 
 
 def _score_gap_kl(
-    p: GaussianMixture, q: GaussianMixture, grid: SigmaGrid, points, count: int,
+    p: GaussianMixture, qs: tuple[GaussianMixture, ...], grid: SigmaGrid, points, count: int,
     workers: int, mode: str, factor=None,
-) -> KlEstimate:
+) -> tuple[KlEstimate, ...]:
     """The one score-gap kernel: per-node squared gaps, node statistics, quadrature.
 
     Node j takes its (count, dim) points from points(j, sigma) once, then
-    walks them in blocks of rows: both scores, their gap (times the block's
-    rows of factor, when a factor is given) and each row's squared norm,
-    written into one (count,) array whose mean and stderr are the node's.
-    A block holds max(1, _BLOCK_BYTES // (8 K dim)) rows, 170 for K = 3 at
-    dim 256, so score's (rows, K, dim) float64 temporaries stay in cache
-    (2048 rows at once would make 12.6 MB ones). Blocking is exact: each
-    step computes row i from row i alone, in an order that does not depend
-    on the rows beside it. p, q and the points share one coordinate system.
-    A None factor is the identity and is skipped.
+    walks them in blocks of rows: p's score, then for each q its score, the
+    gap (times the block's rows of factor, unless factor is None) and each
+    row's squared norm, into that q's (count,) array whose mean and stderr
+    are the node's. Each q's estimate is bit for bit that of qs = (q,). A
+    block holds max(1, _BLOCK_BYTES // (8 K dim)) rows, K the most
+    components, 170 for K = 3 at dim 256, so score's (rows, K, dim) float64
+    temporaries stay in cache (2048 rows would make 12.6 MB ones). Blocking
+    is exact: each step computes row i from row i alone, in an order that
+    does not depend on the rows beside it. All share one coordinate system.
     """
-    rows = max(1, _BLOCK_BYTES // (8 * max(p.n_components, q.n_components) * p.dim))
+    rows = max(1, _BLOCK_BYTES // (8 * max(m.n_components for m in (p, *qs)) * p.dim))
 
-    def node(j: int, sigma: float) -> tuple[float, float]:
+    def node(j: int, sigma: float) -> list[tuple[float, float]]:
         pts = points(j, sigma)
-        vals = np.empty(count)
+        vals = np.empty((len(qs), count))
         for start in range(0, count, rows):
             block = slice(start, start + rows)
-            gap = score(p, pts[block], sigma) - score(q, pts[block], sigma)
-            if factor is not None:
-                gap *= factor[block]
-            vals[block] = np.einsum("ni,ni->n", gap, gap)
-        stderr = float(vals.std(ddof=1) / np.sqrt(count)) if count > 1 else 0.0
-        return float(vals.mean()), stderr
+            # Free as `score(p) - score(q)` would: the last q's subtraction drops
+            # p's score, a gap goes before the next q. Else glibc trims and
+            # re-faults the heap: 1 MiB a block at dim 64 on worker threads.
+            sps = [score(p, pts[block], sigma)] * len(qs)
+            for q, v in zip(qs, vals):
+                gap = sps.pop() - score(q, pts[block], sigma)
+                if factor is not None:
+                    gap *= factor[block]
+                v[block] = np.einsum("ni,ni->n", gap, gap)
+                if sps:
+                    del gap
+        root = np.sqrt(count)
+        return [(v.mean(), v.std(ddof=1) / root if count > 1 else 0.0) for v in vals]
 
     nodes = (range(len(grid)), grid.nodes)
     if workers > 1:
@@ -254,23 +265,27 @@ def _score_gap_kl(
             per_node = list(pool.map(node, *nodes))
     else:
         per_node = list(map(node, *nodes))
-    means, stderrs = (np.array(column) for column in zip(*per_node))
-    means.setflags(write=False)
-    stderrs.setflags(write=False)
-    value, stderr = integrate(grid, means, stderrs)
-    return KlEstimate(value, stderr, means, stderrs, grid, count, mode)
+    # (q, mean or stderr, node); its views, the node arrays, are read-only too
+    stats = np.array(per_node).reshape(len(grid), len(qs), 2).transpose(1, 2, 0)
+    stats.setflags(write=False)
+    return tuple(
+        KlEstimate(*integrate(grid, means, stderrs), means, stderrs, grid, count, mode)
+        for means, stderrs in stats
+    )
 
 
 def kl_image(
     p: GaussianMixture,
-    q: GaussianMixture,
+    q: GaussianMixture | tuple[GaussianMixture, ...],
     grid: SigmaGrid,
     n_samples: int | None = None,
     samples: np.ndarray | None = None,
     seed: int = 0,
     workers: int = 1,
-) -> KlEstimate:
+) -> KlEstimate | tuple[KlEstimate, ...]:
     """Image-domain divergence: integrated squared score gap at noised draws.
+
+    A tuple of mixtures for q gives a tuple of estimates (module docstring).
 
     Args:
         n_samples: draw a fresh batch x_sigma ~ p_sigma at every sigma node
@@ -285,56 +300,62 @@ def kl_image(
             of these points follows this estimator bit for bit.
             Exactly one of n_samples / samples must be given.
     """
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: p dim {p.dim}, q dim {q.dim}")
+    qs = q if isinstance(q, tuple) else (q,)
+    if any(m.dim != p.dim for m in qs):
+        raise ValueError(f"dimension mismatch: p dim {p.dim}, q dims {[m.dim for m in qs]}")
     if (n_samples is None) == (samples is None):
         raise ValueError("pass exactly one of n_samples or samples")
     if samples is None and n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    if samples is not None:
-        fixed = np.atleast_2d(samples)
-        if fixed.shape[1:] != (p.dim,):
-            raise ValueError(f"samples must be (N, {p.dim}) for these priors, got {fixed.shape}")
-        return _score_gap_kl(p, q, grid, _noised(fixed, seed), len(fixed), workers, "image")
 
     def points(j: int, sigma: float) -> np.ndarray:
         return sample(convolve(p, sigma), n_samples, stream(seed, _NODE_X_TAG, j))
 
-    return _score_gap_kl(p, q, grid, points, n_samples, workers, "image")
+    count = n_samples
+    if samples is not None:
+        fixed = np.atleast_2d(samples)
+        if fixed.shape[1:] != (p.dim,):
+            raise ValueError(f"samples must be (N, {p.dim}) for these priors, got {fixed.shape}")
+        points, count = _noised(fixed, seed), len(fixed)
+    estimates = _score_gap_kl(p, qs, grid, points, count, workers, "image")
+    return estimates if isinstance(q, tuple) else estimates[0]
 
 
 def kl_measurement(
     p: GaussianMixture,
-    q: GaussianMixture,
+    q: GaussianMixture | tuple[GaussianMixture, ...],
     data: MeasurementDataset,
     grid: SigmaGrid,
     seed: int = 0,
     workers: int = 1,
-) -> KlEstimate:
+) -> KlEstimate | tuple[KlEstimate, ...]:
     """Measurement-domain divergence from corrupted observations only.
 
-    p and q are rotated into the sampler's projected basis once. At each
-    sigma node every measurement is re-noised on its observed coordinates
-    and both rotated priors' smoothed scores are evaluated there. The score
-    gap is masked to the measurement's support and weighted per coordinate
-    by ep^(-3/2) * ep (the W = E[P]^(-3/2) compensation applied to the
-    projected marginal's score difference, which carries P E[P]). ep is
-    the data's own observation frequency (estimate_projection_stats), so
-    each coordinate contributes the mean squared gap over the rows that
-    observed it, and a coordinate no row observes raises SpanViolation.
+    p and q (or each of a tuple of qs, as for kl_image) are rotated into
+    the sampler's projected basis once. At each sigma node every measurement
+    is re-noised on its observed coordinates and both rotated priors'
+    smoothed scores are evaluated there. The score gap is masked to the
+    measurement's support and weighted per coordinate by ep^(-3/2) * ep
+    (the W = E[P]^(-3/2) compensation applied to the projected marginal's
+    score difference, which carries P E[P]). ep is the data's own
+    observation frequency (estimate_projection_stats), so each coordinate
+    contributes the mean squared gap over the rows that observed it, and a
+    coordinate no row observes raises SpanViolation.
     Measurement noise needs no special handling here: it is already baked
     into ybar when the dataset is created.
     """
-    if p.dim != q.dim or p.dim != data.sampler.dim:
+    qs = q if isinstance(q, tuple) else (q,)
+    if any(m.dim != p.dim for m in qs) or p.dim != data.sampler.dim:
         raise ValueError("dimension mismatch between priors and measurements")
     support = data.support
     ep = estimate_projection_stats(support)
     factor = ep**-1.5 * ep * support  # = ep^(-1/2) on observed coordinates
     to_basis = data.sampler.basis.matrix.T
-    return _score_gap_kl(
-        rotate(p, to_basis), rotate(q, to_basis), grid, _noised(data.ybar, seed, support),
-        len(data), workers, "measurement", factor=factor,
+    estimates = _score_gap_kl(
+        rotate(p, to_basis), tuple(rotate(m, to_basis) for m in qs), grid,
+        _noised(data.ybar, seed, support), len(data), workers, "measurement", factor=factor,
     )
+    return estimates if isinstance(q, tuple) else estimates[0]
 
 
 def kl_invertible(

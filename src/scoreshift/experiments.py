@@ -347,7 +347,9 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
     Outputs (when out_dir is given): report.json, one integrand_<mode>.csv
     per estimator, and adapted_mixture.json when adaptation ran. The
     report's projection_stats holds ep_diag, E[P] of the run's dataset,
-    the frequency the estimators weight with.
+    the frequency the estimators weight with. Adaptation runs first, so a
+    diverging one stops the run before any estimator; its
+    kl_measurement_before (same p, q, data, grid, seed) is the run's.
 
     Args:
         dataset: pre-acquired MeasurementDataset to use instead of drawing
@@ -404,29 +406,27 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
             )
         report.ep_diag = estimate_projection_stats(data.support)
 
+    if "adaptation" in config:
+        acfg = AdaptationConfig(seed=seed, **config["adaptation"])
+        report.adapted_mixture, report.adaptation = adapt(
+            q, data, acfg, grid, ind_model=p, workers=workers
+        )
+
     if "image" in wanted:
+        n_samples = config.get("n_samples", DEFAULT_N_SAMPLES)
         report.estimates["image"] = kl_image(
-            p,
-            q,
-            grid,
-            n_samples=config.get("n_samples", DEFAULT_N_SAMPLES),
-            seed=seed,
-            workers=workers,
+            p, q, grid, n_samples=n_samples, seed=seed, workers=workers
         )
     if "measurement" in wanted:
-        report.estimates["measurement"] = kl_measurement(
-            p, q, data, grid, seed=seed, workers=workers
+        report.estimates["measurement"] = (
+            report.adaptation.kl_measurement_before
+            if report.adaptation is not None
+            else kl_measurement(p, q, data, grid, seed=seed, workers=workers)
         )
     if "invertible" in wanted:
         report.estimates["invertible"] = kl_invertible(
             p, q, data, grid, seed=seed, workers=workers
         )
-
-    if "adaptation" in config:
-        acfg = AdaptationConfig(seed=seed, **config["adaptation"])
-        adapted, adaptation = adapt(q, data, acfg, grid, ind_model=p)
-        report.adaptation = adaptation
-        report.adapted_mixture = adapted
 
     report.wall_clock_s = time.perf_counter() - started
 

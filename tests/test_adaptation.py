@@ -17,6 +17,7 @@ from scoreshift import (
     rotate,
     sample,
 )
+from scoreshift import adaptation
 from scoreshift.adaptation import _initial_params, _pack_loss, _split_params, fd_gradient
 from scoreshift.adaptation import _signal_loss_and_grad
 from scoreshift.experiments import CONFIG_SCHEMA
@@ -244,8 +245,27 @@ class TestAdapt:
         _, q = toy_pair
         _, _, _, data = toy_masked_data
         grid = make_log_grid(0.01, 1.0, 16)
-        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="consecutive"):
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="not finite"):
             adapt(q, data, toy_cfg(step_size=1e300, seed=42), grid)
+
+    def test_non_finite_loss_stops_at_step_1(self, toy_pair, toy_masked_data, monkeypatch):
+        # the first step at 1e300 makes the evaluation loss NaN; a NaN iterate
+        # never recovers, so no second gradient step is taken
+        _, q = toy_pair
+        _, _, _, data = toy_masked_data
+        grid = make_log_grid(0.01, 1.0, 16)
+        steps = []
+
+        def counted(*args, **kwargs):
+            steps.append(len(steps) + 1)
+            return _signal_loss_and_grad(*args, **kwargs)
+
+        monkeypatch.setattr(adaptation, "_signal_loss_and_grad", counted)
+        with np.errstate(all="ignore"), pytest.raises(
+            DivergenceError, match=r"evaluation loss is not finite at step 1 \("
+        ):
+            adapt(q, data, toy_cfg(step_size=1e300, seed=42), grid)
+        assert steps == [1]
 
     @pytest.mark.parametrize("seed", [42, 43, 44])
     def test_finite_blow_up_returns_the_start(self, toy_pair, toy_masked_data, seed):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from scoreshift import (
+    GaussianMixture,
     MeasurementDataset,
     OperatorSampler,
     RightBasis,
@@ -258,14 +259,15 @@ def noised(base, seed, support=True):
     )
 
 
+@pytest.fixture(scope="module")
+def wide():
+    p, q = triangle_pair(WIDE_DIM)
+    assert 1 < ROWS < WIDE_N // 2
+    return p, q, make_log_grid(1e-2, 1e3, 5), sample(p, WIDE_N, stream(50, "data-x"))
+
+
 class TestBlockedKernel:
     """The blocked kernel against an unblocked recompute, bit for bit."""
-
-    @pytest.fixture(scope="class")
-    def wide(self):
-        p, q = triangle_pair(WIDE_DIM)
-        assert 1 < ROWS < WIDE_N // 2
-        return p, q, make_log_grid(1e-2, 1e3, 5), sample(p, WIDE_N, stream(50, "data-x"))
 
     def assert_same_series(self, est, reference):
         np.testing.assert_array_equal(est.node_means, reference[0])
@@ -323,6 +325,102 @@ class TestBlockedKernel:
         threaded = kl_image(p, q, grid, n_samples=WIDE_N, seed=57, workers=4)
         self.assert_same_series(threaded, (est.node_means, est.node_stderrs))
         assert threaded.value == est.value and threaded.stderr == est.stderr
+
+
+def shifted(q, by=0.5):
+    return GaussianMixture(q.weights, q.means + by, q.variances)
+
+
+class TestSharedPass:
+    """A tuple of qs is scored in one pass; each estimate is its one-q call's, bit for bit."""
+
+    @staticmethod
+    def estimate(kind, p, q, workers):
+        grid = make_log_grid(1e-2, 1e3, 8)
+        if kind == "image-fresh":
+            return kl_image(p, q, grid, n_samples=150, seed=70, workers=workers)
+        draws = sample(p, 150, stream(71, "data-x"))
+        if kind == "image-fixed":
+            return kl_image(p, q, grid, samples=draws, seed=72, workers=workers)
+        basis = RightBasis(kind.removeprefix("measurement-"), p.dim)
+        sampler = mask_sampler(dim=p.dim, keep_prob=0.6, base_seed=9, basis=basis)
+        data = MeasurementDataset.from_samples(sampler, draws, sigma_z=0.3, seed=73)
+        return kl_measurement(p, q, data, grid, seed=74, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "kind", ["image-fresh", "image-fixed", "measurement-identity", "measurement-hadamard"]
+    )
+    def test_each_estimate_is_its_one_q_call(self, kind, workers):
+        p, q = triangle_pair(16)
+        qs = (q, shifted(q), p)
+        shared = self.estimate(kind, p, qs, workers)
+        assert isinstance(shared, tuple) and len(shared) == len(qs)
+        for est, m in zip(shared, qs):
+            one = self.estimate(kind, p, m, workers)
+            assert isinstance(one, KlEstimate)
+            assert (est.value, est.stderr, est.mode, est.n_samples) == (
+                one.value, one.stderr, one.mode, one.n_samples
+            )
+            np.testing.assert_array_equal(est.node_means, one.node_means)
+            np.testing.assert_array_equal(est.node_stderrs, one.node_stderrs)
+        assert shared[2].value == 0.0
+
+    def test_scores_p_once_per_block(self, wide, monkeypatch):
+        p, q, grid, draws = wide
+        other = shifted(q)
+        names = {id(p): "p", id(q): "q", id(other): "other"}
+        seen = []
+
+        def recording(gmm, x, sigma):
+            seen.append((names[id(gmm)], len(x)))
+            return score(gmm, x, sigma)
+
+        monkeypatch.setattr(estimators, "score", recording)
+        kl_image(p, (q, other), grid, samples=draws, seed=56)
+        per_node = [(name, rows) for rows in (ROWS, ROWS, 37) for name in ("p", "q", "other")]
+        assert seen == per_node * len(grid)
+
+    @pytest.mark.parametrize("kind", ["image-fresh", "image-fixed", "measurement-identity"])
+    def test_draws_each_nodes_points_once(self, kind, monkeypatch):
+        p, q = triangle_pair(16)
+        draws = sample(p, 150, stream(71, "data-x"))
+        sampler = mask_sampler(dim=16, keep_prob=0.6, base_seed=9)
+        data = MeasurementDataset.from_samples(sampler, draws, seed=73)
+        grid = make_log_grid(1e-2, 1e3, 8)
+        tags, sampled = [], []
+
+        def recording_stream(seed, *key):
+            tags.append(key[0])
+            return stream(seed, *key)
+
+        def recording_sample(gmm, count, rng):
+            sampled.append(count)
+            return sample(gmm, count, rng)
+
+        monkeypatch.setattr(estimators, "stream", recording_stream)
+        monkeypatch.setattr(estimators, "sample", recording_sample)
+        qs = (q, shifted(q), shifted(q, -1.0))
+        if kind == "image-fresh":
+            kl_image(p, qs, grid, n_samples=150, seed=70)
+            assert tags == ["node-x"] * len(grid) and sampled == [150] * len(grid)
+        else:
+            if kind == "image-fixed":
+                kl_image(p, qs, grid, samples=draws, seed=72)
+            else:
+                kl_measurement(p, qs, data, grid, seed=74)
+            assert tags == ["sigma-noise"] * len(grid) and sampled == []
+
+    def test_a_q_of_another_dim_raises(self, toy_pair, toy_grid, toy_masked_data):
+        p, q = toy_pair
+        _, _, _, data = toy_masked_data
+        q3, _ = gaussian_pair(dim=3)
+        with pytest.raises(ValueError, match="dimension"):
+            kl_image(p, (q, q3), toy_grid, n_samples=8)
+        with pytest.raises(ValueError, match="dimension"):
+            kl_image(p, (q3, q), toy_grid, samples=np.zeros((4, p.dim)))
+        with pytest.raises(ValueError, match="dimension"):
+            kl_measurement(p, (q, q3), data, toy_grid)
 
 
 class TestKlInvertible:

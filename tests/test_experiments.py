@@ -16,6 +16,7 @@ from scoreshift import (
     MeasurementDataset,
     OperatorSampler,
     RightBasis,
+    adaptation,
     cli,
     experiments,
     sample,
@@ -323,20 +324,25 @@ class TestRunExitCodes:
         assert not out.exists()
 
     def test_diverging_adaptation_exits_4(self, tmp_path, capsys):
-        config = small_config()
-        config["adaptation"] = {
-            "step_size": 1e300,
-            "iterations": 60,
-            "batch": 8,
-            "sigma_draws": 2,
-            "eval_samples": 16,
-        }
+        config = diverging_config()
         # Adam's steps are bounded by step_size: only an overflowing loss
         # reaches the guard
         with np.errstate(all="ignore"):
             code = cli.main(["run", "--config", config_file(tmp_path, config)])
         assert code == cli.EXIT_DIVERGENCE
-        assert "evaluation loss rose for 20 consecutive steps" in capsys.readouterr().err
+        assert "evaluation loss is not finite at step 1" in capsys.readouterr().err
+
+
+def diverging_config():
+    config = small_config()
+    config["adaptation"] = {
+        "step_size": 1e300,
+        "iterations": 60,
+        "batch": 8,
+        "sigma_draws": 2,
+        "eval_samples": 16,
+    }
+    return config
 
 
 def set_field(dotted, value):
@@ -581,3 +587,50 @@ class TestWorkersReproducibility:
         assert serial == report_without_clock(config, workers=4)
         assert set(serial["estimates"]) == set(config["estimators"])
         assert (serial["adaptation"] is not None) == ("adaptation" in config)
+
+
+class TestAdaptingRun:
+    """A run adapts first and takes adaptation's "before" as its measurement estimate."""
+
+    def test_measurement_estimate_is_adaptations_before(self):
+        adapting = experiments.run(masked_adapting_config())
+        plain = experiments.run(small_config())
+        est, ref = adapting.estimates["measurement"], plain.estimates["measurement"]
+        assert est is adapting.adaptation.kl_measurement_before
+        assert (est.value, est.stderr, est.mode) == (ref.value, ref.stderr, ref.mode)
+        np.testing.assert_array_equal(est.node_means, ref.node_means)
+        np.testing.assert_array_equal(est.node_stderrs, ref.node_stderrs)
+
+    def test_one_and_two_workers_write_the_same_files(self, tmp_path):
+        config = masked_adapting_config()
+        for workers in (1, 2):
+            experiments.run(config, tmp_path / f"w{workers}", workers=workers)
+        names = sorted(path.name for path in (tmp_path / "w1").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "w2").iterdir())
+        assert "adapted_mixture.json" in names
+        for name in names:
+            one, two = ((tmp_path / f"w{w}" / name).read_text() for w in (1, 2))
+            if name == "report.json":
+                one, two = json.loads(one), json.loads(two)
+                one.pop("wall_clock_s")
+                two.pop("wall_clock_s")
+            assert one == two, name
+
+    def test_diverging_config_exits_4_before_any_estimator(self, tmp_path, monkeypatch):
+        called = []
+
+        def recorded(name, estimator):
+            def wrapper(*args, **kwargs):
+                called.append(name)
+                return estimator(*args, **kwargs)
+
+            return wrapper
+
+        for module in (experiments, adaptation):
+            for name in ("kl_image", "kl_measurement", "kl_invertible"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
+        with np.errstate(all="ignore"):
+            code = cli.main(["run", "--config", config_file(tmp_path, diverging_config())])
+        assert code == cli.EXIT_DIVERGENCE
+        assert called == []

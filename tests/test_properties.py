@@ -12,12 +12,14 @@ from scoreshift import (
     GaussianMixture,
     MeasurementDataset,
     RightBasis,
+    denoise,
     integrate,
     kl_image,
     kl_invertible,
     kl_measurement,
     log_density,
     make_log_grid,
+    responsibilities,
     rotate,
     sample,
     score,
@@ -60,6 +62,19 @@ def test_score_is_the_gradient_of_log_density(gmm, data, sigma):
     steps = h * np.eye(gmm.dim)
     central = (log_density(gmm, x + steps, sigma) - log_density(gmm, x - steps, sigma)) / (2 * h)
     np.testing.assert_allclose(score(gmm, x, sigma), central, rtol=1e-5, atol=1e-5)
+
+
+@PROPERTY
+@given(mixtures(), st.data(), st.floats(0.05, 5.0))
+def test_denoise_is_tweedie_the_weighted_posterior_means(gmm, data, sigma):
+    # x0 | x, component k: mean mu_k + v_k / (v_k + sigma^2) (x - mu_k)
+    rows = st.lists(coords, min_size=gmm.dim, max_size=gmm.dim)
+    x = np.array(data.draw(st.lists(rows, min_size=1, max_size=4)))
+    shrink = gmm.variances / (gmm.variances + sigma**2)
+    posterior = gmm.means + shrink[:, None] * (x[:, None, :] - gmm.means)  # (N, K, n)
+    expected = np.einsum("nk,nki->ni", responsibilities(gmm, x, sigma), posterior)
+    scale = max(1.0, np.abs(x).max(), np.abs(gmm.means).max())
+    np.testing.assert_allclose(denoise(gmm, x, sigma), expected, rtol=1e-10, atol=1e-10 * scale)
 
 
 @PROPERTY
