@@ -34,6 +34,7 @@ from .gmm import (
 from .measurements import (
     BasisMismatch,
     OperatorSampler,
+    RankDeficient,
     RightBasis,
     SpanViolation,
     estimate_projection_stats,
@@ -59,6 +60,7 @@ __all__ = [
     "KlEstimate",
     "MeasurementDataset",
     "OperatorSampler",
+    "RankDeficient",
     "RightBasis",
     "SigmaGrid",
     "SpanViolation",

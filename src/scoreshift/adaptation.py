@@ -88,35 +88,33 @@ class AdaptationConfig:
             raise ValueError("eval_samples must be >= 2")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptationReport:
     """Trajectory and before/after divergences of one adaptation run.
 
-    The divergences are recomputed with the estimators on the same dataset,
-    never read back from the optimizer, one pass per estimator for both q0
-    and the adapted mixture; each is bit for bit its one-mixture call's.
+    The four divergences are recomputed with the estimators on the same
+    dataset, never read back from the optimizer, one pass per estimator for
+    both q0 and the adapted mixture; each is bit for bit its one-mixture
+    call's. The image-domain pair uses eval_samples fresh draws.
     """
 
     loss_trajectory: list[float]
     stop_reason: str
     param_delta: dict[str, float]
-    kl_measurement_before: KlEstimate | None = None
-    kl_measurement_after: KlEstimate | None = None
-    kl_image_before: KlEstimate | None = None
-    kl_image_after: KlEstimate | None = None
+    kl_measurement_before: KlEstimate
+    kl_measurement_after: KlEstimate
+    kl_image_before: KlEstimate
+    kl_image_after: KlEstimate
 
     def to_dict(self) -> dict:
-        def est(e):
-            return e.to_dict() if e is not None else None
-
         return {
             "loss_trajectory": self.loss_trajectory,
             "stop_reason": self.stop_reason,
             "param_delta": self.param_delta,
-            "kl_measurement_before": est(self.kl_measurement_before),
-            "kl_measurement_after": est(self.kl_measurement_after),
-            "kl_image_before": est(self.kl_image_before),
-            "kl_image_after": est(self.kl_image_after),
+            "kl_measurement_before": self.kl_measurement_before.to_dict(),
+            "kl_measurement_after": self.kl_measurement_after.to_dict(),
+            "kl_image_before": self.kl_image_before.to_dict(),
+            "kl_image_after": self.kl_image_after.to_dict(),
         }
 
 
@@ -244,7 +242,7 @@ def adapt(
     data: MeasurementDataset,
     cfg: AdaptationConfig,
     grid: SigmaGrid,
-    ind_model: GaussianMixture | None = None,
+    ind_model: GaussianMixture,
     workers: int = 1,
 ) -> tuple[GaussianMixture, AdaptationReport]:
     """Minimize the weighted projected denoising loss over q0's parameters by Adam.
@@ -259,10 +257,10 @@ def adapt(
         grid: sigma grid; each step draws sigma log-uniformly between its
             sigma_min and sigma_max, and it is the quadrature for the
             recomputed divergences.
-        ind_model: optional in-distribution prior. When given, the report
-            carries measurement-domain and image-domain divergences before
-            and after adaptation, the latter from cfg.eval_samples fresh
-            draws (purely diagnostic; the optimizer never sees it).
+        ind_model: in-distribution prior p. The report carries KL(p || q)
+            in the measurement and image domains before and after
+            adaptation, the latter from cfg.eval_samples fresh draws
+            (purely diagnostic; the optimizer never sees p).
         workers: threads for those estimators; no number depends on it.
 
     Returns:
@@ -353,17 +351,10 @@ def adapt(
         "means": float(np.linalg.norm(adapted.means - q0.means)),
         "weights": float(np.linalg.norm(adapted.weights - q0.weights)),
     }
-    report = AdaptationReport(
-        loss_trajectory=[float(x) for x in losses],
-        stop_reason=stop_reason,
-        param_delta=delta,
+    both = (q0, adapted)
+    meas = kl_measurement(ind_model, both, data, grid, seed=cfg.seed, workers=workers)
+    image = kl_image(
+        ind_model, both, grid, n_samples=cfg.eval_samples, seed=cfg.seed, workers=workers
     )
-    if ind_model is not None:
-        both = (q0, adapted)
-        report.kl_measurement_before, report.kl_measurement_after = kl_measurement(
-            ind_model, both, data, grid, seed=cfg.seed, workers=workers
-        )
-        report.kl_image_before, report.kl_image_after = kl_image(
-            ind_model, both, grid, n_samples=cfg.eval_samples, seed=cfg.seed, workers=workers
-        )
+    report = AdaptationReport([float(x) for x in losses], stop_reason, delta, *meas, *image)
     return adapted, report

@@ -1,8 +1,9 @@
 """Command-line front end: seeded experiment runs, sweeps, and self checks.
 
 Exit codes: 0 success, 1 self-test failure, 2 config error, 3 assumption
-violation (the measurements leave a coordinate unobserved, or mixed
-operator bases), 4 numerical divergence during adaptation.
+violation (the measurements leave a coordinate unobserved, mix operator
+bases, or are not full rank for the invertible estimator), 4 numerical
+divergence during adaptation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .adaptation import DivergenceError
 from .estimators import MeasurementDataset, kl_image, kl_invertible, kl_measurement
 from .experiments import CONFIG_SCHEMA, SWEEP_AXES, ConfigError, load_config, run, sweep
 from .gmm import denoise, sample, score
-from .measurements import BasisMismatch, OperatorSampler, RightBasis, SpanViolation
+from .measurements import BasisMismatch, OperatorSampler, RankDeficient, RightBasis, SpanViolation
 from .priors import gaussian_pair, triangle_pair
 from .quadrature import integrate, make_log_grid
 from .rng import stream
@@ -205,7 +206,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SpanViolation, BasisMismatch) as err:
+    except (SpanViolation, BasisMismatch, RankDeficient) as err:
         print(f"assumption violation: {err}", file=sys.stderr)
         return EXIT_ASSUMPTION
     except DivergenceError as err:

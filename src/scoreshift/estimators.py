@@ -47,6 +47,7 @@ import numpy as np
 from .gmm import GaussianMixture, convolve, rotate, sample, score
 from .measurements import (
     OperatorSampler,
+    RankDeficient,
     estimate_projection_stats,
     sample_operator,
     to_projected,
@@ -164,14 +165,16 @@ class MeasurementDataset:
         sigma_z from the same seed share their x draws and noise shapes.
         The dataset is built first, on an all-zero placeholder ybar, which
         draws each distinct operator index once; all rows are then acquired
-        on its support in one to_projected call and replace the placeholder.
+        on its support in one to_projected call and replace the placeholder,
+        checked finite as the constructor checks ybar.
         """
-        pts = np.atleast_2d(points)
-        count = len(pts)
+        count = len(points)
         op_index = np.arange(count) if n_operators is None else np.arange(count) % n_operators
         placeholder = np.broadcast_to(0.0, (count, sampler.dim))
         data = cls(sampler, placeholder, op_index, np.full(count, sigma_z))
-        ybar = to_projected(sampler.basis, data.support, pts, sigma_z, seed)
+        ybar = to_projected(sampler.basis, data.support, points, sigma_z, seed)
+        if not np.all(np.isfinite(ybar)):
+            raise ValueError("ybar entries must be finite")
         ybar.setflags(write=False)
         object.__setattr__(data, "ybar", ybar)
         return data
@@ -313,7 +316,7 @@ def kl_image(
 
     count = n_samples
     if samples is not None:
-        fixed = np.atleast_2d(samples)
+        fixed = np.asarray(samples, dtype=float)
         if fixed.shape[1:] != (p.dim,):
             raise ValueError(f"samples must be (N, {p.dim}) for these priors, got {fixed.shape}")
         points, count = _noised(fixed, seed), len(fixed)
@@ -358,6 +361,15 @@ def kl_measurement(
     return estimates if isinstance(q, tuple) else estimates[0]
 
 
+def check_full_rank(data: MeasurementDataset) -> None:
+    """Raise RankDeficient unless every row's operator is full rank, as kl_invertible needs."""
+    bad = np.unique(data.op_index[~data.support.all(axis=1)])[:4].tolist()
+    if bad:
+        raise RankDeficient(
+            f"kl_invertible requires full-rank operators; rank-deficient op_index: {bad}"
+        )
+
+
 def kl_invertible(
     p: GaussianMixture,
     q: GaussianMixture,
@@ -376,10 +388,5 @@ def kl_invertible(
     it bit for bit, under mode "invertible". With an identity operator it
     follows the image-domain estimator's sample paths exactly.
     """
-    full = data.support.all(axis=1)
-    if not full.all():
-        bad = np.unique(data.op_index[~full])[:4].tolist()
-        raise ValueError(
-            f"kl_invertible requires full-rank operators; rank-deficient op_index: {bad}"
-        )
+    check_full_rank(data)
     return replace(kl_measurement(p, q, data, grid, seed, workers), mode="invertible")

@@ -26,6 +26,7 @@ from .adaptation import AdaptationConfig, AdaptationReport, adapt
 from .estimators import (
     KlEstimate,
     MeasurementDataset,
+    check_full_rank,
     kl_image,
     kl_invertible,
     kl_measurement,
@@ -285,6 +286,9 @@ def _build_grid(config: dict) -> SigmaGrid:
 
 
 def _build_mixtures(config: dict) -> tuple[GaussianMixture, GaussianMixture]:
+    for side in ("ind", "ood"):
+        if "file" in config["mixtures"][side]:
+            raise ConfigError(f"mixtures.{side}: a file ref; load_config resolves file refs")
     try:
         p = GaussianMixture.from_dict(config["mixtures"]["ind"])
         q = GaussianMixture.from_dict(config["mixtures"]["ood"])
@@ -405,6 +409,8 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
                 n_operators=meas_cfg.get("n_operators"),
             )
         report.ep_diag = estimate_projection_stats(data.support)
+        if "invertible" in wanted:
+            check_full_rank(data)
 
     if "adaptation" in config:
         acfg = AdaptationConfig(seed=seed, **config["adaptation"])
@@ -470,6 +476,8 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     if "measurement" not in config:
         raise ConfigError("sweep needs a measurement block")
+    if "data_file" in config["measurement"]:
+        raise ConfigError("measurement.data_file: a sweep acquires its own measurements")
     if not values:
         raise ConfigError("sweep needs at least one axis value")
     if len({float(v) for v in values}) < len(values):

@@ -6,6 +6,7 @@ stays inside the family, so densities, scores and posterior-mean denoisers
 are all available in closed form. All component computations run in log
 space with log-sum-exp stabilization; responsibilities would otherwise
 underflow once the noise level is small compared to component separation.
+The point functions take a batch, x of shape (N, n), and only a batch.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-
-from .rng import as_rng
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -76,10 +75,6 @@ class GaussianMixture:
     def n_components(self) -> int:
         return self.weights.size
 
-    def mean(self) -> np.ndarray:
-        """Overall mixture mean, sum_k w_k mu_k."""
-        return self.weights @ self.means
-
     def to_dict(self) -> dict:
         return {
             "dim": self.dim,
@@ -129,14 +124,12 @@ def convolve(gmm: GaussianMixture, sigma: float) -> GaussianMixture:
     )
 
 
-def _as_points(gmm: GaussianMixture, x) -> tuple[np.ndarray, bool]:
-    """Broadcast x to (N, n), remembering whether the input was a single point."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[-1] != gmm.dim:
-        raise ValueError(f"points have dim {pts.shape[-1]}, mixture has dim {gmm.dim}")
-    return pts, single
+def _as_points(gmm: GaussianMixture, x) -> np.ndarray:
+    """x as a float (N, n) batch of points; any other shape raises ValueError."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != gmm.dim:
+        raise ValueError(f"points must be (N, dim) = (N, {gmm.dim}), got shape {pts.shape}")
+    return pts
 
 
 def _component_log_densities(gmm: GaussianMixture, pts: np.ndarray, sigma: float):
@@ -154,49 +147,41 @@ def _component_log_densities(gmm: GaussianMixture, pts: np.ndarray, sigma: float
     return comp, var, diff
 
 
-def log_density(gmm: GaussianMixture, x, sigma: float = 0.0):
-    """log of the noise-convolved mixture density at x.
+def log_density(gmm: GaussianMixture, x, sigma: float = 0.0) -> np.ndarray:
+    """log of the noise-convolved mixture density at each of the (N, n) points x.
 
-    Args:
-        x: point (n,) or batch (N, n).
-        sigma: noise standard deviation; 0 evaluates the mixture itself.
-
-    Returns:
-        scalar for a single point, (N,) array for a batch.
+    sigma is the noise standard deviation; 0 evaluates the mixture itself.
+    Returns an (N,) array.
     """
-    pts, single = _as_points(gmm, x)
-    comp, _, _ = _component_log_densities(gmm, pts, sigma)
-    out = _logsumexp(comp, axis=1)
-    return float(out[0]) if single else out
+    comp, _, _ = _component_log_densities(gmm, _as_points(gmm, x), sigma)
+    return _logsumexp(comp, axis=1)
 
 
-def responsibilities(gmm: GaussianMixture, x, sigma: float = 0.0):
-    """Posterior component probabilities at noise level sigma, shape (N, K)."""
-    pts, single = _as_points(gmm, x)
-    comp, _, _ = _component_log_densities(gmm, pts, sigma)
-    r = np.exp(comp - _logsumexp(comp, axis=1, keepdims=True))
-    return r[0] if single else r
+def responsibilities(gmm: GaussianMixture, x, sigma: float = 0.0) -> np.ndarray:
+    """Posterior component probabilities at noise level sigma of the (N, n)
+    points x, shape (N, K)."""
+    comp, _, _ = _component_log_densities(gmm, _as_points(gmm, x), sigma)
+    return np.exp(comp - _logsumexp(comp, axis=1, keepdims=True))
 
 
-def score(gmm: GaussianMixture, x, sigma: float = 0.0):
-    """Gradient of log_density at x: sum_k r_k(x) (mu_k - x) / (var_k + sigma^2).
+def score(gmm: GaussianMixture, x, sigma: float = 0.0) -> np.ndarray:
+    """Gradient of log_density at the (N, n) points x, shape (N, n):
+    sum_k r_k(x) (mu_k - x) / (var_k + sigma^2).
 
     Computed in that literal form so the single-component case reduces to
     (mu - x) / (var + sigma^2) with no rounding beyond the division.
-    Returns an array of the same shape as x.
     """
-    pts, single = _as_points(gmm, x)
-    comp, var, diff = _component_log_densities(gmm, pts, sigma)
+    comp, var, diff = _component_log_densities(gmm, _as_points(gmm, x), sigma)
     r = np.exp(comp - _logsumexp(comp, axis=1, keepdims=True))  # (N, K)
     # in place: diff is this call's own temporary, so no second (N, K, n)
     # array is allocated; the quotient is the same bit for bit
     diff /= var[None, :, None]
-    out = np.einsum("nk,nki->ni", r, diff)
-    return out[0] if single else out
+    return np.einsum("nk,nki->ni", r, diff)
 
 
-def denoise(gmm: GaussianMixture, x, sigma: float):
-    """Posterior mean E[x0 | x] for x = x0 + sigma * eps, x0 ~ gmm.
+def denoise(gmm: GaussianMixture, x, sigma: float) -> np.ndarray:
+    """Posterior mean E[x0 | x] for x = x0 + sigma * eps, x0 ~ gmm, at the
+    (N, n) points x, shape (N, n).
 
     Computed as x + sigma^2 * score(gmm, x, sigma), which equals the
     responsibility-weighted per-component posterior means. sigma must be
@@ -207,21 +192,19 @@ def denoise(gmm: GaussianMixture, x, sigma: float):
     return np.asarray(x, dtype=float) + float(sigma) ** 2 * score(gmm, x, sigma)
 
 
-def sample(gmm: GaussianMixture, count: int, rng) -> np.ndarray:
+def sample(gmm: GaussianMixture, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw count points: component index from weights, then a Gaussian draw.
 
-    Args:
-        rng: numpy Generator or int seed. Passing the same seed twice
-            reproduces the batch exactly.
-
-    Returns:
-        read-only (count, n) array of points.
+    rng is a numpy Generator, in the package always a stream(seed, purpose,
+    index); an int seed raises TypeError. Returns a read-only (count, n)
+    array of points.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a Generator from stream(seed, ...), got {rng!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    gen = as_rng(rng)
-    idx = gen.choice(gmm.n_components, size=count, p=gmm.weights)
-    pts = gen.standard_normal((count, gmm.dim))
+    idx = rng.choice(gmm.n_components, size=count, p=gmm.weights)
+    pts = rng.standard_normal((count, gmm.dim))
     pts *= np.sqrt(gmm.variances[idx])[:, None]
     pts += gmm.means[idx]
     pts.setflags(write=False)

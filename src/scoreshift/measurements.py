@@ -38,6 +38,10 @@ class BasisMismatch(ValueError):
     """Raised when measurements from different right bases are combined."""
 
 
+class RankDeficient(ValueError):
+    """Raised when the invertible estimator meets an operator that is not full rank."""
+
+
 @dataclass(frozen=True)
 class RightBasis:
     """Orthogonal matrix V on R^n shared by an operator family.
@@ -245,24 +249,23 @@ def to_projected(
 ) -> np.ndarray:
     """Acquire ybar = P V^T x + zbar for a batch of clean signals.
 
-    x holds one signal per row, (N, n) or a single (n,) vector. Row i is
-    measured by an operator whose projection P_i is the boolean support[i]
-    (broadcast against x). All rows go through one basis.inverse call, and
-    ybar is exactly zero off each row's support. Measurement noise zbar of
-    std sigma_z lands on row i's observed coordinates, drawn from the stream
+    x holds one signal per row, (N, n), and row i is measured by an operator
+    whose projection P_i is support[i], an (N, n) boolean array; other shapes
+    raise ValueError. All rows go through one basis.inverse call, and ybar is
+    exactly zero off each row's support. Measurement noise zbar of std
+    sigma_z lands on row i's observed coordinates, drawn from the stream
     (seed, "meas-z", i) only when sigma_z > 0.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (basis.dim,):
-        raise ValueError(f"x must have shape (N, {basis.dim}), got {x.shape}")
+    support = np.asarray(support, dtype=bool)
+    if x.ndim != 2 or x.shape[1] != basis.dim or support.shape != x.shape:
+        raise ValueError(f"x, support must be shape (N, {basis.dim}): {x.shape}, {support.shape}")
     if sigma_z < 0:
         raise ValueError("sigma_z must be >= 0")
-    observed = np.broadcast_to(np.asarray(support, dtype=bool), x.shape)
     ybar = basis.inverse(x)  # a new array, masked in place
-    ybar[~observed] = 0.0
+    ybar[~support] = 0.0
     if sigma_z > 0:
-        n = basis.dim
-        for i, (y, on) in enumerate(zip(ybar.reshape(-1, n), observed.reshape(-1, n))):
+        for i, (y, on) in enumerate(zip(ybar, support)):
             y[on] += stream(seed, "meas-z", i).standard_normal(int(on.sum())) * sigma_z
     return ybar
 

@@ -9,8 +9,8 @@ The integrand enters as two plain (m,) arrays, its Monte Carlo mean and
 standard error at each of the grid's m nodes.
 
 The formal upper limit of the integral is infinity; the grid truncates it.
-For location-shift pairs the integrand decays like sigma^-3, so the default
-cap of 1e3 leaves a tail below ||dmu||^2 / (2 (1 + sigma_max^2)). The grid
+For location-shift pairs the integrand decays like sigma^-3, so a cap of
+1e3 leaves a tail below ||dmu||^2 / (2 (1 + sigma_max^2)). The grid
 always reports its sigma_max so callers can bound the tail at their scale.
 """
 
@@ -20,9 +20,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-
-DEFAULT_SIGMA_MIN = 1e-2
-DEFAULT_SIGMA_MAX = 1e3
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ independent stream derived from an experiment seed, a purpose tag, and an
 optional integer index. Streams never share mutable state, so parallel
 evaluation over sigma nodes or measurement indices cannot change results:
 partitioning work by index always reproduces the single-threaded draw.
+Functions that draw take such a Generator, never an int seed, so no draw
+can bypass this addressing.
 """
 
 from __future__ import annotations
@@ -39,9 +41,3 @@ def stream(seed: int, *path) -> np.random.Generator:
     key = tuple(_key_part(p) for p in path)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
-
-def as_rng(rng_or_seed) -> np.random.Generator:
-    """Coerce an int seed or Generator into a Generator."""
-    if isinstance(rng_or_seed, np.random.Generator):
-        return rng_or_seed
-    return np.random.default_rng(rng_or_seed)

@@ -46,6 +46,21 @@ def count_qr(monkeypatch):
     return calls
 
 
+def rising_eval_loss(monkeypatch):
+    """Make adaptation's evaluation loss rise at every step (1, 2, 3, ...), the finite
+    streak its divergence guard counts; return the list of loss values handed out."""
+    from scoreshift import adaptation
+
+    losses = []
+
+    def rising(*args):
+        losses.append(float(len(losses) + 1))
+        return losses[-1]
+
+    monkeypatch.setattr(adaptation, "_pack_loss", rising)
+    return losses
+
+
 def mask_sampler(dim=10, keep_prob=0.8, base_seed=5, basis=None):
     return OperatorSampler(
         kind="coordinate-mask",

@@ -23,8 +23,8 @@ from scoreshift.adaptation import _signal_loss_and_grad
 from scoreshift.experiments import CONFIG_SCHEMA
 from scoreshift.measurements import OperatorSampler, RightBasis
 from scoreshift.priors import gaussian_pair, triangle_pair
-from scoreshift.rng import as_rng, stream
-from tests.conftest import mask_sampler
+from scoreshift.rng import stream
+from tests.conftest import mask_sampler, rising_eval_loss
 
 
 def denoising_loss(q, batch, sigmas, rng):
@@ -40,7 +40,7 @@ def denoising_loss(q, batch, sigmas, rng):
     if sigmas.ndim != 1 or sigmas.size == 0 or np.any(sigmas <= 0):
         raise ValueError("sigmas must be a nonempty list of positive values")
     w = estimate_projection_stats(batch.support) ** -1.5
-    eps = as_rng(rng).standard_normal((sigmas.size,) + batch.ybar.shape)
+    eps = rng.standard_normal((sigmas.size,) + batch.ybar.shape)
     rotated = rotate(q, batch.sampler.basis.matrix.T)
     return _pack_loss(rotated, batch.ybar, batch.support, w, sigmas, eps)
 
@@ -213,8 +213,11 @@ class TestAdaptationConfig:
 
 
 def toy_cfg(**overrides):
-    """The small probe setup: batch 32, 4 sigma draws, a cap of 100 steps."""
-    return AdaptationConfig(**{"iterations": 100, "batch": 32, "sigma_draws": 4, **overrides})
+    """The small probe setup: batch 32, 4 sigma draws, a cap of 100 steps, and
+    64 image draws for the report's before/after kl_image."""
+    return AdaptationConfig(
+        **{"iterations": 100, "batch": 32, "sigma_draws": 4, "eval_samples": 64, **overrides}
+    )
 
 
 class TestAdapt:
@@ -222,8 +225,10 @@ class TestAdapt:
         p, _ = toy_pair
         _, _, _, data = toy_masked_data
         grid = make_log_grid(0.01, 1.0, 24)
-        cfg = AdaptationConfig(step_size=1e-4, iterations=120, batch=128, sigma_draws=8, seed=41)
-        adapted, report = adapt(p, data, cfg, grid)
+        cfg = AdaptationConfig(
+            step_size=1e-4, iterations=120, batch=128, sigma_draws=8, eval_samples=64, seed=41
+        )
+        adapted, report = adapt(p, data, cfg, grid, ind_model=p)
         assert report.param_delta["means"] < 1e-2
         assert report.stop_reason in ("plateau", "cap")
 
@@ -242,16 +247,16 @@ class TestAdapt:
     def test_divergence_guard_triggers(self, toy_pair, toy_masked_data):
         # Adam's step is bounded by step_size, so only a step that makes the
         # loss overflow reaches the guard
-        _, q = toy_pair
+        p, q = toy_pair
         _, _, _, data = toy_masked_data
         grid = make_log_grid(0.01, 1.0, 16)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="not finite"):
-            adapt(q, data, toy_cfg(step_size=1e300, seed=42), grid)
+            adapt(q, data, toy_cfg(step_size=1e300, seed=42), grid, ind_model=p)
 
     def test_non_finite_loss_stops_at_step_1(self, toy_pair, toy_masked_data, monkeypatch):
         # the first step at 1e300 makes the evaluation loss NaN; a NaN iterate
         # never recovers, so no second gradient step is taken
-        _, q = toy_pair
+        p, q = toy_pair
         _, _, _, data = toy_masked_data
         grid = make_log_grid(0.01, 1.0, 16)
         steps = []
@@ -264,17 +269,29 @@ class TestAdapt:
         with np.errstate(all="ignore"), pytest.raises(
             DivergenceError, match=r"evaluation loss is not finite at step 1 \("
         ):
-            adapt(q, data, toy_cfg(step_size=1e300, seed=42), grid)
+            adapt(q, data, toy_cfg(step_size=1e300, seed=42), grid, ind_model=p)
         assert steps == [1]
+
+    def test_rising_streak_stops_at_step_20(self, toy_pair, toy_masked_data, monkeypatch):
+        # a finite loss that rises at every step is never a plateau: the guard
+        # fires once it has risen DIVERGENCE_PATIENCE (20) times in a row
+        p, q = toy_pair
+        _, _, _, data = toy_masked_data
+        grid = make_log_grid(0.01, 1.0, 16)
+        losses = rising_eval_loss(monkeypatch)
+        with pytest.raises(DivergenceError, match="rose for 20 consecutive steps"):
+            adapt(q, data, toy_cfg(step_size=0.05, seed=46), grid, ind_model=p)
+        assert adaptation.DIVERGENCE_PATIENCE == 20
+        assert len(losses) == 21  # the start, then steps 1 to 20
 
     @pytest.mark.parametrize("seed", [42, 43, 44])
     def test_finite_blow_up_returns_the_start(self, toy_pair, toy_masked_data, seed):
         # every step at 1e3 overshoots to a finite, worse loss: the run stops
         # at a plateau and hands back q0 untouched, the best iterate
-        _, q = toy_pair
+        p, q = toy_pair
         _, _, _, data = toy_masked_data
         grid = make_log_grid(0.01, 1.0, 16)
-        adapted, report = adapt(q, data, toy_cfg(step_size=1e3, seed=seed), grid)
+        adapted, report = adapt(q, data, toy_cfg(step_size=1e3, seed=seed), grid, ind_model=p)
         np.testing.assert_array_equal(adapted.means, q.means)
         assert report.param_delta["means"] == 0.0
         assert report.stop_reason == "plateau"
@@ -284,7 +301,7 @@ class TestAdapt:
         _, _, _, data = toy_masked_data
         grid = make_log_grid(0.01, 1.0, 16)
         cfg = toy_cfg(step_size=0.2, iterations=25, seed=43)
-        adapted, report = adapt(q, data, cfg, grid)
+        adapted, report = adapt(q, data, cfg, grid, ind_model=p)
         assert len(report.loss_trajectory) <= cfg.iterations + 1
         assert min(report.loss_trajectory) <= report.loss_trajectory[0]
         best_curve = np.minimum.accumulate(report.loss_trajectory)
@@ -298,7 +315,7 @@ class TestAdapt:
             weights=np.array([0.6, 0.2, 0.2]), means=q.means, variances=q.variances
         )
         cfg = toy_cfg(trainable="means-and-weights", step_size=0.2, iterations=40, seed=44)
-        adapted, report = adapt(skewed, data, cfg, grid)
+        adapted, report = adapt(skewed, data, cfg, grid, ind_model=p)
         assert adapted.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(adapted.weights >= 0)
         assert report.param_delta["weights"] >= 0.0
@@ -307,5 +324,6 @@ class TestAdapt:
         p, q = toy_pair
         _, _, _, data = toy_masked_data
         grid = make_log_grid(0.01, 1.0, 16)
-        adapted, _ = adapt(q, data, toy_cfg(step_size=0.3, iterations=15, seed=45), grid)
+        cfg = toy_cfg(step_size=0.3, iterations=15, seed=45)
+        adapted, _ = adapt(q, data, cfg, grid, ind_model=p)
         np.testing.assert_array_equal(adapted.variances, q.variances)

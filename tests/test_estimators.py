@@ -564,6 +564,24 @@ class TestFromSamplesOperatorDraws:
         assert sorted(drawn) == [0, 1, 2, 3]
         assert data.op_index.tolist() == [i % 4 for i in range(12)]
 
+    def test_non_finite_point_rejected_after_one_draw_per_operator(self, toy_pair, monkeypatch):
+        # the constructor checks its zero placeholder; the acquired ybar is
+        # checked the same way, without drawing the operators again
+        p, _ = toy_pair
+        sampler = mask_sampler(dim=10, keep_prob=0.5, base_seed=7)
+        draws = np.array(sample(p, 12, stream(30, "data-x")))
+        draws[5] = np.nan
+        drawn = []
+
+        def counting(s, index):
+            drawn.append(index)
+            return sample_operator(s, index)
+
+        monkeypatch.setattr(estimators, "sample_operator", counting)
+        with pytest.raises(ValueError, match="ybar entries must be finite"):
+            MeasurementDataset.from_samples(sampler, draws, seed=30, n_operators=4)
+        assert sorted(drawn) == [0, 1, 2, 3]
+
 
 class TestDatasetLoadValidation:
     """A malformed data file fails when it is loaded, not at first use."""

@@ -3,6 +3,7 @@ config checks, config hash, workers."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ from scoreshift import (
 )
 from scoreshift.priors import triangle_pair
 from scoreshift.rng import stream
-from tests.conftest import count_qr
+from tests.conftest import count_qr, rising_eval_loss
 
 
 def small_config():
@@ -331,6 +332,78 @@ class TestRunExitCodes:
             code = cli.main(["run", "--config", config_file(tmp_path, config)])
         assert code == cli.EXIT_DIVERGENCE
         assert "evaluation loss is not finite at step 1" in capsys.readouterr().err
+
+
+class TestEntryChecks:
+    """Inputs a run cannot use are refused before any adapting, estimating or writing."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Record each adapt and estimator call a run makes."""
+        called = []
+        for name in ("adapt", "kl_image", "kl_measurement", "kl_invertible"):
+            real = getattr(experiments, name)
+
+            def wrapper(*args, _name=name, _real=real, **kwargs):
+                called.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, wrapper)
+        return called
+
+    @pytest.mark.parametrize("source", ["draws", "data_file", "adapting"])
+    def test_invertible_under_masking_exits_3(self, tmp_path, capsys, calls, source):
+        config = masked_adapting_config() if source == "adapting" else small_config()
+        config["estimators"] = ["image", "measurement", "invertible"]
+        if source == "data_file":
+            acquired(config["measurement"]["sampler"]).save(tmp_path / "data.json")
+            config["measurement"]["data_file"] = str(tmp_path / "data.json")
+        out = tmp_path / "out"
+        argv = ["run", "--config", config_file(tmp_path, config), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_ASSUMPTION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(
+            r"assumption violation: kl_invertible requires full-rank operators; "
+            r"rank-deficient op_index: \[\d+(, \d+){3}\]",
+            err[0],
+        )
+        assert calls == [] and not out.exists()
+
+    def test_invertible_under_masking_in_a_sweep_exits_3(self, tmp_path, capsys, calls):
+        config = small_config()
+        config["estimators"] = ["image", "measurement", "invertible"]
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", config_file(tmp_path, config), "--axis", "sigma_z",
+                "--values", "0,0.5", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_ASSUMPTION
+        assert "rank-deficient op_index" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    def test_sweep_with_data_file_exits_2_writing_nothing(self, tmp_path, capsys, calls):
+        config = small_config()
+        acquired(config["measurement"]["sampler"]).save(tmp_path / "data.json")
+        config["measurement"]["data_file"] = str(tmp_path / "data.json")
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", config_file(tmp_path, config), "--axis", "sigma_z",
+                "--values", "0,0.5", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "measurement.data_file: a sweep acquires its own measurements" in err
+        assert calls == [] and not out.exists()
+
+    def test_unresolved_mixture_file_ref_raises_config_error(self, tmp_path):
+        # load_config inlines file refs; a config handed to run without it keeps them
+        config = json.loads(Path(mixture_files_config(tmp_path, "refs", 0.0)).read_text())
+        with pytest.raises(experiments.ConfigError, match=r"mixtures\.ind: .*load_config"):
+            experiments.run(config)
+
+    def test_rising_evaluation_loss_exits_4(self, tmp_path, capsys, monkeypatch):
+        rising_eval_loss(monkeypatch)
+        config = masked_adapting_config()
+        config["adaptation"]["iterations"] = 40
+        assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_DIVERGENCE
+        assert "evaluation loss rose for 20 consecutive steps" in capsys.readouterr().err
 
 
 def diverging_config():

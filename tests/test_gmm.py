@@ -1,8 +1,8 @@
 """Mixture densities, scores, denoisers and the Monte Carlo divergence oracle."""
 
 import json
+from decimal import Decimal, localcontext
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +20,24 @@ from scoreshift import (
 from scoreshift.measurements import RightBasis
 from scoreshift.priors import gaussian_pair, triangle_pair
 from scoreshift.rng import stream
+
+
+def machin_pi() -> Decimal:
+    """pi at the context's precision by Machin's formula, 16 atan(1/5) - 4 atan(1/239),
+    each arctangent summed by its series with five guard digits."""
+
+    def atan_inv(n: int) -> Decimal:
+        total, power, k = Decimal(0), Decimal(1) / n, 0
+        while total + power / (2 * k + 1) != total:
+            total += (-1) ** k * power / (2 * k + 1)
+            power /= n * n
+            k += 1
+        return total
+
+    with localcontext() as ctx:
+        ctx.prec += 5
+        pi = 16 * atan_inv(5) - 4 * atan_inv(239)
+    return +pi
 
 
 def single_gaussian(mean, var=1.0):
@@ -95,7 +113,7 @@ class TestLogDensity:
     def test_standard_normal_mode(self):
         n = 7
         g = single_gaussian(np.zeros(n))
-        assert log_density(g, np.zeros(n), 0.0) == pytest.approx(
+        assert log_density(g, np.zeros((1, n)), 0.0)[0] == pytest.approx(
             -0.5 * n * np.log(2 * np.pi), abs=1e-14
         )
 
@@ -104,15 +122,22 @@ class TestLogDensity:
         p, _ = toy_pair
         sigma = 0.5
         x = p.means[0]
-        with mpmath.workdps(50):
-            total = mpmath.mpf(0)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            pi = machin_pi()
+            total = Decimal(0)
             for w, mu, var in zip(p.weights, p.means, p.variances):
-                v = mpmath.mpf(float(var)) + mpmath.mpf(sigma) ** 2
-                sq = mpmath.fsum((mpmath.mpf(float(a - b))) ** 2 for a, b in zip(x, mu))
-                norm = (2 * mpmath.pi * v) ** (-mpmath.mpf(p.dim) / 2)
-                total += mpmath.mpf(float(w)) * norm * mpmath.exp(-sq / (2 * v))
-            expected = float(mpmath.log(total))
-        assert log_density(p, x, sigma) == pytest.approx(expected, rel=1e-13)
+                v = Decimal(float(var)) + Decimal(sigma) ** 2
+                sq = sum((Decimal(float(a - b)) ** 2 for a, b in zip(x, mu)), Decimal(0))
+                norm = (2 * pi * v) ** (Decimal(-p.dim) / 2)
+                total += Decimal(float(w)) * norm * (-sq / (2 * v)).exp()
+            expected = float(total.ln())
+        assert log_density(p, x[None], sigma)[0] == pytest.approx(expected, rel=1e-13)
+
+    def test_machin_pi_reference(self):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            assert str(machin_pi()) == "3.1415926535897932384626433832795028841971693993751"
 
     def test_consistent_with_convolve(self, toy_pair):
         p, _ = toy_pair
@@ -126,6 +151,12 @@ class TestLogDensity:
     def test_dimension_mismatch(self, toy_pair):
         with pytest.raises(ValueError, match="dim"):
             log_density(toy_pair[0], np.zeros(4), 0.0)
+
+    @pytest.mark.parametrize("fn", [log_density, responsibilities, score, denoise])
+    @pytest.mark.parametrize("shape", [(10,), (2, 4), (1, 2, 10)])
+    def test_points_must_be_a_batch(self, toy_pair, fn, shape):
+        with pytest.raises(ValueError, match=r"\(N, dim\)"):
+            fn(toy_pair[0], np.zeros(shape), 0.5)
 
     def test_zero_weight_component_and_far_points(self):
         # oracle: numpy's pairwise logaddexp over the per-component terms
@@ -152,7 +183,7 @@ class TestScore:
         g = single_gaussian(np.zeros(6))
         x = np.zeros(6)
         x[0] = 1.0
-        np.testing.assert_array_equal(score(g, x, 0.0), -x)
+        np.testing.assert_array_equal(score(g, x[None], 0.0)[0], -x)
 
     def test_single_gaussian_closed_form_any_sigma(self):
         mu = np.array([1.0, -2.0, 0.5])
@@ -160,7 +191,7 @@ class TestScore:
         rng = stream(1, "score-probe")
         for sigma in (0.0, 0.4, 2.5):
             x = rng.standard_normal(3) * 3
-            np.testing.assert_array_equal(score(g, x, sigma), (mu - x) / (0.7 + sigma**2))
+            np.testing.assert_array_equal(score(g, x[None], sigma)[0], (mu - x) / (0.7 + sigma**2))
 
     def test_matches_central_finite_differences(self, toy_pair):
         p, _ = toy_pair
@@ -170,13 +201,14 @@ class TestScore:
         sigma = 0.3
         worst = 0.0
         for x in pts:
-            analytic = score(p, x, sigma)
+            analytic = score(p, x[None], sigma)[0]
             fd = np.empty_like(x)
             for i in range(x.size):
                 up, dn = x.copy(), x.copy()
                 up[i] += h
                 dn[i] -= h
-                fd[i] = (log_density(p, up, sigma) - log_density(p, dn, sigma)) / (2 * h)
+                diff = log_density(p, up[None], sigma) - log_density(p, dn[None], sigma)
+                fd[i] = diff[0] / (2 * h)
             worst = max(
                 worst, np.linalg.norm(fd - analytic) / np.linalg.norm(analytic)
             )
@@ -189,7 +221,7 @@ class TestScore:
             weights=np.array([0.5, 0.5]), means=mu, variances=np.ones(2)
         )
         for sigma in (0.0, 0.9, 5.0):
-            np.testing.assert_allclose(score(g, np.zeros(4), sigma), 0.0, atol=1e-14)
+            np.testing.assert_allclose(score(g, np.zeros((1, 4)), sigma), 0.0, atol=1e-14)
 
     def test_orthogonal_equivariance(self, toy_pair):
         p, _ = toy_pair
@@ -199,8 +231,8 @@ class TestScore:
         rng = stream(4, "equiv-probe")
         for sigma in (0.1, 1.0):
             x = rng.standard_normal(p.dim) * 5
-            lhs = score(rotated, v @ x, sigma)
-            rhs = v @ score(p, x, sigma)
+            lhs = score(rotated, (v @ x)[None], sigma)[0]
+            rhs = v @ score(p, x[None], sigma)[0]
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
             assert abs(np.linalg.norm(lhs) - np.linalg.norm(rhs)) < 1e-10
 
@@ -228,12 +260,12 @@ class TestDenoise:
         mu = np.array([2.0, -1.0, 4.0])
         g = single_gaussian(mu, var=1e-8)
         x = np.array([10.0, 10.0, -10.0])
-        np.testing.assert_allclose(denoise(g, x, 1.0), mu, atol=1e-6)
+        np.testing.assert_allclose(denoise(g, x[None], 1.0)[0], mu, atol=1e-6)
 
     def test_large_noise_limit_is_mixture_mean(self, toy_pair):
         p, _ = toy_pair
         x = stream(5, "dn-probe").standard_normal(p.dim)
-        np.testing.assert_allclose(denoise(p, x, 1e3), p.mean(), atol=1e-3)
+        np.testing.assert_allclose(denoise(p, x[None], 1e3)[0], p.weights @ p.means, atol=1e-3)
 
     def test_matches_direct_posterior_mean(self, toy_pair):
         # oracle: responsibility-weighted per-component posterior means
@@ -270,13 +302,17 @@ class TestSample:
 
     def test_fixed_seed_reproduces_batch(self, toy_pair):
         p, _ = toy_pair
-        a = sample(p, 100, 1234)
-        b = sample(p, 100, 1234)
+        a = sample(p, 100, stream(1234, "probe"))
+        b = sample(p, 100, stream(1234, "probe"))
         np.testing.assert_array_equal(a, b)
+
+    def test_int_seed_rejected(self, toy_pair):
+        with pytest.raises(TypeError, match="stream"):
+            sample(toy_pair[0], 100, 1234)
 
     def test_count_validation(self, toy_pair):
         with pytest.raises(ValueError):
-            sample(toy_pair[0], 0, 1)
+            sample(toy_pair[0], 0, stream(1, "probe"))
 
     def test_returns_read_only_points_array(self, toy_pair):
         p, _ = toy_pair

@@ -257,24 +257,26 @@ class TestToProjected:
         sampler = mask_sampler(dim=6, keep_prob=1.0)
         x = np.arange(6.0)
         np.testing.assert_array_equal(
-            to_projected(sampler.basis, sample_operator(sampler, 0), x), x
+            to_projected(sampler.basis, sample_operator(sampler, 0)[None], x[None])[0], x
         )
 
     def test_zero_signal_gives_zero(self):
         sampler = mask_sampler(dim=6, keep_prob=0.5)
         np.testing.assert_array_equal(
-            to_projected(sampler.basis, sample_operator(sampler, 1), np.zeros(6)), np.zeros(6)
+            to_projected(sampler.basis, sample_operator(sampler, 1)[None], np.zeros((1, 6)))[0],
+            np.zeros(6),
         )
 
     def test_hand_evaluated_mask(self):
         support = np.array([True, False, True, False])
-        ybar = to_projected(RightBasis("identity", 4), support, np.array([1.0, 2.0, 3.0, 4.0]))
+        x = np.array([[1.0, 2.0, 3.0, 4.0]])
+        ybar = to_projected(RightBasis("identity", 4), support[None], x)[0]
         np.testing.assert_array_equal(ybar, [1.0, 0.0, 3.0, 0.0])
 
     def test_measurement_noise_only_on_support(self):
         support = np.array([True, False, True, False])
         basis = RightBasis("identity", 4)
-        ybar = to_projected(basis, support, np.zeros(4), 0.3, seed=3)
+        ybar = to_projected(basis, support[None], np.zeros((1, 4)), 0.3, seed=3)[0]
         assert ybar[1] == 0.0 and ybar[3] == 0.0
         assert ybar[0] != 0.0 and ybar[2] != 0.0
 
@@ -295,6 +297,14 @@ class TestToProjected:
         sampler = mask_sampler(dim=6)
         with pytest.raises(ValueError, match="shape"):
             to_projected(sampler.basis, sample_operator(sampler, 0), np.zeros(5))
+
+    @pytest.mark.parametrize(
+        "support_shape, x_shape", [((6,), (6,)), ((6,), (2, 6)), ((3, 6), (2, 6))]
+    )
+    def test_points_and_supports_must_be_matching_batches(self, support_shape, x_shape):
+        support = np.ones(support_shape, dtype=bool)
+        with pytest.raises(ValueError, match=r"shape \(N, 6\)"):
+            to_projected(RightBasis("identity", 6), support, np.zeros(x_shape))
 
 
 class TestProjectionIdempotence:

@@ -61,7 +61,7 @@ def test_score_is_the_gradient_of_log_density(gmm, data, sigma):
     h = 1e-5
     steps = h * np.eye(gmm.dim)
     central = (log_density(gmm, x + steps, sigma) - log_density(gmm, x - steps, sigma)) / (2 * h)
-    np.testing.assert_allclose(score(gmm, x, sigma), central, rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(score(gmm, x[None], sigma)[0], central, rtol=1e-5, atol=1e-5)
 
 
 @PROPERTY
