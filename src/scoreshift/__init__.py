@@ -46,7 +46,6 @@ from .quadrature import (
     SigmaGrid,
     cumulative_integral,
     integrate,
-    make_log_grid,
     series_csv,
 )
 from .rng import stream
@@ -76,7 +75,6 @@ __all__ = [
     "kl_invertible",
     "kl_measurement",
     "log_density",
-    "make_log_grid",
     "responsibilities",
     "rotate",
     "sample",

@@ -21,7 +21,7 @@ from .experiments import CONFIG_SCHEMA, SWEEP_AXES, ConfigError, load_config, ru
 from .gmm import denoise, sample, score
 from .measurements import BasisMismatch, OperatorSampler, RankDeficient, RightBasis, SpanViolation
 from .priors import gaussian_pair, triangle_pair
-from .quadrature import integrate, make_log_grid
+from .quadrature import SigmaGrid, integrate
 from .rng import stream
 
 EXIT_OK = 0
@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--axis",
         required=True,
         choices=SWEEP_AXES,
-        help="which knob to vary",
+        help="the config field to vary; every run's config is checked before any run starts",
     )
     sweep_p.add_argument(
         "--values",
@@ -95,8 +95,9 @@ def _parse_values(text: str, axis: str):
     vals = [v for v in text.split(",") if v.strip()]
     if not vals:
         raise ConfigError("--values must list at least one number")
+    kind, _ = SWEEP_AXES[axis]
     try:
-        return [int(v) if axis == "n_measurements" else float(v) for v in vals]
+        return [kind(v) for v in vals]
     except ValueError as err:
         raise ConfigError(f"--values: {err}") from err
 
@@ -114,7 +115,7 @@ def _cmd_sweep(args) -> int:
 def _selftest_checks():
     """Yield (name, passed, detail) for each built-in check."""
     p, _ = triangle_pair()
-    grid = make_log_grid(0.01, 1.0, 32)
+    grid = SigmaGrid(0.01, 1.0, 32)
 
     est = kl_image(p, p, grid, n_samples=128, seed=1)
     yield ("image self-divergence is exactly zero", est.value == 0.0, f"value={est.value}")
@@ -154,7 +155,7 @@ def _selftest_checks():
 
     gp, gq = gaussian_pair()
     dmu_sq = float(np.sum((gq.means[0] - gp.means[0]) ** 2))
-    qgrid = make_log_grid(1e-2, 1e3, 256)
+    qgrid = SigmaGrid(1e-2, 1e3, 256)
     half_masked = OperatorSampler(
         kind="coordinate-mask", dim=gp.dim, basis=RightBasis("identity", gp.dim), base_seed=7,
         keep_prob=0.5,

@@ -203,7 +203,7 @@ class MeasurementDataset:
         return cls(
             sampler=OperatorSampler.from_dict(doc["sampler"]),
             ybar=[rec["ybar"] for rec in records],
-            op_index=[int(rec["op_index"]) for rec in records],
+            op_index=[rec["op_index"] for rec in records],
             sigma_z=[float(rec.get("sigma_z", 0.0)) for rec in records],
         )
 

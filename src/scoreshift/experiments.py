@@ -10,6 +10,7 @@ bit (wall-clock time is the one report field exempt from that guarantee).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -33,7 +34,7 @@ from .estimators import (
 )
 from .gmm import GaussianMixture, sample
 from .measurements import BasisMismatch, OperatorSampler, estimate_projection_stats
-from .quadrature import SigmaGrid, make_log_grid, series_csv
+from .quadrature import SigmaGrid, series_csv
 from .rng import stream
 
 
@@ -179,17 +180,18 @@ def _same(a, b) -> bool:
 def _one_of_error(value, forms: list, errors: list, path: str) -> tuple[str, str]:
     """The (json path, message) to report for a value valid under no form or several.
 
-    When every form fails and exactly one form fits value's keys (value has
-    all its required keys and no key that only another form knows), that
-    form's error is the one that names the bad field. Otherwise the failure
-    that got deepest into value, if one got past path, or a summary with
-    value shortened, so a large inline mixture is not dumped whole.
+    When every form fails and exactly one form fits value (value has its
+    type, all its required keys and no key that only another form knows),
+    that form's error is the one that names the bad field. Otherwise the
+    failure that got deepest into value, if one got past path, or a summary
+    with value shortened, so a large inline mixture is not dumped whole.
     """
     keys = set(value) if isinstance(value, dict) else set()
     known = [set(form.get("properties", ())) for form in forms]
     fitting = [
         err for err, form, own in zip(errors, forms, known)
-        if set(form.get("required", ())) <= keys and not (keys & set().union(*known)) - own
+        if isinstance(value, _TYPES[form["type"]])
+        and set(form.get("required", ())) <= keys and not (keys & set().union(*known)) - own
     ]
     if None not in errors and len(fitting) == 1:
         return fitting[0]
@@ -280,7 +282,7 @@ def load_config(path) -> dict:
 def _build_grid(config: dict) -> SigmaGrid:
     g = config["grid"]
     try:
-        return make_log_grid(g["sigma_min"], g["sigma_max"], g["nodes"])
+        return SigmaGrid(g["sigma_min"], g["sigma_max"], g["nodes"])
     except ValueError as err:
         raise ConfigError(f"grid: {err}") from err
 
@@ -299,11 +301,29 @@ def _build_mixtures(config: dict) -> tuple[GaussianMixture, GaussianMixture]:
     return p, q
 
 
-def _build_sampler(doc: dict) -> OperatorSampler:
+def _build_sampler(meas: dict, dim: int) -> OperatorSampler:
     try:
-        return OperatorSampler.from_dict(doc)
+        sampler = OperatorSampler.from_dict(meas["sampler"])
     except ValueError as err:
         raise ConfigError(f"measurement.sampler: {err}") from err
+    if sampler.dim != dim:
+        raise ConfigError(f"sampler dim {sampler.dim} != mixture dim {dim}")
+    return sampler
+
+
+def _n_measurements(meas: dict) -> int:
+    return meas.get("n_measurements", DEFAULT_N_MEASUREMENTS)
+
+
+def _acquire(sampler: OperatorSampler, meas: dict, draws, seed: int) -> MeasurementDataset:
+    """The dataset meas describes: its first n_measurements draws measured by sampler."""
+    return MeasurementDataset.from_samples(
+        sampler,
+        draws[: _n_measurements(meas)],
+        sigma_z=meas.get("sigma_z", 0.0),
+        seed=seed,
+        n_operators=meas.get("n_operators"),
+    )
 
 
 @dataclass
@@ -371,7 +391,7 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
 
     report = RunReport(config_hash=config_hash(config), seed=seed, versions=_versions())
 
-    data = None
+    data = dataset
     meas_cfg = config.get("measurement")
     needs_data = "measurement" in wanted or "invertible" in wanted or "adaptation" in config
     if needs_data and not meas_cfg:
@@ -379,14 +399,8 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
             "measurement block required for measurement/invertible estimators or adaptation"
         )
     if needs_data:
-        sampler = _build_sampler(meas_cfg["sampler"])
-        if sampler.dim != p.dim:
-            raise ConfigError(f"sampler dim {sampler.dim} != mixture dim {p.dim}")
-        if dataset is not None:
-            if dataset.sampler.to_dict() != sampler.to_dict():
-                raise BasisMismatch("provided dataset was acquired under a different sampler")
-            data = dataset
-        elif "data_file" in meas_cfg:
+        sampler = _build_sampler(meas_cfg, p.dim)
+        if data is None and "data_file" in meas_cfg:
             try:
                 data = MeasurementDataset.load(meas_cfg["data_file"])
             except (OSError, ValueError, KeyError, TypeError) as err:
@@ -394,20 +408,11 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
                     f"measurement.data_file: cannot load {meas_cfg['data_file']}: "
                     f"{type(err).__name__}: {err}"
                 ) from err
-            if data.sampler.to_dict() != sampler.to_dict():
-                raise BasisMismatch(
-                    "measurement.data_file was acquired under a different sampler"
-                )
-        else:
-            n_meas = meas_cfg.get("n_measurements", DEFAULT_N_MEASUREMENTS)
-            draws = sample(p, n_meas, stream(seed, "data-x"))
-            data = MeasurementDataset.from_samples(
-                sampler,
-                draws,
-                sigma_z=meas_cfg.get("sigma_z", 0.0),
-                seed=seed,
-                n_operators=meas_cfg.get("n_operators"),
-            )
+        if data is None:
+            draws = sample(p, _n_measurements(meas_cfg), stream(seed, "data-x"))
+            data = _acquire(sampler, meas_cfg, draws, seed)
+        elif data.sampler.to_dict() != sampler.to_dict():
+            raise BasisMismatch("the data's sampler differs from measurement.sampler")
         report.ep_diag = estimate_projection_stats(data.support)
         if "invertible" in wanted:
             check_full_rank(data)
@@ -451,20 +456,26 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
     return report
 
 
-SWEEP_AXES = ("keep_prob", "n_measurements", "sigma_z")
+# each axis a sweep can vary: the type of its values and its place in a config
+SWEEP_AXES = {
+    "keep_prob": (float, ("measurement", "sampler", "keep_prob")),
+    "n_measurements": (int, ("measurement", "n_measurements")),
+    "sigma_z": (float, ("measurement", "sigma_z")),
+}
 
 
 def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
     """One run per axis value; same data draws, estimator seeds offset by index.
 
-    The clean draws behind the measurements come from the base seed for
-    every run, so the axis isolates what it varies: keep_prob changes only
-    the masks, sigma_z only the measurement noise, n_measurements only how
-    many of the shared draws are used. The per-run seed (recorded in each
-    report) is base seed + index. Each run takes E[P] from its own
-    dataset's observation frequency, as a run of that config alone would.
-    Each run writes to out_dir/<axis>=<value>, so values that are equal as
-    floats raise ConfigError before any run.
+    Run i's config is config with the axis set to values[i] and the seed
+    base seed + i. Every run's config and sampler are checked before any
+    draw, so a bad value raises ConfigError naming the field and nothing is
+    written. The clean draws come from the base seed for every run, so the
+    axis isolates what it varies: keep_prob changes only the masks, sigma_z
+    only the measurement noise, n_measurements only how many of the shared
+    draws are used. Each run takes E[P] from its own dataset, as a run of
+    that config alone would, and writes to out_dir/<axis>=<value>, so values
+    equal as floats raise ConfigError before any run.
 
     Returns (reports, summary_rows) where each summary row is
     (axis_value, kl_measurement, kl_image, abs_gap).
@@ -473,7 +484,7 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
         raise ConfigError(f"workers must be >= 1, got {workers}")
     validate_config(config)
     if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
+        raise ConfigError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     if "measurement" not in config:
         raise ConfigError("sweep needs a measurement block")
     if "data_file" in config["measurement"]:
@@ -488,42 +499,23 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
 
     base_seed = int(config["seed"])
     p, _ = _build_mixtures(config)
-    base_n = config["measurement"].get("n_measurements", DEFAULT_N_MEASUREMENTS)
-    max_n = base_n
-    if axis == "n_measurements":
-        max_n = max(int(v) for v in values)
-    shared_draws = sample(p, max_n, stream(base_seed, "data-x"))
-
-    reports = []
-    rows = []
+    kind, (*parents, key) = SWEEP_AXES[axis]
+    variants = []
     for i, value in enumerate(values):
         variant = json.loads(json.dumps(config))
-        n_meas = base_n
-        if axis == "keep_prob":
-            if variant["measurement"]["sampler"].get("kind") not in (
-                "coordinate-mask",
-                "patch-inpainting",
-            ):
-                raise ConfigError("keep_prob sweep needs a mask sampler")
-            variant["measurement"]["sampler"]["keep_prob"] = float(value)
-        elif axis == "n_measurements":
-            n_meas = int(value)
-            variant["measurement"]["n_measurements"] = n_meas
-        else:
-            variant["measurement"]["sigma_z"] = float(value)
+        functools.reduce(dict.__getitem__, parents, variant)[key] = kind(value)
         variant["seed"] = base_seed + i
-        data = MeasurementDataset.from_samples(
-            _build_sampler(variant["measurement"]["sampler"]),
-            shared_draws[:n_meas],
-            sigma_z=variant["measurement"].get("sigma_z", 0.0),
-            seed=base_seed,
-            n_operators=variant["measurement"].get("n_operators"),
-        )
+        validate_config(variant)
+        variants.append((variant, _build_sampler(variant["measurement"], p.dim)))
+    most = max(_n_measurements(variant["measurement"]) for variant, _ in variants)
+    shared_draws = sample(p, most, stream(base_seed, "data-x"))
+
+    reports, rows = [], []
+    for value, (variant, sampler) in zip(values, variants):
+        data = _acquire(sampler, variant["measurement"], shared_draws, base_seed)
         sub = Path(out_dir) / f"{axis}={value}" if out_dir is not None else None
-        report = run(variant, sub, workers, dataset=data)
-        reports.append(report)
-        km = report.estimates["measurement"].value
-        ki = report.estimates["image"].value
+        reports.append(run(variant, sub, workers, dataset=data))
+        km, ki = (reports[-1].estimates[mode].value for mode in ("measurement", "image"))
         rows.append((float(value), km, ki, abs(km - ki)))
 
     if out_dir is not None:

@@ -2,8 +2,9 @@
 
 The divergence estimators all reduce to an integral of the form
 ``int f(sigma) * sigma dsigma`` where f is a per-noise-level expectation
-estimated by Monte Carlo. This module owns the sigma grid, the trapezoid
-rule in sigma, standard-error propagation, and the running partial
+estimated by Monte Carlo. This module owns the log-uniform sigma grid,
+given by its endpoints and node count as a config's grid block is, the
+trapezoid rule in sigma, standard-error propagation, and the running partial
 integrals used for "divergence accumulated up to noise level sigma" curves.
 The integrand enters as two plain (m,) arrays, its Monte Carlo mean and
 standard error at each of the grid's m nodes.
@@ -18,53 +19,46 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class SigmaGrid:
-    """Strictly increasing positive noise levels plus a spacing tag."""
+    """count log-uniform noise levels from sigma_min to sigma_max, both included.
 
-    nodes: np.ndarray
-    spacing: str = "explicit"
+    A grid is its spec, and to_dict is a config's grid block (count under
+    "nodes"). Needs 0 < sigma_min < sigma_max < inf and count >= 2. nodes
+    is the read-only np.geomspace array, built on first use, so grids
+    compare by spec; its endpoints are sigma_min and sigma_max exactly.
+    """
+
+    sigma_min: float
+    sigma_max: float
+    count: int
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 2:
-            raise ValueError("grid needs at least 2 nodes")
-        if not (np.all(np.isfinite(nodes)) and nodes[0] > 0 and np.all(np.diff(nodes) > 0)):
-            raise ValueError("grid nodes must be finite, strictly increasing and positive")
+        if not (0 < self.sigma_min < self.sigma_max < np.inf):
+            raise ValueError(
+                f"need 0 < sigma_min < sigma_max < inf, got [{self.sigma_min}, {self.sigma_max}]"
+            )
+        if self.count < 2:
+            raise ValueError(f"count must be >= 2, got {self.count}")
+        object.__setattr__(self, "sigma_min", float(self.sigma_min))
+        object.__setattr__(self, "sigma_max", float(self.sigma_max))
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        nodes = np.geomspace(self.sigma_min, self.sigma_max, self.count)
         nodes.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
+        return nodes
 
     def __len__(self) -> int:
-        return self.nodes.size
-
-    @property
-    def sigma_min(self) -> float:
-        return float(self.nodes[0])
-
-    @property
-    def sigma_max(self) -> float:
-        return float(self.nodes[-1])
+        return self.count
 
     def to_dict(self) -> dict:
-        return {
-            "sigma_min": self.sigma_min,
-            "sigma_max": self.sigma_max,
-            "nodes": len(self),
-            "spacing": self.spacing,
-        }
-
-
-def make_log_grid(sigma_min: float, sigma_max: float, count: int) -> SigmaGrid:
-    """Log-uniform grid inclusive of both endpoints."""
-    if not (0 < sigma_min < sigma_max < np.inf):
-        raise ValueError(f"need 0 < sigma_min < sigma_max < inf, got [{sigma_min}, {sigma_max}]")
-    if count < 2:
-        raise ValueError(f"count must be >= 2, got {count}")
-    return SigmaGrid(nodes=np.geomspace(sigma_min, sigma_max, count), spacing="log-uniform")
+        return {"sigma_min": self.sigma_min, "sigma_max": self.sigma_max, "nodes": self.count}
 
 
 def _per_node(grid: SigmaGrid, values, name: str) -> np.ndarray:

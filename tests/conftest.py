@@ -5,8 +5,8 @@ from scoreshift import (
     MeasurementDataset,
     OperatorSampler,
     RightBasis,
+    SigmaGrid,
     estimate_projection_stats,
-    make_log_grid,
     sample,
 )
 from scoreshift.priors import gaussian_pair, triangle_pair
@@ -25,12 +25,12 @@ def gauss_pair():
 
 @pytest.fixture(scope="session")
 def toy_grid():
-    return make_log_grid(0.01, 1.0, 48)
+    return SigmaGrid(0.01, 1.0, 48)
 
 
 @pytest.fixture(scope="session")
 def wide_grid():
-    return make_log_grid(1e-2, 1e3, 256)
+    return SigmaGrid(1e-2, 1e3, 256)
 
 
 def count_qr(monkeypatch):

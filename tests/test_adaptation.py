@@ -10,10 +10,10 @@ from scoreshift import (
     DivergenceError,
     GaussianMixture,
     MeasurementDataset,
+    SigmaGrid,
     adapt,
     denoise,
     estimate_projection_stats,
-    make_log_grid,
     rotate,
     sample,
 )
@@ -224,7 +224,7 @@ class TestAdapt:
     def test_already_optimal_start_barely_moves(self, toy_pair, toy_masked_data):
         p, _ = toy_pair
         _, _, _, data = toy_masked_data
-        grid = make_log_grid(0.01, 1.0, 24)
+        grid = SigmaGrid(0.01, 1.0, 24)
         cfg = AdaptationConfig(
             step_size=1e-4, iterations=120, batch=128, sigma_draws=8, eval_samples=64, seed=41
         )
@@ -234,7 +234,7 @@ class TestAdapt:
 
     def test_shifted_gaussian_recovers_target_mean(self):
         p, q0 = gaussian_pair()
-        grid = make_log_grid(1e-2, 1e3, 96)
+        grid = SigmaGrid(1e-2, 1e3, 96)
         sampler = mask_sampler(dim=10, keep_prob=0.5, base_seed=21)
         draws = sample(p, 512, stream(33, "data-x"))
         data = MeasurementDataset.from_samples(sampler, draws, seed=33)
@@ -249,7 +249,7 @@ class TestAdapt:
         # loss overflow reaches the guard
         p, q = toy_pair
         _, _, _, data = toy_masked_data
-        grid = make_log_grid(0.01, 1.0, 16)
+        grid = SigmaGrid(0.01, 1.0, 16)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="not finite"):
             adapt(q, data, toy_cfg(step_size=1e300, seed=42), grid, ind_model=p)
 
@@ -258,7 +258,7 @@ class TestAdapt:
         # never recovers, so no second gradient step is taken
         p, q = toy_pair
         _, _, _, data = toy_masked_data
-        grid = make_log_grid(0.01, 1.0, 16)
+        grid = SigmaGrid(0.01, 1.0, 16)
         steps = []
 
         def counted(*args, **kwargs):
@@ -277,7 +277,7 @@ class TestAdapt:
         # fires once it has risen DIVERGENCE_PATIENCE (20) times in a row
         p, q = toy_pair
         _, _, _, data = toy_masked_data
-        grid = make_log_grid(0.01, 1.0, 16)
+        grid = SigmaGrid(0.01, 1.0, 16)
         losses = rising_eval_loss(monkeypatch)
         with pytest.raises(DivergenceError, match="rose for 20 consecutive steps"):
             adapt(q, data, toy_cfg(step_size=0.05, seed=46), grid, ind_model=p)
@@ -290,7 +290,7 @@ class TestAdapt:
         # at a plateau and hands back q0 untouched, the best iterate
         p, q = toy_pair
         _, _, _, data = toy_masked_data
-        grid = make_log_grid(0.01, 1.0, 16)
+        grid = SigmaGrid(0.01, 1.0, 16)
         adapted, report = adapt(q, data, toy_cfg(step_size=1e3, seed=seed), grid, ind_model=p)
         np.testing.assert_array_equal(adapted.means, q.means)
         assert report.param_delta["means"] == 0.0
@@ -299,7 +299,7 @@ class TestAdapt:
     def test_trajectory_bounded_and_best_loss_not_worse(self, toy_pair, toy_masked_data):
         p, q = toy_pair
         _, _, _, data = toy_masked_data
-        grid = make_log_grid(0.01, 1.0, 16)
+        grid = SigmaGrid(0.01, 1.0, 16)
         cfg = toy_cfg(step_size=0.2, iterations=25, seed=43)
         adapted, report = adapt(q, data, cfg, grid, ind_model=p)
         assert len(report.loss_trajectory) <= cfg.iterations + 1
@@ -310,7 +310,7 @@ class TestAdapt:
     def test_weights_stay_on_simplex_when_trainable(self, toy_pair, toy_masked_data):
         p, q = toy_pair
         _, _, _, data = toy_masked_data
-        grid = make_log_grid(0.01, 1.0, 16)
+        grid = SigmaGrid(0.01, 1.0, 16)
         skewed = GaussianMixture(
             weights=np.array([0.6, 0.2, 0.2]), means=q.means, variances=q.variances
         )
@@ -323,7 +323,7 @@ class TestAdapt:
     def test_variances_frozen(self, toy_pair, toy_masked_data):
         p, q = toy_pair
         _, _, _, data = toy_masked_data
-        grid = make_log_grid(0.01, 1.0, 16)
+        grid = SigmaGrid(0.01, 1.0, 16)
         cfg = toy_cfg(step_size=0.3, iterations=15, seed=45)
         adapted, _ = adapt(q, data, cfg, grid, ind_model=p)
         np.testing.assert_array_equal(adapted.variances, q.variances)

@@ -11,6 +11,7 @@ from scoreshift import (
     MeasurementDataset,
     OperatorSampler,
     RightBasis,
+    SigmaGrid,
     convolve,
     estimate_projection_stats,
     exact_kl_oracle,
@@ -18,7 +19,6 @@ from scoreshift import (
     kl_image,
     kl_invertible,
     kl_measurement,
-    make_log_grid,
     rotate,
     sample,
     score,
@@ -66,7 +66,7 @@ class TestKlImage:
 
     def test_toy_matches_truncated_oracle(self, toy_pair):
         p, q = toy_pair
-        grid = make_log_grid(0.01, 1.0, 100)
+        grid = SigmaGrid(0.01, 1.0, 100)
         est = kl_image(p, q, grid, n_samples=10**4, seed=2)
         combined = np.hypot(est.stderr, TOY_TRUNCATED_REF_STDERR)
         assert abs(est.value - TOY_TRUNCATED_REF) < 3 * combined
@@ -222,7 +222,7 @@ class TestProjectedCoordinates:
         sampler = mask_sampler(dim=dim, keep_prob=0.6, base_seed=11, basis=basis)
         draws = sample(p, 200, stream(41, "data-x"))
         data = MeasurementDataset.from_samples(sampler, draws, seed=41)
-        grid = make_log_grid(1e-2, 1e3, 16)
+        grid = SigmaGrid(1e-2, 1e3, 16)
         est = kl_measurement(p, q, data, grid, seed=42)
         reference = lifted_node_means(p, q, data, grid, seed=42)
         if basis_kind == "identity":
@@ -263,7 +263,7 @@ def noised(base, seed, support=True):
 def wide():
     p, q = triangle_pair(WIDE_DIM)
     assert 1 < ROWS < WIDE_N // 2
-    return p, q, make_log_grid(1e-2, 1e3, 5), sample(p, WIDE_N, stream(50, "data-x"))
+    return p, q, SigmaGrid(1e-2, 1e3, 5), sample(p, WIDE_N, stream(50, "data-x"))
 
 
 class TestBlockedKernel:
@@ -336,7 +336,7 @@ class TestSharedPass:
 
     @staticmethod
     def estimate(kind, p, q, workers):
-        grid = make_log_grid(1e-2, 1e3, 8)
+        grid = SigmaGrid(1e-2, 1e3, 8)
         if kind == "image-fresh":
             return kl_image(p, q, grid, n_samples=150, seed=70, workers=workers)
         draws = sample(p, 150, stream(71, "data-x"))
@@ -387,7 +387,7 @@ class TestSharedPass:
         draws = sample(p, 150, stream(71, "data-x"))
         sampler = mask_sampler(dim=16, keep_prob=0.6, base_seed=9)
         data = MeasurementDataset.from_samples(sampler, draws, seed=73)
-        grid = make_log_grid(1e-2, 1e3, 8)
+        grid = SigmaGrid(1e-2, 1e3, 8)
         tags, sampled = [], []
 
         def recording_stream(seed, *key):
@@ -475,7 +475,7 @@ class TestInvertibleIsMeasurement:
         )
         draws = sample(p, 150, stream(60, "data-x"))
         data = MeasurementDataset.from_samples(sampler, draws, sigma_z=0.7, seed=60, n_operators=7)
-        grid = make_log_grid(1e-2, 1e3, 12)
+        grid = SigmaGrid(1e-2, 1e3, 12)
         inv = kl_invertible(p, q, data, grid, seed=61, workers=workers)
         meas = kl_measurement(p, q, data, grid, seed=61, workers=workers)
         assert inv.mode == "invertible" and meas.mode == "measurement"
@@ -607,6 +607,7 @@ class TestDatasetLoadValidation:
             pytest.param(lambda recs: recs[3]["ybar"].pop(), id="short-ybar-row"),
             pytest.param(lambda recs: [r["ybar"].pop() for r in recs], id="short-ybar"),
             pytest.param(lambda recs: recs[5].update(op_index=-1), id="negative-op-index"),
+            pytest.param(lambda recs: recs[2].update(op_index=4.7), id="fractional-op-index"),
             pytest.param(lambda recs: recs[7].update(sigma_z=-0.5), id="negative-sigma-z"),
             pytest.param(lambda recs: recs[7].update(sigma_z=float("inf")), id="infinite-sigma-z"),
             pytest.param(lambda recs: recs[2]["ybar"].__setitem__(0, float("nan")), id="nan-ybar"),

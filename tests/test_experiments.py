@@ -1,5 +1,5 @@
 """Experiment runner: sweep projection stats and semantics, dataset guards, exit codes,
-config checks, config hash, workers."""
+config checks, config hash, workers, the sweep command, and refused runs and sweeps."""
 
 import json
 import os
@@ -340,16 +340,9 @@ class TestEntryChecks:
     @pytest.fixture
     def calls(self, monkeypatch):
         """Record each adapt and estimator call a run makes."""
-        called = []
-        for name in ("adapt", "kl_image", "kl_measurement", "kl_invertible"):
-            real = getattr(experiments, name)
-
-            def wrapper(*args, _name=name, _real=real, **kwargs):
-                called.append(_name)
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(experiments, name, wrapper)
-        return called
+        return record_calls(
+            monkeypatch, experiments, ("adapt", "kl_image", "kl_measurement", "kl_invertible")
+        )
 
     @pytest.mark.parametrize("source", ["draws", "data_file", "adapting"])
     def test_invertible_under_masking_exits_3(self, tmp_path, capsys, calls, source):
@@ -447,6 +440,11 @@ BAD_CONFIGS = [
         "above-maximum",
         set_field("measurement.sampler.keep_prob", [0.6, 1.5, 0.6, 0.6]),
         "$.measurement.sampler.keep_prob[1]: 1.5 is out of range: maximum is 1",
+    ),
+    (
+        "scalar-above-maximum",
+        set_field("measurement.sampler.keep_prob", 1.5),
+        "$.measurement.sampler.keep_prob: 1.5 is out of range: maximum is 1",
     ),
     (
         "at-exclusive-minimum",
@@ -707,3 +705,164 @@ class TestAdaptingRun:
             code = cli.main(["run", "--config", config_file(tmp_path, diverging_config())])
         assert code == cli.EXIT_DIVERGENCE
         assert called == []
+
+
+def record_calls(monkeypatch, module, names):
+    """Replace each named function of module with a wrapper that records its calls."""
+    called = []
+    for name in names:
+        real = getattr(module, name)
+
+        def wrapper(*args, _name=name, _real=real, **kwargs):
+            called.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return called
+
+
+def sweep_argv(tmp_path, config, axis, values):
+    return ["sweep", "--config", config_file(tmp_path, config), "--axis", axis,
+            "--values", values, "--out", str(tmp_path / "out")]
+
+
+class TestSweepCli:
+    def test_prints_and_writes_the_rows_it_returns(self, tmp_path, capsys, monkeypatch):
+        returned = []
+
+        def capturing(*args, **kwargs):
+            returned.append(experiments.sweep(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(cli, "sweep", capturing)
+        argv = sweep_argv(tmp_path, small_config(), "n_measurements", "8,16")
+        assert cli.main(argv) == cli.EXIT_OK
+        (reports, rows), = returned
+        assert [r.estimates["measurement"].n_samples for r in reports] == [8, 16]
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["axis_value kl_measurement kl_image abs_gap"] + [
+            f"{v:g} {km:.6g} {ki:.6g} {gap:.6g}" for v, km, ki, gap in rows
+        ]
+        lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert lines[0] == "axis_value,kl_measurement,kl_image,abs_gap"
+        assert [tuple(map(float, line.split(","))) for line in lines[1:]] == rows
+        assert all((tmp_path / "out" / f"n_measurements={n}" / "report.json").is_file()
+                   for n in (8, 16))
+
+    @pytest.mark.parametrize(
+        "axis, values, message",
+        [
+            ("sigma_z", "-1", "$.measurement.sigma_z: -1.0 is out of range: minimum is 0"),
+            ("sigma_z", "nan", "$.measurement.sigma_z: nan is not a finite number"),
+            ("sigma_z", "0.5,inf", "$.measurement.sigma_z: inf is not a finite number"),
+            ("n_measurements", "0", "$.measurement.n_measurements: 0 is out of range: minimum"),
+            ("n_measurements", "5,0", "$.measurement.n_measurements: 0 is out of range: minimum"),
+            ("keep_prob", "0.5,1.5", "$.measurement.sampler.keep_prob: 1.5 is out of range"),
+        ],
+        ids=["sigma_z-negative", "sigma_z-nan", "sigma_z-inf", "n-zero", "n-5-then-0",
+             "keep_prob-1.5"],
+    )
+    def test_bad_value_exits_2_naming_the_field_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, axis, values, message
+    ):
+        called = record_calls(monkeypatch, experiments, ["sample", "run"])
+        assert cli.main(sweep_argv(tmp_path, small_config(), axis, values)) == cli.EXIT_CONFIG
+        assert f"config error: config field {message}" in capsys.readouterr().err
+        assert called == [] and not (tmp_path / "out").exists()
+
+    def test_keep_prob_on_a_band_sampler_exits_2(self, tmp_path, capsys, monkeypatch):
+        config = small_config()
+        config["measurement"]["sampler"] = {"kind": "band-subsample", "dim": 4, "low_count": 2,
+                                            "rand_count": 1}
+        called = record_calls(monkeypatch, experiments, ["sample", "run"])
+        assert cli.main(sweep_argv(tmp_path, config, "keep_prob", "0.5")) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "measurement.sampler: band-subsample sampler does not read keep_prob" in err
+        assert called == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "axis, values, message",
+        [
+            ("sigma_z", "", "--values must list at least one number"),
+            ("sigma_z", " , ", "--values must list at least one number"),
+            ("sigma_z", "0.5,high", "--values: could not convert string to float: 'high'"),
+            ("n_measurements", "8,1.5", "--values: invalid literal for int() with base 10: '1.5'"),
+        ],
+        ids=["empty", "blank", "non-numeric", "fractional-count"],
+    )
+    def test_unparsable_values_exit_2(self, tmp_path, capsys, axis, values, message):
+        assert cli.main(sweep_argv(tmp_path, small_config(), axis, values)) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def without_measurement(config):
+    config.pop("measurement")
+
+
+class TestApiRefusals:
+    @pytest.mark.parametrize(
+        "mutate, axis, values, message",
+        [
+            (None, "seed", [1, 2], "sweep axis must be one of ('keep_prob', 'n_measurements',"),
+            (without_measurement, "sigma_z", [0.0], "sweep needs a measurement block"),
+            (None, "sigma_z", [], "sweep needs at least one axis value"),
+            (set_field("estimators", ["measurement"]), "sigma_z", [0.0],
+             "sweep requires the 'image' estimator"),
+            (set_field("estimators", ["image"]), "sigma_z", [0.0],
+             "sweep requires the 'measurement' estimator"),
+            (set_field("measurement.sampler.dim", 16), "sigma_z", [0.0],
+             "sampler dim 16 != mixture dim 4"),
+        ],
+        ids=["unknown-axis", "no-measurement-block", "no-values", "no-image", "no-measurement",
+             "sampler-dim"],
+    )
+    def test_sweep_refuses(self, monkeypatch, mutate, axis, values, message):
+        config = small_config()
+        if mutate:
+            mutate(config)
+        called = record_calls(monkeypatch, experiments, ["sample", "run"])
+        with pytest.raises(experiments.ConfigError) as err:
+            experiments.sweep(config, axis, values)
+        assert message in str(err.value) and called == []
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (without_measurement, "measurement block required for measurement/invertible"),
+            (set_field("measurement.sampler.dim", 16), "sampler dim 16 != mixture dim 4"),
+            (set_field("mixtures.ood", triangle_pair(dim=8)[1].to_dict()),
+             "mixtures: ind dim 4 != ood dim 8"),
+        ],
+        ids=["no-measurement-block", "sampler-dim", "mixture-dims"],
+    )
+    def test_run_refuses(self, mutate, message):
+        config = small_config()
+        mutate(config)
+        with pytest.raises(experiments.ConfigError, match=re.escape(message)):
+            experiments.run(config)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "cannot read config"), ('{"seed": 3,\n', "is not valid JSON: line 2 column 1")],
+        ids=["missing", "invalid-json"],
+    )
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_seed_override(self, tmp_path):
+        config = small_config()
+        argv = ["run", "--config", config_file(tmp_path, config), "--seed", "11",
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_OK
+        written = json.loads((tmp_path / "out" / "report.json").read_text())
+        config["seed"] = 11
+        expected = json.loads(json.dumps(experiments.run(config).to_dict()))
+        for doc in (written, expected):
+            doc.pop("wall_clock_s")
+        assert written == expected and written["seed"] == 11
+        assert written["config_hash"] == experiments.config_hash(config)

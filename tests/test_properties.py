@@ -12,13 +12,13 @@ from scoreshift import (
     GaussianMixture,
     MeasurementDataset,
     RightBasis,
+    SigmaGrid,
     denoise,
     integrate,
     kl_image,
     kl_invertible,
     kl_measurement,
     log_density,
-    make_log_grid,
     responsibilities,
     rotate,
     sample,
@@ -29,7 +29,7 @@ from scoreshift.rng import stream
 from tests.conftest import mask_sampler
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
-GRID = make_log_grid(0.05, 5.0, 6)
+GRID = SigmaGrid(0.05, 5.0, 6)
 
 coords = st.floats(-4.0, 4.0, allow_nan=False)
 

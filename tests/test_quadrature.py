@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from scoreshift import (
-    SigmaGrid,
-    cumulative_integral,
-    integrate,
-    make_log_grid,
-    series_csv,
-)
+from scoreshift import SigmaGrid, cumulative_integral, integrate, series_csv
 
 
 def gaussian_pair_series(grid, dmu_sq=25.0):
@@ -22,81 +16,81 @@ def gaussian_pair_series(grid, dmu_sq=25.0):
 
 class TestSigmaGrid:
     def test_log_midpoint(self):
-        grid = make_log_grid(0.01, 1.0, 3)
+        grid = SigmaGrid(0.01, 1.0, 3)
         np.testing.assert_allclose(grid.nodes, [0.01, 0.1, 1.0], rtol=1e-12)
 
     def test_log_uniform_ratios(self):
-        grid = make_log_grid(1e-2, 1e3, 6)
+        grid = SigmaGrid(1e-2, 1e3, 6)
         ratios = grid.nodes[1:] / grid.nodes[:-1]
         np.testing.assert_allclose(ratios, 10.0, rtol=1e-12)
 
     def test_reference_range_endpoints(self):
-        grid = make_log_grid(0.01, 1.0, 100)
-        assert grid.sigma_min == pytest.approx(0.01)
-        assert grid.sigma_max == pytest.approx(1.0)
-        assert len(grid) == 100 and grid.spacing == "log-uniform"
+        grid = SigmaGrid(0.01, 1.0, 100)
+        assert (grid.nodes[0], grid.nodes[-1]) == (grid.sigma_min, grid.sigma_max) == (0.01, 1.0)
+        assert len(grid) == grid.nodes.size == 100
+
+    def test_spec_is_the_config_block(self):
+        block = {"sigma_min": 0.01, "sigma_max": 1000, "nodes": 64}
+        grid = SigmaGrid(block["sigma_min"], block["sigma_max"], block["nodes"])
+        assert grid.to_dict() == block and type(grid.to_dict()["sigma_max"]) is float
+        assert grid == SigmaGrid(0.01, 1000.0, 64) != SigmaGrid(0.01, 1000.0, 65)
+        assert not grid.nodes.flags.writeable and grid.nodes is grid.nodes
 
     def test_bad_ordering_rejected(self):
         with pytest.raises(ValueError):
-            make_log_grid(1.0, 0.5, 4)
+            SigmaGrid(1.0, 0.5, 4)
         with pytest.raises(ValueError):
-            make_log_grid(0.0, 1.0, 4)
+            SigmaGrid(0.0, 1.0, 4)
 
     def test_too_few_nodes_rejected(self):
-        with pytest.raises(ValueError):
-            make_log_grid(0.1, 1.0, 1)
-        with pytest.raises(ValueError):
-            SigmaGrid(nodes=np.array([0.5]))
+        with pytest.raises(ValueError, match="count must be >= 2, got 1"):
+            SigmaGrid(0.1, 1.0, 1)
 
     def test_non_increasing_nodes_rejected(self):
-        with pytest.raises(ValueError):
-            SigmaGrid(nodes=np.array([0.1, 0.1, 0.2]))
+        # equal endpoints would repeat one node
+        with pytest.raises(ValueError, match="sigma_min < sigma_max"):
+            SigmaGrid(0.1, 0.1, 3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_nodes_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            SigmaGrid(nodes=np.array([0.1, 0.2, bad]))
         with pytest.raises(ValueError, match="sigma_max < inf"):
-            make_log_grid(0.01, bad, 4)
+            SigmaGrid(0.01, bad, 4)
+        with pytest.raises(ValueError, match="sigma_max < inf"):
+            SigmaGrid(bad, 1.0, 4)
 
 
 class TestIntegrate:
     def test_zero_series(self):
-        grid = make_log_grid(0.1, 10.0, 16)
+        grid = SigmaGrid(0.1, 10.0, 16)
         value, stderr = integrate(grid, np.zeros(16), np.zeros(16))
         assert value == 0.0 and stderr == 0.0
 
     def test_gaussian_pair_closed_form(self):
         # oracle: int_0^inf sigma/(1+sigma^2)^2 dsigma = 1/2 exactly
-        grid = make_log_grid(1e-2, 1e3, 256)
+        grid = SigmaGrid(1e-2, 1e3, 256)
         value, _ = integrate(grid, *gaussian_pair_series(grid))
         assert value == pytest.approx(12.5, rel=0.005)
 
     def test_truncation_tail_is_negligible_at_default_cap(self):
-        grid = make_log_grid(1e-2, 1e3, 256)
+        grid = SigmaGrid(1e-2, 1e3, 256)
         tail = 25.0 / (2 * (1 + grid.sigma_max**2))
         assert tail < 1.3e-5
 
     def test_refinement_changes_little_past_256_nodes(self):
-        v256, _ = integrate(
-            make_log_grid(1e-2, 1e3, 256),
-            *gaussian_pair_series(make_log_grid(1e-2, 1e3, 256)),
-        )
-        v512, _ = integrate(
-            make_log_grid(1e-2, 1e3, 512),
-            *gaussian_pair_series(make_log_grid(1e-2, 1e3, 512)),
-        )
+        coarse, fine = SigmaGrid(1e-2, 1e3, 256), SigmaGrid(1e-2, 1e3, 512)
+        v256, _ = integrate(coarse, *gaussian_pair_series(coarse))
+        v512, _ = integrate(fine, *gaussian_pair_series(fine))
         assert abs(v512 - v256) / v256 < 0.002
 
     def test_stderr_combines_in_quadrature(self):
-        grid = SigmaGrid(nodes=np.array([1.0, 2.0, 4.0]))
+        grid = SigmaGrid(1.0, 4.0, 3)
         # trapezoid node weights on g = f * sigma: w = [0.5, 1.5, 1.0] * sigma
         _, stderr = integrate(grid, np.ones(3), [0.1, 0.2, 0.0])
         expected = np.sqrt((0.5 * 1.0 * 0.1) ** 2 + (1.5 * 2.0 * 0.2) ** 2)
         assert stderr == pytest.approx(expected, rel=1e-12)
 
     def test_length_mismatch(self):
-        grid = make_log_grid(0.1, 1.0, 4)
+        grid = SigmaGrid(0.1, 1.0, 4)
         with pytest.raises(ValueError, match="grid"):
             integrate(grid, np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError, match="grid"):
@@ -105,7 +99,7 @@ class TestIntegrate:
             cumulative_integral(grid, np.zeros((4, 1)))
 
     def test_negative_means_rejected_by_series(self):
-        grid = make_log_grid(0.1, 1.0, 2)
+        grid = SigmaGrid(0.1, 1.0, 2)
         with pytest.raises(ValueError, match="nonnegative"):
             integrate(grid, [-1.0, 0.0], np.zeros(2))
         with pytest.raises(ValueError, match="nonnegative"):
@@ -116,14 +110,14 @@ class TestIntegrate:
 
 class TestCumulative:
     def test_zero_series_gives_zero_curve(self):
-        grid = make_log_grid(0.1, 1.0, 8)
+        grid = SigmaGrid(0.1, 1.0, 8)
         np.testing.assert_array_equal(
             cumulative_integral(grid, np.zeros(8)),
             np.zeros(8),
         )
 
     def test_single_bump_gives_step(self):
-        grid = make_log_grid(0.1, 10.0, 9)
+        grid = SigmaGrid(0.1, 10.0, 9)
         means = np.zeros(9)
         means[4] = 1.0
         curve = cumulative_integral(grid, means)
@@ -132,7 +126,7 @@ class TestCumulative:
         assert np.all(np.diff(curve) >= 0)
 
     def test_final_entry_equals_integrate(self):
-        grid = make_log_grid(1e-2, 1e3, 128)
+        grid = SigmaGrid(1e-2, 1e3, 128)
         means, stderrs = gaussian_pair_series(grid)
         curve = cumulative_integral(grid, means)
         value, _ = integrate(grid, means, stderrs)
@@ -140,7 +134,7 @@ class TestCumulative:
         assert curve[-1] == pytest.approx(12.5, rel=0.01)
 
     def test_nondecreasing_for_nonnegative_means(self):
-        grid = make_log_grid(0.05, 5.0, 32)
+        grid = SigmaGrid(0.05, 5.0, 32)
         means = np.abs(np.sin(np.arange(32)))
         curve = cumulative_integral(grid, means)
         assert np.all(np.diff(curve) >= 0)
@@ -148,7 +142,7 @@ class TestCumulative:
 
 class TestSeriesCsv:
     def test_header_and_roundtrip_precision(self):
-        grid = make_log_grid(0.1, 1.0, 4)
+        grid = SigmaGrid(0.1, 1.0, 4)
         means = np.array([1 / 3, 0.1, 2.0, 0.0])
         text = series_csv(grid, means, [0.01, 0.0, 0.5, 0.0])
         lines = text.strip().split("\n")
