@@ -2,14 +2,15 @@
 
 The divergence is the integral over sigma of E||grad log p_sigma -
 grad log q_sigma||^2 sigma, and one kernel, _score_gap_kl, evaluates it in
-all three settings. Node j of the sigma grid gets its (N, dim) points from
-the estimator, takes the two priors' score gap there block by block of
-rows, optionally weights it per coordinate, and averages its squared norm;
-the node means are then integrated. The kernel never sees a basis.
+all three settings. Node j of the sigma grid gets its N points from the
+estimator one block of rows at a time, into buffers the node reuses, so no
+node holds an (N, dim) array: it takes the two priors' score gap on each
+block, optionally weights it per coordinate, and keeps each row's squared
+norm; the node means are then integrated. The kernel never sees a basis.
 
-  * image domain: fresh points x_sigma ~ p_sigma drawn from the stream
-    (seed, "node-x", j), or one fixed array noised as base + sigma * eps
-    with eps from (seed, "sigma-noise", j).
+  * image domain: fresh points x_sigma ~ p_sigma drawn block by block from
+    the stream (seed, "node-x", j) by gmm.sample_blocks, or one fixed array
+    noised as base + sigma * eps with eps from (seed, "sigma-noise", j).
   * measurement domain: base ybar from a MeasurementDataset, noised the
     same way with eps masked to each row's support P. The priors are
     first rotated into the sampler's projected basis (means V^T mu_k).
@@ -44,7 +45,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gmm import GaussianMixture, convolve, rotate, sample, score
+# sample is unused here; it stays bound because benchmarks/layers.py wraps estimators.sample
+from .gmm import GaussianMixture, convolve, rotate, sample, sample_blocks, score
 from .measurements import (
     OperatorSampler,
     RankDeficient,
@@ -58,7 +60,8 @@ from .rng import stream
 _NOISE_TAG = "sigma-noise"
 _NODE_X_TAG = "node-x"
 # Budget for one (rows, K, dim) float64 temporary of score per block: 1 MiB
-# leaves room for the block's other temporaries in a 2 MiB L2 cache.
+# leaves room for the block's other temporaries in a 2 MiB L2 cache. It
+# bounds a node's points and noise too, which are drawn a block at a time.
 _BLOCK_BYTES = 2**20
 
 
@@ -211,51 +214,66 @@ class MeasurementDataset:
 def _noised(base: np.ndarray, seed: int, support=None):
     """Node points base + sigma * (eps * support), eps from (seed, "sigma-noise", j).
 
-    The (N, dim) base is reused at every node; only its noise is fresh. A
-    None support is the identity and is skipped, not applied.
+    The (N, dim) base is reused at every node; only its noise is fresh. Each
+    block's eps is drawn into one buffer the node reuses, then masked, scaled
+    and added to the block's base rows in place. numpy fills normals in
+    sequence, so the blocks are the one-draw noise bit for bit. A None
+    support is the identity and is skipped, not applied.
     """
+    count, dim = base.shape
 
-    def points(j: int, sigma: float) -> np.ndarray:
-        eps = stream(seed, _NOISE_TAG, j).standard_normal(base.shape)
-        if support is not None:
-            eps *= support
-        return base + sigma * eps
+    def points(j: int, sigma: float, rows: int):
+        rng = stream(seed, _NOISE_TAG, j)
+        buf = np.empty((min(rows, count), dim))
+        for start in range(0, count, rows):
+            block = slice(start, start + rows)
+            pts = rng.standard_normal(out=buf[: len(base[block])])
+            if support is not None:
+                pts *= support[block]
+            pts *= sigma
+            pts += base[block]
+            yield block, pts
 
     return points
 
 
 def _score_gap_kl(
     p: GaussianMixture, qs: tuple[GaussianMixture, ...], grid: SigmaGrid, points, count: int,
-    workers: int, mode: str, factor=None,
+    workers: int, mode: str, support=None, weight=None,
 ) -> tuple[KlEstimate, ...]:
     """The one score-gap kernel: per-node squared gaps, node statistics, quadrature.
 
-    Node j takes its (count, dim) points from points(j, sigma) once, then
-    walks them in blocks of rows: p's score, then for each q its score, the
-    gap (times the block's rows of factor, unless factor is None) and each
-    row's squared norm, into that q's (count,) array whose mean and stderr
-    are the node's. Each q's estimate is bit for bit that of qs = (q,). A
-    block holds max(1, _BLOCK_BYTES // (8 K dim)) rows, K the most
-    components, 170 for K = 3 at dim 256, so score's (rows, K, dim) float64
-    temporaries stay in cache (2048 rows would make 12.6 MB ones). Blocking
-    is exact: each step computes row i from row i alone, in an order that
-    does not depend on the rows beside it. All share one coordinate system.
+    Node j walks its count points in blocks of rows, (block, pts) from
+    points(j, sigma, rows), a slice of the count rows and those rows' points:
+    p's score, then for each q its score, the gap (masked in place to the
+    block's rows of the (count, dim) support, then times the (dim,) weight;
+    a None is skipped) and each row's squared norm, into that q's (count,)
+    array whose mean and stderr are the node's. Masking first gives the
+    bits of gap * (weight * support) without a block-sized temporary, which
+    on worker threads would make glibc trim and re-fault the heap each
+    block. Each q's estimate is bit for bit that of qs = (q,). A block holds
+    max(1, _BLOCK_BYTES // (8 K dim)) rows, K the most components, 170 for
+    K = 3 at dim 256, so score's (rows, K, dim) float64 temporaries stay in
+    cache (2048 rows would make 12.6 MB ones) and a node's points never take
+    more than a block. Blocking is exact: each step computes row i from row
+    i alone, in an order that does not depend on the rows beside it. All
+    share one coordinate system.
     """
     rows = max(1, _BLOCK_BYTES // (8 * max(m.n_components for m in (p, *qs)) * p.dim))
 
     def node(j: int, sigma: float) -> list[tuple[float, float]]:
-        pts = points(j, sigma)
         vals = np.empty((len(qs), count))
-        for start in range(0, count, rows):
-            block = slice(start, start + rows)
+        for block, pts in points(j, sigma, rows):
             # Free as `score(p) - score(q)` would: the last q's subtraction drops
             # p's score, a gap goes before the next q. Else glibc trims and
             # re-faults the heap: 1 MiB a block at dim 64 on worker threads.
-            sps = [score(p, pts[block], sigma)] * len(qs)
+            sps = [score(p, pts, sigma)] * len(qs)
             for q, v in zip(qs, vals):
-                gap = sps.pop() - score(q, pts[block], sigma)
-                if factor is not None:
-                    gap *= factor[block]
+                gap = sps.pop() - score(q, pts, sigma)
+                if support is not None:
+                    gap *= support[block]
+                if weight is not None:
+                    gap *= weight
                 v[block] = np.einsum("ni,ni->n", gap, gap)
                 if sps:
                     del gap
@@ -294,13 +312,15 @@ def kl_image(
         n_samples: draw a fresh batch x_sigma ~ p_sigma at every sigma node
             (default estimator; node means then have independent errors).
             p_sigma = convolve(p, sigma) is again a mixture, so the batch is
-            one sample() call from the stream (seed, "node-x", j): x ~ p
-            plus sigma * eps in distribution, from half the normal draws.
+            drawn block by block by sample_blocks from the stream (seed,
+            "node-x", j): x ~ p plus sigma * eps in distribution, from half
+            the normal draws, and bit for bit one sample() call.
         samples: instead reuse one fixed (N, n) array of points at every
             node (common random numbers), noised per node as base +
             sigma * eps with eps from (seed, "sigma-noise", j), the same
             noise the measurement estimators draw, so a full observation
-            of these points follows this estimator bit for bit.
+            of these points follows this estimator bit for bit. It needs
+            at least one row, all finite, as a MeasurementDataset does.
             Exactly one of n_samples / samples must be given.
     """
     qs = q if isinstance(q, tuple) else (q,)
@@ -311,14 +331,16 @@ def kl_image(
     if samples is None and n_samples < 2:
         raise ValueError("n_samples must be >= 2")
 
-    def points(j: int, sigma: float) -> np.ndarray:
-        return sample(convolve(p, sigma), n_samples, stream(seed, _NODE_X_TAG, j))
+    def points(j: int, sigma: float, rows: int):
+        return sample_blocks(convolve(p, sigma), n_samples, stream(seed, _NODE_X_TAG, j), rows)
 
     count = n_samples
     if samples is not None:
         fixed = np.asarray(samples, dtype=float)
         if fixed.shape[1:] != (p.dim,):
             raise ValueError(f"samples must be (N, {p.dim}) for these priors, got {fixed.shape}")
+        if len(fixed) == 0 or not np.all(np.isfinite(fixed)):
+            raise ValueError("samples must hold at least one row, and only finite entries")
         points, count = _noised(fixed, seed), len(fixed)
     estimates = _score_gap_kl(p, qs, grid, points, count, workers, "image")
     return estimates if isinstance(q, tuple) else estimates[0]
@@ -352,18 +374,22 @@ def kl_measurement(
         raise ValueError("dimension mismatch between priors and measurements")
     support = data.support
     ep = estimate_projection_stats(support)
-    factor = ep**-1.5 * ep * support  # = ep^(-1/2) on observed coordinates
+    weight = ep**-1.5 * ep  # = ep^(-1/2), applied on each row's observed coordinates
     to_basis = data.sampler.basis.matrix.T
     estimates = _score_gap_kl(
         rotate(p, to_basis), tuple(rotate(m, to_basis) for m in qs), grid,
-        _noised(data.ybar, seed, support), len(data), workers, "measurement", factor=factor,
+        _noised(data.ybar, seed, support), len(data), workers, "measurement", support, weight,
     )
     return estimates if isinstance(q, tuple) else estimates[0]
 
 
-def check_full_rank(data: MeasurementDataset) -> None:
-    """Raise RankDeficient unless every row's operator is full rank, as kl_invertible needs."""
-    bad = np.unique(data.op_index[~data.support.all(axis=1)])[:4].tolist()
+def check_full_rank(op_index: np.ndarray, support: np.ndarray) -> None:
+    """Raise RankDeficient unless every operator is full rank, as kl_invertible needs.
+
+    op_index (N,) and support (N, n) are a dataset's columns, or any operators
+    with their supports.
+    """
+    bad = np.unique(op_index[~support.all(axis=1)])[:4].tolist()
     if bad:
         raise RankDeficient(
             f"kl_invertible requires full-rank operators; rank-deficient op_index: {bad}"
@@ -388,5 +414,5 @@ def kl_invertible(
     it bit for bit, under mode "invertible". With an identity operator it
     follows the image-domain estimator's sample paths exactly.
     """
-    check_full_rank(data)
+    check_full_rank(data.op_index, data.support)
     return replace(kl_measurement(p, q, data, grid, seed, workers), mode="invertible")

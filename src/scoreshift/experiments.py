@@ -33,7 +33,12 @@ from .estimators import (
     kl_measurement,
 )
 from .gmm import GaussianMixture, sample
-from .measurements import BasisMismatch, OperatorSampler, estimate_projection_stats
+from .measurements import (
+    BasisMismatch,
+    OperatorSampler,
+    estimate_projection_stats,
+    sample_operator,
+)
 from .quadrature import SigmaGrid, series_csv
 from .rng import stream
 
@@ -409,13 +414,16 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
                     f"{type(err).__name__}: {err}"
                 ) from err
         if data is None:
-            draws = sample(p, _n_measurements(meas_cfg), stream(seed, "data-x"))
-            data = _acquire(sampler, meas_cfg, draws, seed)
+            # not bound to a name, so the draws are freed once measured
+            data = _acquire(
+                sampler, meas_cfg, sample(p, _n_measurements(meas_cfg), stream(seed, "data-x")),
+                seed,
+            )
         elif data.sampler.to_dict() != sampler.to_dict():
             raise BasisMismatch("the data's sampler differs from measurement.sampler")
         report.ep_diag = estimate_projection_stats(data.support)
         if "invertible" in wanted:
-            check_full_rank(data)
+            check_full_rank(data.op_index, data.support)
 
     if "adaptation" in config:
         acfg = AdaptationConfig(seed=seed, **config["adaptation"])
@@ -470,12 +478,14 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
     Run i's config is config with the axis set to values[i] and the seed
     base seed + i. Every run's config and sampler are checked before any
     draw, so a bad value raises ConfigError naming the field and nothing is
-    written. The clean draws come from the base seed for every run, so the
-    axis isolates what it varies: keep_prob changes only the masks, sigma_z
-    only the measurement noise, n_measurements only how many of the shared
-    draws are used. Each run takes E[P] from its own dataset, as a run of
-    that config alone would, and writes to out_dir/<axis>=<value>, so values
-    equal as floats raise ConfigError before any run.
+    written; so are, for the invertible estimator, the ranks of the
+    operators each run will measure with (RankDeficient). The clean draws
+    come from the base seed for every run, so the axis isolates what it
+    varies: keep_prob changes only the masks, sigma_z only the measurement
+    noise, n_measurements only how many of the shared draws are used. Each
+    run takes E[P] from its own dataset, as a run of that config alone
+    would, and writes to out_dir/<axis>=<value>, so values equal as floats
+    raise ConfigError before any run.
 
     Returns (reports, summary_rows) where each summary row is
     (axis_value, kl_measurement, kl_image, abs_gap).
@@ -506,7 +516,13 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
         functools.reduce(dict.__getitem__, parents, variant)[key] = kind(value)
         variant["seed"] = base_seed + i
         validate_config(variant)
-        variants.append((variant, _build_sampler(variant["measurement"], p.dim)))
+        meas = variant["measurement"]
+        sampler = _build_sampler(meas, p.dim)
+        if "invertible" in variant["estimators"]:
+            count = _n_measurements(meas)
+            ops = range(min(count, meas.get("n_operators", count)))
+            check_full_rank(np.array(ops), np.array([sample_operator(sampler, i) for i in ops]))
+        variants.append((variant, sampler))
     most = max(_n_measurements(variant["measurement"]) for variant, _ in variants)
     shared_draws = sample(p, most, stream(base_seed, "data-x"))
 

@@ -192,21 +192,39 @@ def denoise(gmm: GaussianMixture, x, sigma: float) -> np.ndarray:
     return np.asarray(x, dtype=float) + float(sigma) ** 2 * score(gmm, x, sigma)
 
 
-def sample(gmm: GaussianMixture, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw count points: component index from weights, then a Gaussian draw.
+def sample_blocks(gmm: GaussianMixture, count: int, rng: np.random.Generator, rows: int):
+    """Yield (block, pts): count draws of the mixture, rows at a time.
 
+    The one holder of the sampling law: all count component indices are
+    drawn from weights first, then each block's normals in order, scaled by
+    the components' standard deviations and shifted by their means in place,
+    one masked add per component, so a block takes one buffer and no
+    block-sized temporary. numpy fills normals in sequence, so the blocks
+    concatenate to the one-block draw bit for bit. block is the rows' slice
+    of the count draws; pts, (len, n), is a view of one buffer that the next
+    block overwrites.
     rng is a numpy Generator, in the package always a stream(seed, purpose,
-    index); an int seed raises TypeError. Returns a read-only (count, n)
-    array of points.
+    index); an int seed raises TypeError.
     """
     if not isinstance(rng, np.random.Generator):
         raise TypeError(f"rng must be a Generator from stream(seed, ...), got {rng!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     idx = rng.choice(gmm.n_components, size=count, p=gmm.weights)
-    pts = rng.standard_normal((count, gmm.dim))
-    pts *= np.sqrt(gmm.variances[idx])[:, None]
-    pts += gmm.means[idx]
+    buf = np.empty((min(rows, count), gmm.dim))
+    for start in range(0, count, rows):
+        block = slice(start, start + rows)
+        k = idx[block]
+        pts = rng.standard_normal(out=buf[: len(k)])
+        pts *= np.sqrt(gmm.variances[k])[:, None]
+        for c, mean in enumerate(gmm.means):
+            np.add(pts, mean, out=pts, where=(k == c)[:, None])
+        yield block, pts
+
+
+def sample(gmm: GaussianMixture, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw count points, sample_blocks' law in one block: a read-only (count, n) array."""
+    ((_, pts),) = sample_blocks(gmm, count, rng, count)
     pts.setflags(write=False)
     return pts
 

@@ -1,6 +1,7 @@
 """The three divergence estimators against closed-form and brute-force oracles."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from scoreshift import (
 )
 from scoreshift import estimators
 from scoreshift.estimators import KlEstimate
+from scoreshift.gmm import sample_blocks
 from scoreshift.measurements import SpanViolation, sample_operator
 from scoreshift.priors import gaussian_pair, triangle_pair
 from scoreshift.rng import stream
@@ -97,6 +99,20 @@ class TestKlImage:
         p, q = toy_pair
         with pytest.raises(ValueError, match=r"\(N, 10\)"):
             kl_image(p, q, toy_grid, samples=np.zeros((50, width)), seed=0)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.zeros((0, 10)),
+            np.full((4, 10), np.nan),
+            np.full((3, 10), np.inf),
+            np.where(np.arange(80).reshape(8, 10) == 52, np.nan, 1.0),
+        ],
+    )
+    def test_samples_must_be_finite_rows(self, toy_pair, toy_grid, rows):
+        p, q = toy_pair
+        with pytest.raises(ValueError, match="samples must hold at least one row"):
+            kl_image(p, q, toy_grid, samples=rows, seed=0)
 
     def test_workers_do_not_change_values(self, toy_pair, toy_grid):
         p, q = toy_pair
@@ -327,6 +343,33 @@ class TestBlockedKernel:
         assert threaded.value == est.value and threaded.stderr == est.stderr
 
 
+def traced_peak(call) -> int:
+    """Peak bytes traced while call() runs, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNodeMemory:
+    """A node draws, noises and scores its points a block at a time, so its memory
+    does not grow with N: 16 blocks' rows stay within a few blocks' bytes."""
+
+    def test_peak_is_a_few_blocks_at_sixteen_blocks_of_rows(self):
+        p, q = triangle_pair(WIDE_DIM)
+        grid, count = SigmaGrid(1e-2, 1e3, 2), 16 * ROWS
+        basis = RightBasis("hadamard", WIDE_DIM)
+        sampler = mask_sampler(dim=WIDE_DIM, keep_prob=0.6, base_seed=15, basis=basis)
+        data = MeasurementDataset.from_samples(
+            sampler, sample(p, count, stream(58, "data-x")), seed=59
+        )
+        budget = 4 * estimators._BLOCK_BYTES
+        assert traced_peak(lambda: kl_image(p, q, grid, n_samples=count, seed=60)) < budget
+        assert traced_peak(lambda: kl_measurement(p, q, data, grid, seed=61)) < budget
+
+
 def shifted(q, by=0.5):
     return GaussianMixture(q.weights, q.means + by, q.variances)
 
@@ -394,12 +437,12 @@ class TestSharedPass:
             tags.append(key[0])
             return stream(seed, *key)
 
-        def recording_sample(gmm, count, rng):
+        def recording_blocks(gmm, count, rng, rows):
             sampled.append(count)
-            return sample(gmm, count, rng)
+            return sample_blocks(gmm, count, rng, rows)
 
         monkeypatch.setattr(estimators, "stream", recording_stream)
-        monkeypatch.setattr(estimators, "sample", recording_sample)
+        monkeypatch.setattr(estimators, "sample_blocks", recording_blocks)
         qs = (q, shifted(q), shifted(q, -1.0))
         if kind == "image-fresh":
             kl_image(p, qs, grid, n_samples=150, seed=70)

@@ -373,6 +373,18 @@ class TestEntryChecks:
         assert "rank-deficient op_index" in capsys.readouterr().err
         assert calls == [] and not out.exists()
 
+    def test_a_later_sweep_value_under_masking_exits_3_before_any_run(
+        self, tmp_path, capsys, calls
+    ):
+        config = small_config()
+        config["estimators"] = ["image", "measurement", "invertible"]
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", config_file(tmp_path, config), "--axis", "keep_prob",
+                "--values", "1,0.5", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_ASSUMPTION
+        assert "rank-deficient op_index" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
     def test_sweep_with_data_file_exits_2_writing_nothing(self, tmp_path, capsys, calls):
         config = small_config()
         acquired(config["measurement"]["sampler"]).save(tmp_path / "data.json")

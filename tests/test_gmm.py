@@ -17,6 +17,7 @@ from scoreshift import (
     sample,
     score,
 )
+from scoreshift.gmm import sample_blocks
 from scoreshift.measurements import RightBasis
 from scoreshift.priors import gaussian_pair, triangle_pair
 from scoreshift.rng import stream
@@ -322,6 +323,18 @@ class TestSample:
         assert not pts.flags.writeable
         with pytest.raises(ValueError):
             pts[0, 0] = 1.0
+
+    @pytest.mark.parametrize("rows", [1, 7, 40, 41, 42, 1000])
+    def test_blocks_concatenate_to_one_draw(self, toy_pair, rows):
+        p, _ = toy_pair
+        whole = sample(p, 41, stream(11, "blocks"))
+        blocks, pieces = [], []
+        for block, pts in sample_blocks(p, 41, stream(11, "blocks"), rows):
+            blocks.append(block)
+            pieces.append(pts.copy())  # the next block overwrites pts
+        assert [b.start for b in blocks] == list(range(0, 41, rows))
+        assert all(len(piece) == len(range(41)[b]) for b, piece in zip(blocks, pieces))
+        np.testing.assert_array_equal(np.concatenate(pieces), whole)
 
 
 class TestExactKlOracle:
