@@ -1,9 +1,10 @@
 """Command-line front end: seeded experiment runs, sweeps, and self checks.
 
-Exit codes: 0 success, 1 self-test failure, 2 config error, 3 assumption
-violation (the measurements leave a coordinate unobserved, mix operator
-bases, or are not full rank for the invertible estimator), 4 numerical
-divergence during adaptation.
+Exit codes: 0 success, 1 self-test failure, 2 config error (including an
+--out directory that cannot be made), 3 assumption violation (the
+measurements leave a coordinate unobserved, mix operator bases, or are not
+full rank for the invertible estimator), 4 numerical divergence during
+adaptation.
 """
 
 from __future__ import annotations
@@ -64,7 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     subs.add_parser("self-test", help="run built-in numerical sanity checks")
-    subs.add_parser("show-config-schema", help="print the config JSON schema")
+    subs.add_parser(
+        "show-config-schema",
+        help='print the config JSON schema; in a config file a mixture may instead be '
+        '{"file": path}, relative to the file',
+    )
     return parser
 
 

@@ -63,18 +63,6 @@ _GMM_DOC = {
     },
 }
 
-_MIXTURE_REF = {
-    "oneOf": [
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["file"],
-            "properties": {"file": {"type": "string"}},
-        },
-        _GMM_DOC,
-    ]
-}
-
 _SAMPLER = {
     "type": "object",
     "additionalProperties": False,
@@ -84,13 +72,10 @@ _SAMPLER = {
         "dim": {"type": "integer", "minimum": 1},
         "base_seed": {"type": "integer", "minimum": 0},
         "keep_prob": {
-            "oneOf": [
-                {"type": "number", "minimum": 0, "maximum": 1},
-                {
-                    "type": "array",
-                    "items": {"type": "number", "minimum": 0, "maximum": 1},
-                },
-            ]
+            "type": ["number", "array"],
+            "minimum": 0,
+            "maximum": 1,
+            "items": {"type": "number", "minimum": 0, "maximum": 1},
         },
         "patch_edge": {"type": "integer", "minimum": 1},
         "low_count": {"type": "integer", "minimum": 0},
@@ -107,6 +92,8 @@ _SAMPLER = {
     },
 }
 
+# the config run reads and hashes; in a config file a mixture may instead be
+# {"file": path}, which load_config inlines
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -118,7 +105,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "required": ["ind", "ood"],
-            "properties": {"ind": _MIXTURE_REF, "ood": _MIXTURE_REF},
+            "properties": {"ind": _GMM_DOC, "ood": _GMM_DOC},
         },
         "grid": {
             "type": "object",
@@ -182,66 +169,50 @@ def _same(a, b) -> bool:
     return a == b and isinstance(a, bool) == isinstance(b, bool)
 
 
-def _one_of_error(value, forms: list, errors: list, path: str) -> tuple[str, str]:
-    """The (json path, message) to report for a value valid under no form or several.
-
-    When every form fails and exactly one form fits value (value has its
-    type, all its required keys and no key that only another form knows),
-    that form's error is the one that names the bad field. Otherwise the
-    failure that got deepest into value, if one got past path, or a summary
-    with value shortened, so a large inline mixture is not dumped whole.
-    """
-    keys = set(value) if isinstance(value, dict) else set()
-    known = [set(form.get("properties", ())) for form in forms]
-    fitting = [
-        err for err, form, own in zip(errors, forms, known)
-        if isinstance(value, _TYPES[form["type"]])
-        and set(form.get("required", ())) <= keys and not (keys & set().union(*known)) - own
-    ]
-    if None not in errors and len(fitting) == 1:
-        return fitting[0]
-    unfit = (path, f"{reprlib.repr(value)} is not valid under exactly one of the allowed forms")
-    return max([unfit, *filter(None, errors)], key=lambda err: len(err[0]))
+def _is(value, kind: str) -> bool:
+    """Whether value is a JSON value of kind: a bool is only a boolean, 4.0 is no integer."""
+    return isinstance(value, _TYPES[kind]) and isinstance(value, bool) == (kind == "boolean")
 
 
 def _schema_errors(value, schema: dict, path: str):
     """Yield (json path, message) for each way value breaks schema, for the keywords
-    CONFIG_SCHEMA uses. Callers take the first, so a check may assume earlier ones held."""
-    if "oneOf" in schema:
-        errors = [next(_schema_errors(value, alt, path), None) for alt in schema["oneOf"]]
-        if errors.count(None) != 1:
-            yield _one_of_error(value, schema["oneOf"], errors, path)
+    CONFIG_SCHEMA uses. As in JSON Schema, a value not of its type gets no other
+    check, and the numeric, object and array keywords apply only to values of theirs."""
     kind = schema.get("type")
-    if kind and (not isinstance(value, _TYPES[kind])
-                 or isinstance(value, bool) != (kind == "boolean")):
+    kinds = [kind] if isinstance(kind, str) else kind or []
+    if kinds and not any(_is(value, k) for k in kinds):
         yield path, f"{value!r} is not of type {kind!r}"
-    if kind == "number" and isinstance(value, float) and not math.isfinite(value):
+        return
+    if "number" in kinds and isinstance(value, float) and not math.isfinite(value):
         yield path, f"{value!r} is not a finite number"
     if "const" in schema and not _same(value, schema["const"]):
         yield path, f"{schema['const']!r} was expected, got {value!r}"
     if "enum" in schema and not any(_same(value, v) for v in schema["enum"]):
         yield path, f"{value!r} is not one of {schema['enum']!r}"
-    for key, holds in (("minimum", lambda bound: value >= bound),
-                       ("maximum", lambda bound: value <= bound),
-                       ("exclusiveMinimum", lambda bound: value > bound)):
-        if key in schema and not holds(schema[key]):
-            yield path, f"{value!r} is out of range: {key} is {schema[key]!r}"
-    for key in schema.get("required", ()):
-        if key not in value:
-            yield path, f"{key!r} is a required property"
-    if schema.get("additionalProperties") is False:
-        for key in [k for k in value if k not in schema["properties"]]:
-            yield path, f"unknown key {key!r}"
-    for key, sub in schema.get("properties", {}).items():
-        if key in value:
-            yield from _schema_errors(value[key], sub, f"{path}.{key}")
-    for i, item in enumerate(value if "items" in schema else ()):
-        yield from _schema_errors(item, schema["items"], f"{path}[{i}]")
-    if "minItems" in schema and len(value) < schema["minItems"]:
-        yield path, f"{value!r} has fewer than {schema['minItems']} items"
-    if schema.get("uniqueItems"):
-        if any(_same(a, b) for i, a in enumerate(value) for b in value[:i]):
-            yield path, f"{value!r} has non-unique elements"
+    if _is(value, "number"):
+        for key, holds in (("minimum", lambda bound: value >= bound),
+                           ("maximum", lambda bound: value <= bound),
+                           ("exclusiveMinimum", lambda bound: value > bound)):
+            if key in schema and not holds(schema[key]):
+                yield path, f"{value!r} is out of range: {key} is {schema[key]!r}"
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+        if schema.get("additionalProperties") is False:
+            for key in [k for k in value if k not in schema["properties"]]:
+                yield path, f"unknown key {key!r}"
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                yield from _schema_errors(value[key], sub, f"{path}.{key}")
+    if isinstance(value, list):
+        for i, item in enumerate(value if "items" in schema else ()):
+            yield from _schema_errors(item, schema["items"], f"{path}[{i}]")
+        if "minItems" in schema and len(value) < schema["minItems"]:
+            yield path, f"{value!r} has fewer than {schema['minItems']} items"
+        if schema.get("uniqueItems"):
+            if any(_same(a, b) for i, a in enumerate(value) for b in value[:i]):
+                yield path, f"{value!r} has non-unique elements"
 
 
 def validate_config(config: dict) -> None:
@@ -252,11 +223,12 @@ def validate_config(config: dict) -> None:
 
 
 def load_config(path) -> dict:
-    """Read, parse and validate a config file; resolves file refs.
+    """Read and parse a config file, resolving what it names relative to itself.
 
-    Mixture file refs and measurement.data_file resolve against the config
-    file's directory. Mixtures are inlined, so the hash covers the actual
-    mixtures used; data_file becomes an absolute path.
+    A mixture given as {"file": path} is inlined from that file, so the hash
+    covers the mixtures used, and a string measurement.data_file becomes an
+    absolute path; both resolve against the config file's directory. Nothing
+    else is checked here: run and sweep check the config they are given.
     """
     path = Path(path)
     try:
@@ -269,51 +241,72 @@ def load_config(path) -> dict:
         raise ConfigError(
             f"config {path} is not valid JSON: line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
-    validate_config(config)
-    for side in ("ind", "ood"):
-        ref = config["mixtures"][side]
-        if "file" in ref:
-            gmm_path = (path.parent / ref["file"]).resolve()
-            try:
-                config["mixtures"][side] = GaussianMixture.load(gmm_path).to_dict()
-            except (OSError, ValueError, KeyError) as err:
-                raise ConfigError(f"mixtures.{side}: cannot load {gmm_path}: {err}") from err
-    meas = config.get("measurement", {})
-    if "data_file" in meas:
+    if not isinstance(config, dict):
+        raise ConfigError(f"config field $: {reprlib.repr(config)} is not of type 'object'")
+    mixtures = config.get("mixtures")
+    for side in ("ind", "ood") if isinstance(mixtures, dict) else ():
+        ref = mixtures.get(side)
+        if not (isinstance(ref, dict) and "file" in ref):
+            continue
+        if set(ref) != {"file"} or not isinstance(ref["file"], str):
+            raise ConfigError(
+                f"config field $.mixtures.{side}: a file ref is {{'file': path}} alone, "
+                f"got {reprlib.repr(ref)}"
+            )
+        gmm_path = (path.parent / ref["file"]).resolve()
+        try:
+            mixtures[side] = GaussianMixture.load(gmm_path).to_dict()
+        except (OSError, ValueError, KeyError, TypeError) as err:
+            raise ConfigError(f"mixtures.{side}: cannot load {gmm_path}: {err}") from err
+    meas = config.get("measurement")
+    if isinstance(meas, dict) and isinstance(meas.get("data_file"), str):
         meas["data_file"] = str((path.parent / meas["data_file"]).resolve())
     return config
 
 
-def _build_grid(config: dict) -> SigmaGrid:
-    g = config["grid"]
+def _checked(config: dict, workers: int):
+    """(p, q, grid, sampler) of a config that passes every check needing no draw;
+    sampler is None when no estimator and no adaptation reads measurements."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    validate_config(config)
     try:
-        return SigmaGrid(g["sigma_min"], g["sigma_max"], g["nodes"])
-    except ValueError as err:
-        raise ConfigError(f"grid: {err}") from err
-
-
-def _build_mixtures(config: dict) -> tuple[GaussianMixture, GaussianMixture]:
-    for side in ("ind", "ood"):
-        if "file" in config["mixtures"][side]:
-            raise ConfigError(f"mixtures.{side}: a file ref; load_config resolves file refs")
-    try:
-        p = GaussianMixture.from_dict(config["mixtures"]["ind"])
-        q = GaussianMixture.from_dict(config["mixtures"]["ood"])
+        p, q = (GaussianMixture.from_dict(config["mixtures"][side]) for side in ("ind", "ood"))
     except ValueError as err:
         raise ConfigError(f"mixtures: {err}") from err
     if p.dim != q.dim:
         raise ConfigError(f"mixtures: ind dim {p.dim} != ood dim {q.dim}")
-    return p, q
-
-
-def _build_sampler(meas: dict, dim: int) -> OperatorSampler:
+    g = config["grid"]
     try:
-        sampler = OperatorSampler.from_dict(meas["sampler"])
+        grid = SigmaGrid(g["sigma_min"], g["sigma_max"], g["nodes"])
+    except ValueError as err:
+        raise ConfigError(f"grid: {err}") from err
+    wanted = config["estimators"]
+    if not ("measurement" in wanted or "invertible" in wanted or "adaptation" in config):
+        return p, q, grid, None
+    if "measurement" not in config:
+        raise ConfigError(
+            "measurement block required for measurement/invertible estimators or adaptation"
+        )
+    try:
+        sampler = OperatorSampler.from_dict(config["measurement"]["sampler"])
     except ValueError as err:
         raise ConfigError(f"measurement.sampler: {err}") from err
-    if sampler.dim != dim:
-        raise ConfigError(f"sampler dim {sampler.dim} != mixture dim {dim}")
-    return sampler
+    if sampler.dim != p.dim:
+        raise ConfigError(f"sampler dim {sampler.dim} != mixture dim {p.dim}")
+    return p, q, grid, sampler
+
+
+def _made(out_dir) -> Path | None:
+    """out_dir as a created directory, or None; one that cannot be made is a ConfigError."""
+    if out_dir is None:
+        return None
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {out}: {err}") from err
+    return out
 
 
 def _n_measurements(meas: dict) -> int:
@@ -345,7 +338,7 @@ class RunReport:
     versions: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "config_hash": self.config_hash,
             "seed": self.seed,
             "versions": self.versions,
@@ -359,7 +352,6 @@ class RunReport:
             else None,
             "adaptation": self.adaptation.to_dict() if self.adaptation else None,
         }
-        return doc
 
 
 def _versions() -> dict:
@@ -376,7 +368,8 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
     Outputs (when out_dir is given): report.json, one integrand_<mode>.csv
     per estimator, and adapted_mixture.json when adaptation ran. The
     report's projection_stats holds ep_diag, E[P] of the run's dataset,
-    the frequency the estimators weight with. Adaptation runs first, so a
+    the frequency the estimators weight with. Every check that can refuse
+    the run comes before out_dir is made, and adaptation runs first, so a
     diverging one stops the run before any estimator; its
     kl_measurement_before (same p, q, data, grid, seed) is the run's.
 
@@ -385,26 +378,15 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
             one from the config (its sampler must match the config's);
             sweep uses this to measure the same draws across runs.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    validate_config(config)
     started = time.perf_counter()
-    seed = int(config["seed"])
-    p, q = _build_mixtures(config)
-    grid = _build_grid(config)
-    wanted = list(config["estimators"])
-
+    p, q, grid, sampler = _checked(config, workers)
+    seed = config["seed"]
+    wanted = config["estimators"]
     report = RunReport(config_hash=config_hash(config), seed=seed, versions=_versions())
 
     data = dataset
-    meas_cfg = config.get("measurement")
-    needs_data = "measurement" in wanted or "invertible" in wanted or "adaptation" in config
-    if needs_data and not meas_cfg:
-        raise ConfigError(
-            "measurement block required for measurement/invertible estimators or adaptation"
-        )
-    if needs_data:
-        sampler = _build_sampler(meas_cfg, p.dim)
+    if sampler is not None:
+        meas_cfg = config["measurement"]
         if data is None and "data_file" in meas_cfg:
             try:
                 data = MeasurementDataset.load(meas_cfg["data_file"])
@@ -424,6 +406,7 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
         report.ep_diag = estimate_projection_stats(data.support)
         if "invertible" in wanted:
             check_full_rank(data.op_index, data.support)
+    out = _made(out_dir)
 
     if "adaptation" in config:
         acfg = AdaptationConfig(seed=seed, **config["adaptation"])
@@ -449,9 +432,7 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
 
     report.wall_clock_s = time.perf_counter() - started
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         with open(out / "report.json", "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -476,22 +457,21 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
     """One run per axis value; same data draws, estimator seeds offset by index.
 
     Run i's config is config with the axis set to values[i] and the seed
-    base seed + i. Every run's config and sampler are checked before any
-    draw, so a bad value raises ConfigError naming the field and nothing is
-    written; so are, for the invertible estimator, the ranks of the
-    operators each run will measure with (RankDeficient). The clean draws
-    come from the base seed for every run, so the axis isolates what it
-    varies: keep_prob changes only the masks, sigma_z only the measurement
-    noise, n_measurements only how many of the shared draws are used. Each
-    run takes E[P] from its own dataset, as a run of that config alone
-    would, and writes to out_dir/<axis>=<value>, so values equal as floats
-    raise ConfigError before any run.
+    base seed + i. Before any draw, every run's config gets the checks run
+    gives it, and the operators each run will measure with are drawn to
+    check that they observe every coordinate (SpanViolation) and, for the
+    invertible estimator, that they are full rank (RankDeficient); so a bad
+    value is refused and nothing is written. The clean draws come from the
+    base seed for every run, so the axis isolates what it varies: keep_prob
+    changes only the masks, sigma_z only the measurement noise,
+    n_measurements only how many of the shared draws are used. Each run
+    takes E[P] from its own dataset, as a run of that config alone would,
+    and writes to out_dir/<axis>=<value>, so values equal as floats raise
+    ConfigError before any run.
 
     Returns (reports, summary_rows) where each summary row is
     (axis_value, kl_measurement, kl_image, abs_gap).
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     validate_config(config)
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
@@ -507,36 +487,36 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
         if mode not in config["estimators"]:
             raise ConfigError(f"sweep requires the {mode!r} estimator")
 
-    base_seed = int(config["seed"])
-    p, _ = _build_mixtures(config)
+    base_seed = config["seed"]
     kind, (*parents, key) = SWEEP_AXES[axis]
     variants = []
     for i, value in enumerate(values):
         variant = json.loads(json.dumps(config))
         functools.reduce(dict.__getitem__, parents, variant)[key] = kind(value)
         variant["seed"] = base_seed + i
-        validate_config(variant)
+        p, _, _, sampler = _checked(variant, workers)
         meas = variant["measurement"]
-        sampler = _build_sampler(meas, p.dim)
+        count = _n_measurements(meas)
+        ops = range(min(count, meas.get("n_operators", count)))
+        op_index = np.arange(count) % len(ops)
+        support = np.array([sample_operator(sampler, k) for k in ops])[op_index]
+        estimate_projection_stats(support)
         if "invertible" in variant["estimators"]:
-            count = _n_measurements(meas)
-            ops = range(min(count, meas.get("n_operators", count)))
-            check_full_rank(np.array(ops), np.array([sample_operator(sampler, i) for i in ops]))
+            check_full_rank(op_index, support)
         variants.append((variant, sampler))
+    out = _made(out_dir)
     most = max(_n_measurements(variant["measurement"]) for variant, _ in variants)
     shared_draws = sample(p, most, stream(base_seed, "data-x"))
 
     reports, rows = [], []
     for value, (variant, sampler) in zip(values, variants):
         data = _acquire(sampler, variant["measurement"], shared_draws, base_seed)
-        sub = Path(out_dir) / f"{axis}={value}" if out_dir is not None else None
+        sub = out / f"{axis}={value}" if out is not None else None
         reports.append(run(variant, sub, workers, dataset=data))
         km, ki = (reports[-1].estimates[mode].value for mode in ("measurement", "image"))
         rows.append((float(value), km, ki, abs(km - ki)))
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         lines = ["axis_value,kl_measurement,kl_image,abs_gap"]
         lines += [f"{a:.17g},{b:.17g},{c:.17g},{d:.17g}" for a, b, c, d in rows]
         (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")

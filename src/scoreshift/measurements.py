@@ -42,6 +42,16 @@ class RankDeficient(ValueError):
     """Raised when the invertible estimator meets an operator that is not full rank."""
 
 
+def _check_integers(spec, names) -> None:
+    """Raise ValueError at the first named field of spec that is set but is no integer
+    (a bool is none), so a data file's 2.7 or true is refused, not truncated."""
+    for name in names:
+        value = getattr(spec, name)
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if value is not None and not integer:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RightBasis:
     """Orthogonal matrix V on R^n shared by an operator family.
@@ -61,6 +71,7 @@ class RightBasis:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(self, ("dim", "seed"))
         if self.kind not in ("identity", "hadamard", "dense"):
             raise ValueError(f"unknown basis kind {self.kind!r}")
         if self.kind == "hadamard" and (self.dim < 1 or self.dim & (self.dim - 1)):
@@ -134,6 +145,7 @@ class OperatorSampler:
     rand_count: int | None = None
 
     def __post_init__(self):
+        _check_integers(self, ("dim", "base_seed", "patch_edge", "low_count", "rand_count"))
         if self.kind not in ("coordinate-mask", "patch-inpainting", "band-subsample"):
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.basis.dim != self.dim:
@@ -157,8 +169,8 @@ class OperatorSampler:
             elif p.ndim == 1 and p.size != self.dim:
                 raise ValueError("per-coordinate keep_prob must have length dim")
         else:
-            low = int(self.low_count or 0)
-            rand = int(self.rand_count or 0)
+            low = self.low_count or 0
+            rand = self.rand_count or 0
             if low < 0 or rand < 0 or low + rand > self.dim or low + rand == 0:
                 raise ValueError("band-subsample needs 0 <= low_count + rand_count <= dim, > 0")
         stray = [name for name in _UNREAD[self.kind] if getattr(self, name) is not None]
@@ -190,10 +202,10 @@ class OperatorSampler:
         unknown += sorted(f"basis.{key}" for key in set(basis_doc) - {"kind", "seed"})
         if unknown:
             raise ValueError(f"unknown sampler key(s): {', '.join(unknown)}")
-        dim = int(doc["dim"])
+        dim = doc["dim"]
         bkind = basis_doc.get("kind", "identity")
         basis = RightBasis(
-            "dense" if bkind == "dense-orthogonal" else bkind, dim, int(basis_doc.get("seed", 0))
+            "dense" if bkind == "dense-orthogonal" else bkind, dim, basis_doc.get("seed", 0)
         )
         keep_prob = doc.get("keep_prob")
         if isinstance(keep_prob, list):
@@ -202,7 +214,7 @@ class OperatorSampler:
             kind=doc["kind"],
             dim=dim,
             basis=basis,
-            base_seed=int(doc.get("base_seed", 0)),
+            base_seed=doc.get("base_seed", 0),
             keep_prob=keep_prob,
             patch_edge=doc.get("patch_edge"),
             low_count=doc.get("low_count"),
@@ -229,8 +241,8 @@ def sample_operator(sampler: OperatorSampler, index: int) -> np.ndarray:
         keep_patch = gen.random((grid, grid)) < float(sampler.keep_prob)
         pixels = np.repeat(np.repeat(keep_patch, pe, axis=0), pe, axis=1)
         return pixels.reshape(sampler.dim)
-    low = int(sampler.low_count or 0)
-    rand = int(sampler.rand_count or 0)
+    low = sampler.low_count or 0
+    rand = sampler.rand_count or 0
     mask = np.zeros(sampler.dim, dtype=bool)
     mask[:low] = True
     if rand:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from scoreshift import (
     MeasurementDataset,
@@ -11,6 +12,10 @@ from scoreshift import (
 )
 from scoreshift.priors import gaussian_pair, triangle_pair
 from scoreshift.rng import stream
+
+# hypothesis settings for every property test: derandomized and with no example
+# database, so the suite draws the same examples on every run and machine
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
 
 @pytest.fixture(scope="session")

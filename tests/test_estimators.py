@@ -664,6 +664,40 @@ class TestDatasetLoadValidation:
         with pytest.raises(ValueError):
             MeasurementDataset.load(path)
 
+    @pytest.mark.parametrize(
+        "corrupt, field",
+        [
+            pytest.param(lambda s: s.update(base_seed=2.7), "base_seed", id="fractional-base-seed"),
+            pytest.param(lambda s: s.update(base_seed=True), "base_seed", id="true-base-seed"),
+            pytest.param(lambda s: s.update(dim=10.0), "dim", id="float-dim"),
+            pytest.param(
+                lambda s: s.update(basis={"kind": "dense-orthogonal", "seed": 1.9}),
+                "seed",
+                id="fractional-basis-seed",
+            ),
+            pytest.param(
+                lambda s: s.update(kind="band-subsample", keep_prob=None, low_count=2.5,
+                                   rand_count=3),
+                "low_count",
+                id="fractional-low-count",
+            ),
+            pytest.param(
+                lambda s: s.update(kind="band-subsample", keep_prob=None, low_count=2,
+                                   rand_count=3.0),
+                "rand_count",
+                id="float-rand-count",
+            ),
+        ],
+    )
+    def test_sampler_field_that_is_no_integer_rejected(self, saved_doc, corrupt, field):
+        # a truncated 2.7 would draw base seed 2's operators and pass for them
+        path, doc = saved_doc
+        corrupt(doc["sampler"])
+        doc["sampler"] = {key: value for key, value in doc["sampler"].items() if value is not None}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            MeasurementDataset.load(path)
+
 
 class TestBatchedAcquisition:
     """from_samples against a literal one-row-at-a-time acquisition.

@@ -1,7 +1,11 @@
 """Experiment runner: sweep projection stats and semantics, dataset guards, exit codes,
 config checks, config hash, workers, the sweep command, and refused runs and sweeps."""
 
+import contextlib
+import functools
+import io
 import json
+import operator
 import os
 import re
 import subprocess
@@ -10,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scoreshift import (
     BasisMismatch,
@@ -25,7 +31,7 @@ from scoreshift import (
 )
 from scoreshift.priors import triangle_pair
 from scoreshift.rng import stream
-from tests.conftest import count_qr, rising_eval_loss
+from tests.conftest import PROPERTY, count_qr, rising_eval_loss
 
 
 def small_config():
@@ -398,10 +404,25 @@ class TestEntryChecks:
         assert calls == [] and not out.exists()
 
     def test_unresolved_mixture_file_ref_raises_config_error(self, tmp_path):
-        # load_config inlines file refs; a config handed to run without it keeps them
+        # load_config inlines file refs; the schema run checks refuses one left in
         config = json.loads(Path(mixture_files_config(tmp_path, "refs", 0.0)).read_text())
-        with pytest.raises(experiments.ConfigError, match=r"mixtures\.ind: .*load_config"):
+        with pytest.raises(experiments.ConfigError,
+                           match=r"\$\.mixtures\.ind: 'weights' is a required property"):
             experiments.run(config)
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_out_that_is_a_file_exits_2_before_any_work(self, tmp_path, capsys, calls, command):
+        out = tmp_path / "out"
+        out.write_text("")
+        argv = [command, "--config", config_file(tmp_path, masked_adapting_config()),
+                "--out", str(out)]
+        if command == "sweep":
+            argv += ["--axis", "sigma_z", "--values", "0,0.5"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: cannot create output directory {out}: ")
+        assert calls == [] and out.read_text() == ""
 
     def test_rising_evaluation_loss_exits_4(self, tmp_path, capsys, monkeypatch):
         rising_eval_loss(monkeypatch)
@@ -483,12 +504,22 @@ BAD_CONFIGS = [
     (
         "mixture-neither-ref-nor-document",
         set_field("mixtures.ind", {"file": "ind.json", "weights": [1.0]}),
-        "$.mixtures.ind: {'file': 'ind.json', 'weights': [1.0]} is not valid under exactly one",
+        "$.mixtures.ind: a file ref is {'file': path} alone, got {'file': 'ind.json', 'weights'",
     ),
     (
         "keep_prob-neither-number-nor-array",
         set_field("measurement.sampler.keep_prob", "high"),
-        "$.measurement.sampler.keep_prob: 'high' is not valid under exactly one",
+        "$.measurement.sampler.keep_prob: 'high' is not of type ['number', 'array']",
+    ),
+    (
+        "partial-inline-mixture",
+        set_field("mixtures.ind", {"weights": [1.0]}),
+        "$.mixtures.ind: 'means' is a required property",
+    ),
+    (
+        "file-ref-not-a-path",
+        set_field("mixtures.ood", {"file": 3}),
+        "$.mixtures.ood: a file ref is {'file': path} alone, got {'file': 3}",
     ),
     (
         "adaptation-optimizer",
@@ -522,12 +553,11 @@ BAD_CONFIGS = [
     ),
 ]
 
-# What the checker implements, and the type each keyword's check assumes beside it.
+# What the checker implements, and the types each keyword's check applies to.
 CHECKED_KEYWORDS = {
     "type": None,
     "const": None,
     "enum": None,
-    "oneOf": None,
     "minimum": ("integer", "number"),
     "maximum": ("integer", "number"),
     "exclusiveMinimum": ("integer", "number"),
@@ -542,7 +572,7 @@ CHECKED_KEYWORDS = {
 
 def subschemas(schema):
     yield schema
-    for sub in [*schema.get("properties", {}).values(), *schema.get("oneOf", [])]:
+    for sub in schema.get("properties", {}).values():
         yield from subschemas(sub)
     if "items" in schema:
         yield from subschemas(schema["items"])
@@ -562,13 +592,17 @@ class TestConfigChecker:
         "added, expected, limit",
         [
             ({"extra": 1}, "$.mixtures.ind: unknown key 'extra'", 200),
-            ({"file": "ind.json"}, "$.mixtures.ind: {'dim': 256, 'file': 'ind.json', ", 400),
+            (
+                {"file": "ind.json"},
+                "$.mixtures.ind: a file ref is {'file': path} alone, got {'dim': 256, 'file': ",
+                400,
+            ),
         ],
         ids=["extra-key", "file-and-document"],
     )
     def test_bad_inline_mixture_error_is_short(self, tmp_path, capsys, added, expected, limit):
-        # every form of the mixture oneOf fails; the message names the key when
-        # one form fits the value, and never dumps the (3, 256) means (4 kB)
+        # the message names the key, or shortens the value: it never dumps the
+        # (3, 256) means (4 kB)
         config = small_config()
         config["mixtures"]["ind"] = {**triangle_pair(dim=256)[0].to_dict(), **added}
         assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_CONFIG
@@ -580,8 +614,10 @@ class TestConfigChecker:
         for schema in subschemas(experiments.CONFIG_SCHEMA):
             for keyword in schema:
                 assert keyword in CHECKED_KEYWORDS, f"checker ignores {keyword!r}"
+                kinds = schema.get("type")
+                kinds = [kinds] if isinstance(kinds, str) else kinds
                 if CHECKED_KEYWORDS[keyword]:
-                    assert schema.get("type") in CHECKED_KEYWORDS[keyword], keyword
+                    assert set(kinds) & set(CHECKED_KEYWORDS[keyword]), keyword
             assert schema.get("additionalProperties", False) is False
 
     def test_show_config_schema_prints_the_schema(self, capsys):
@@ -782,6 +818,23 @@ class TestSweepCli:
         assert f"config error: config field {message}" in capsys.readouterr().err
         assert called == [] and not (tmp_path / "out").exists()
 
+    def test_a_later_value_leaving_a_coordinate_unobserved_exits_3_before_any_draw(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        called = record_calls(monkeypatch, experiments, ["sample", "run"])
+        argv = sweep_argv(tmp_path, small_config(), "keep_prob", "0.9,0.01")
+        assert cli.main(argv) == cli.EXIT_ASSUMPTION
+        assert "never observed in 16 measurements" in capsys.readouterr().err
+        assert called == [] and not (tmp_path / "out").exists()
+
+    def test_inverted_grid_exits_2_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        config = small_config()
+        config["grid"].update(sigma_min=10.0, sigma_max=0.1)
+        called = record_calls(monkeypatch, experiments, ["sample", "run"])
+        assert cli.main(sweep_argv(tmp_path, config, "sigma_z", "0,0.5")) == cli.EXIT_CONFIG
+        assert "config error: grid: need 0 < sigma_min < sigma_max" in capsys.readouterr().err
+        assert called == [] and not (tmp_path / "out").exists()
+
     def test_keep_prob_on_a_band_sampler_exits_2(self, tmp_path, capsys, monkeypatch):
         config = small_config()
         config["measurement"]["sampler"] = {"kind": "band-subsample", "dim": 4, "low_count": 2,
@@ -856,14 +909,19 @@ class TestApiRefusals:
 
     @pytest.mark.parametrize(
         "text, message",
-        [(None, "cannot read config"), ('{"seed": 3,\n', "is not valid JSON: line 2 column 1")],
-        ids=["missing", "invalid-json"],
+        [
+            (None, "cannot read config"),
+            ('{"seed": 3,\n', "is not valid JSON: line 2 column 1"),
+            ("[]", "config field $: [] is not of type 'object'"),
+        ],
+        ids=["missing", "invalid-json", "list"],
     )
     def test_unreadable_config_file_exits_2(self, tmp_path, capsys, text, message):
+        # --seed writes into the config, so a config that is no object never reaches it
         path = tmp_path / "config.json"
         if text is not None:
             path.write_text(text)
-        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert cli.main(["run", "--config", str(path), "--seed", "1"]) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
 
     def test_seed_override(self, tmp_path):
@@ -878,3 +936,37 @@ class TestApiRefusals:
             doc.pop("wall_clock_s")
         assert written == expected and written["seed"] == 11
         assert written["config_hash"] == experiments.config_hash(config)
+
+
+def leaves(doc, path=()):
+    """(path, value) for each value in doc that is neither a dict nor a list."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        if isinstance(value, (dict, list)):
+            yield from leaves(value, (*path, key))
+        else:
+            yield (*path, key), value
+
+
+@st.composite
+def retyped_configs(draw):
+    """small_config or an adapting config with one leaf replaced by a value of another type."""
+    config = draw(st.sampled_from([small_config, masked_adapting_config]))()
+    path, value = draw(st.sampled_from(list(leaves(config))))
+    others = [v for v in (None, True, 2.5, 7, "x", [], {}) if type(v) is not type(value)]
+    *parents, last = path
+    functools.reduce(operator.getitem, parents, config)[last] = draw(st.sampled_from(others))
+    return config
+
+
+class TestCheckerProperties:
+    @PROPERTY
+    @given(config=retyped_configs())
+    def test_a_retyped_leaf_runs_or_exits_2_with_one_line(self, tmp_path_factory, config):
+        argv = ["run", "--config", config_file(tmp_path_factory.mktemp("retyped"), config)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
+        lines = err.getvalue().splitlines()
+        if code == cli.EXIT_CONFIG:
+            assert len(lines) == 1 and lines[0].startswith("config error: "), lines

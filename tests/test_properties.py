@@ -5,7 +5,7 @@ draws the same examples on every run and machine.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from scoreshift import (
@@ -26,9 +26,8 @@ from scoreshift import (
 )
 from scoreshift.quadrature import node_weights
 from scoreshift.rng import stream
-from tests.conftest import mask_sampler
+from tests.conftest import PROPERTY, mask_sampler
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 GRID = SigmaGrid(0.05, 5.0, 6)
 
 coords = st.floats(-4.0, 4.0, allow_nan=False)
