@@ -12,14 +12,14 @@ denoiser here is the mixture's exact posterior mean, the adapted object is
 the mixture parameterization itself: component means, optionally also the
 mixing weights through a softmax reparameterization. Component variances
 stay frozen. Parameters, gradient and optimizer state stay in signal
-coordinates (see _signal_loss_and_grad).
+coordinates.
 
 The loss is the ambient denoising objective of Ambient Diffusion (Daras et
 al., arXiv 2305.19256). Each step draws its own minibatch, sigma draws and
 noise, and takes the exact gradient of the loss on that pack in one pass:
 the denoiser is the mixture's closed-form posterior mean (Tweedie's
 formula), so its derivatives in the means and weight logits follow from
-the responsibilities (see _pack_loss_and_grad). fd_gradient, the central
+gmm's responsibilities (see _signal_loss_and_grad). fd_gradient, the central
 finite-difference gradient, is kept as the reference the tests compare
 against. The update is Adam on uniform minibatches, with sigma drawn
 log-uniformly over the run's grid, sigma_min to sigma_max. Progress is
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import KlEstimate, MeasurementDataset, kl_image, kl_measurement
-from .gmm import GaussianMixture, _component_log_densities, _logsumexp, rotate, score
+from .gmm import GaussianMixture, responsibilities, rotate, score
 from .measurements import estimate_projection_stats
 from .quadrature import SigmaGrid
 from .rng import stream
@@ -141,26 +141,24 @@ def _pack_loss(
     return total / (sigmas.size * ybar.shape[0])
 
 
-def _pack_loss_and_grad(
-    q: GaussianMixture,
-    ybar: np.ndarray,
-    masks: np.ndarray,
-    w: np.ndarray,
-    sigmas: np.ndarray,
-    eps: np.ndarray,
-    train_weights: bool,
+def _signal_loss_and_grad(
+    q: GaussianMixture, basis, ybar, masks, w, sigmas, eps, train_weights: bool
 ) -> tuple[float, np.ndarray]:
-    """_pack_loss and its exact gradient in q's means and weight logits.
+    """_pack_loss and its exact gradient in the means and weight logits of q,
+    which is given in signal coordinates.
 
-    Everything is in q's own (projected) coordinates. The denoiser is
-    D = sum_k r_k m_k with m_k = x + sigma^2 (mu_k - x)/var_k, so with
-    g = dL/dD:
+    The loss runs on q rotated into the projected basis (means V^T mu_k).
+    There the denoiser is D = sum_k r_k m_k, with r gmm's responsibilities
+    and m_k = x + sigma^2 (mu_k - x)/var_k, so with g = dL/dD:
       dL/dmu_k    = sum_rows r_k sigma^2/var_k g - r_k ((m_k - D).g) (mu_k - x)/var_k
       dL/dlogit_k = sum_rows r_k (m_k - D).g
     The softmax's -w_k term drops out of the logit gradient because
-    sum_k r_k (m_k - D) = 0. One pass over the pack replaces the
+    sum_k r_k (m_k - D) = 0. The mean gradient is taken back with one
+    basis.forward on (K, n), dL/dmu = V dL/d(V^T mu); the logit gradient does
+    not depend on the basis. One pass over the pack replaces the
     2 * params.size loss evaluations of fd_gradient.
     """
+    q = rotate(q, basis.matrix.T)
     pairs = sigmas.size * ybar.shape[0]
     scale = -2.0 * w / pairs
     total = 0.0
@@ -168,9 +166,9 @@ def _pack_loss_and_grad(
     grad_logits = np.zeros(q.n_components)
     for s, sigma in enumerate(sigmas):
         ybar_sigma = ybar + sigma * (eps[s] * masks)
-        comp, var, diff = _component_log_densities(q, ybar_sigma, sigma)
-        r = np.exp(comp - _logsumexp(comp, axis=1, keepdims=True))  # (B, K)
-        scaled = diff / var[None, :, None]  # (B, K, n)
+        r = responsibilities(q, ybar_sigma, sigma)  # (B, K)
+        var = q.variances + float(sigma) ** 2
+        scaled = (q.means[None, :, :] - ybar_sigma[:, None, :]) / var[None, :, None]
         sc = np.einsum("bk,bki->bi", r, scaled)  # score(q, ybar_sigma, sigma)
         resid = (ybar - (ybar_sigma + sigma**2 * sc)) * w[None, :]
         total += float(np.einsum("bi,bi->b", resid, resid).sum())
@@ -181,26 +179,10 @@ def _pack_loss_and_grad(
         grad_means += (sigma**2 / var)[:, None] * (r.T @ g)
         grad_means -= np.einsum("bk,bki->ki", rc, scaled)
         grad_logits += rc.sum(axis=0)
-    loss = total / pairs
-    parts = [grad_means.ravel(), grad_logits] if train_weights else [grad_means.ravel()]
-    return loss, np.concatenate(parts)
-
-
-def _signal_loss_and_grad(
-    q: GaussianMixture, basis, ybar, masks, w, sigmas, eps, train_weights: bool
-) -> tuple[float, np.ndarray]:
-    """_pack_loss_and_grad of q given in signal coordinates.
-
-    q is rotated into the projected basis (means V^T mu_k), and the mean
-    gradient is taken back with one basis.forward on (K, n): dL/dmu = V
-    dL/d(V^T mu). The logit gradient does not depend on the basis.
-    """
-    loss, grad = _pack_loss_and_grad(
-        rotate(q, basis.matrix.T), ybar, masks, w, sigmas, eps, train_weights
-    )
-    k_n = q.means.size
-    grad[:k_n] = basis.forward(grad[:k_n].reshape(q.means.shape)).ravel()
-    return loss, grad
+    parts = [basis.forward(grad_means).ravel()]
+    if train_weights:
+        parts.append(grad_logits)
+    return total / pairs, np.concatenate(parts)
 
 
 def _split_params(

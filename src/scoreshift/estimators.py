@@ -203,11 +203,20 @@ class MeasurementDataset:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         records = doc["measurements"]
+        # a bool or a string is no JSON number: refuse it before numpy coerces it
+        for i, rec in enumerate(records):
+            fields = [("op_index", rec["op_index"], int)]
+            fields.append(("sigma_z", rec.get("sigma_z", 0.0), float))
+            fields += [(f"ybar[{j}]", value, float) for j, value in enumerate(rec["ybar"])]
+            for name, value, kind in fields:
+                if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                    what = "an integer" if kind is int else "a number"
+                    raise ValueError(f"measurements[{i}].{name} must be {what}, got {value!r}")
         return cls(
             sampler=OperatorSampler.from_dict(doc["sampler"]),
             ybar=[rec["ybar"] for rec in records],
             op_index=[rec["op_index"] for rec in records],
-            sigma_z=[float(rec.get("sigma_z", 0.0)) for rec in records],
+            sigma_z=[rec.get("sigma_z", 0.0) for rec in records],
         )
 
 

@@ -222,25 +222,32 @@ def validate_config(config: dict) -> None:
         raise ConfigError(f"config field {path}: {message}")
 
 
+def _read_json(path: Path, what: str):
+    """The JSON document in the file at path, as read; a file that cannot be read
+    or is not JSON raises a ConfigError that names it as what."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read {what} {path}: {err}") from err
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ConfigError(
+            f"{what} {path} is not valid JSON: line {err.lineno} column {err.colno}: {err.msg}"
+        ) from err
+
+
 def load_config(path) -> dict:
     """Read and parse a config file, resolving what it names relative to itself.
 
-    A mixture given as {"file": path} is inlined from that file, so the hash
-    covers the mixtures used, and a string measurement.data_file becomes an
-    absolute path; both resolve against the config file's directory. Nothing
-    else is checked here: run and sweep check the config they are given.
+    A mixture given as {"file": path} is inlined from that file as read, so the
+    hash covers the mixtures used and the schema checks them as it checks an
+    inline one. A string measurement.data_file becomes an absolute path. Both
+    resolve against the config file's directory. Nothing else is checked here:
+    run and sweep check the config they are given.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
-    try:
-        config = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(
-            f"config {path} is not valid JSON: line {err.lineno} column {err.colno}: {err.msg}"
-        ) from err
+    config = _read_json(path, "config")
     if not isinstance(config, dict):
         raise ConfigError(f"config field $: {reprlib.repr(config)} is not of type 'object'")
     mixtures = config.get("mixtures")
@@ -253,11 +260,7 @@ def load_config(path) -> dict:
                 f"config field $.mixtures.{side}: a file ref is {{'file': path}} alone, "
                 f"got {reprlib.repr(ref)}"
             )
-        gmm_path = (path.parent / ref["file"]).resolve()
-        try:
-            mixtures[side] = GaussianMixture.load(gmm_path).to_dict()
-        except (OSError, ValueError, KeyError, TypeError) as err:
-            raise ConfigError(f"mixtures.{side}: cannot load {gmm_path}: {err}") from err
+        mixtures[side] = _read_json((path.parent / ref["file"]).resolve(), f"mixtures.{side} file")
     meas = config.get("measurement")
     if isinstance(meas, dict) and isinstance(meas.get("data_file"), str):
         meas["data_file"] = str((path.parent / meas["data_file"]).resolve())

@@ -48,10 +48,12 @@ class GaussianMixture:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        m = np.atleast_2d(np.asarray(self.means, dtype=float))
+        m = np.asarray(self.means, dtype=float)
         v = np.asarray(self.variances, dtype=float)
         if w.ndim != 1:
             raise ValueError("weights must be a 1-D probability vector")
+        if m.ndim != 2:
+            raise ValueError(f"means must be a (K, n) array, got shape {m.shape}")
         if m.shape[0] != w.size or v.shape != w.shape:
             raise ValueError(
                 f"component count mismatch: {w.size} weights, "
@@ -91,10 +93,11 @@ class GaussianMixture:
         if not all(np.all(np.isfinite(arr)) for arr in arrays):
             raise ValueError("weights, means and variances must be finite")
         gmm = cls(*arrays)
-        if "dim" in doc and int(doc["dim"]) != gmm.dim:
-            raise ValueError(
-                f"declared dim {doc['dim']} does not match means of length {gmm.dim}"
-            )
+        dim = doc.get("dim", gmm.dim)
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+            raise ValueError(f"dim must be an integer, got {dim!r}")
+        if dim != gmm.dim:
+            raise ValueError(f"declared dim {dim} does not match means of length {gmm.dim}")
         return gmm
 
     def save(self, path) -> None:

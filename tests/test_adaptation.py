@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scoreshift import (
     AdaptationConfig,
@@ -24,7 +26,7 @@ from scoreshift.experiments import CONFIG_SCHEMA
 from scoreshift.measurements import OperatorSampler, RightBasis
 from scoreshift.priors import gaussian_pair, triangle_pair
 from scoreshift.rng import stream
-from tests.conftest import mask_sampler, rising_eval_loss
+from tests.conftest import PROPERTY, mask_sampler, rising_eval_loss
 
 
 def denoising_loss(q, batch, sigmas, rng):
@@ -170,28 +172,62 @@ class TestClosedFormGradient:
     def test_closed_form_gradient_matches_fd(self, basis_kind):
         q3, basis, data, w, sigmas, eps = basis_pack(basis_kind)
         q1 = GaussianMixture(weights=np.ones(1), means=q3.means[:1], variances=q3.variances[:1])
-        ybar = data.ybar
-        masks = data.support
+        pack = (data.ybar, data.support, w, sigmas, eps)
         for q in (q1, q3):
             for train_weights in (False, True):
-                # differentiate in signal-coordinate parameters, through the
-                # rotation into the projected basis
-                def loss_at(params, q=q, train_weights=train_weights):
-                    mix = rotate(_split_params(params, q, train_weights), basis.matrix.T)
-                    return _pack_loss(mix, ybar, masks, w, sigmas, eps)
+                loss = assert_gradient_matches_fd(q, basis, pack, train_weights, h=1e-3)
+                assert loss == _pack_loss(rotate(q, basis.matrix.T), *pack)
 
-                params = _initial_params(q, train_weights)
-                loss, grad = _signal_loss_and_grad(
-                    q, basis, ybar, masks, w, sigmas, eps, train_weights
-                )
-                assert loss == pytest.approx(loss_at(params), rel=1e-12)
-                reference = fd_gradient(loss_at, params, 1e-3)
-                assert grad.shape == reference.shape
-                # central differences err by an absolute h^2 * (third
-                # derivative) per entry, so the tolerance is taken relative
-                # to the gradient's largest entry
-                scale = np.abs(reference).max()
-                assert np.abs(grad - reference).max() <= 1e-6 * scale
+    @PROPERTY
+    @given(
+        k=st.integers(1, 3),
+        dim=st.sampled_from([2, 4, 8]),
+        basis_kind=st.sampled_from(["identity", "dense", "hadamard"]),
+        train_weights=st.booleans(),
+        sigmas=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_closed_form_gradient_matches_fd_on_random_packs(
+        self, k, dim, basis_kind, train_weights, sigmas, seed
+    ):
+        gen = stream(seed, "grad-pack")
+        basis = RightBasis(basis_kind, dim, seed if basis_kind == "dense" else 0)
+        weights = gen.uniform(0.2, 1.0, size=k)
+        q = GaussianMixture(
+            weights / weights.sum(),
+            gen.uniform(-3.0, 3.0, size=(k, dim)),
+            gen.uniform(0.5, 2.0, size=k),
+        )
+        rows = 4
+        masks = gen.random((rows, dim)) < 0.6
+        ybar = gen.uniform(-3.0, 3.0, size=(rows, dim)) * masks
+        w = gen.uniform(0.5, 2.0, size=dim)
+        sigmas = np.array(sigmas)
+        pack = (ybar, masks, w, sigmas, gen.standard_normal((sigmas.size, rows, dim)))
+        # a pack of 4 rows and 1-3 sigmas averages little: at h = 1e-3 the
+        # stencil's own h^2 error reaches a few 1e-6 of the largest entry
+        assert_gradient_matches_fd(q, basis, pack, train_weights, h=1e-4)
+
+
+def assert_gradient_matches_fd(q, basis, pack, train_weights, h):
+    """_signal_loss_and_grad of q on pack = (ybar, masks, w, sigmas, eps) against
+    fd_gradient of _pack_loss at step h; returns the gradient function's loss.
+
+    Both differentiate in signal-coordinate parameters, through the rotation
+    into the projected basis.
+    """
+
+    def loss_at(params):
+        return _pack_loss(rotate(_split_params(params, q, train_weights), basis.matrix.T), *pack)
+
+    loss, grad = _signal_loss_and_grad(q, basis, *pack, train_weights)
+    reference = fd_gradient(loss_at, _initial_params(q, train_weights), h)
+    assert grad.shape == reference.shape
+    # central differences err by an absolute h^2 * (third derivative) per
+    # entry, so the tolerance is taken relative to the gradient's largest entry
+    scale = np.abs(reference).max()
+    assert np.abs(grad - reference).max() <= 1e-6 * scale
+    return loss
 
 
 class TestAdaptationConfig:

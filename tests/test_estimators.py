@@ -1,6 +1,7 @@
 """The three divergence estimators against closed-form and brute-force oracles."""
 
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -645,23 +646,55 @@ class TestDatasetLoadValidation:
         np.testing.assert_array_equal(loaded.support, data.support)
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, message",
         [
-            pytest.param(lambda recs: recs[3]["ybar"].pop(), id="short-ybar-row"),
-            pytest.param(lambda recs: [r["ybar"].pop() for r in recs], id="short-ybar"),
-            pytest.param(lambda recs: recs[5].update(op_index=-1), id="negative-op-index"),
-            pytest.param(lambda recs: recs[2].update(op_index=4.7), id="fractional-op-index"),
-            pytest.param(lambda recs: recs[7].update(sigma_z=-0.5), id="negative-sigma-z"),
-            pytest.param(lambda recs: recs[7].update(sigma_z=float("inf")), id="infinite-sigma-z"),
-            pytest.param(lambda recs: recs[2]["ybar"].__setitem__(0, float("nan")), id="nan-ybar"),
-            pytest.param(lambda recs: recs.clear(), id="empty"),
+            pytest.param(lambda recs: recs[3]["ybar"].pop(), None, id="short-ybar-row"),
+            pytest.param(lambda recs: [r["ybar"].pop() for r in recs], None, id="short-ybar"),
+            pytest.param(lambda recs: recs[5].update(op_index=-1), None, id="negative-op-index"),
+            pytest.param(
+                lambda recs: recs[2].update(op_index=4.7), None, id="fractional-op-index"
+            ),
+            pytest.param(lambda recs: recs[7].update(sigma_z=-0.5), None, id="negative-sigma-z"),
+            pytest.param(
+                lambda recs: recs[7].update(sigma_z=float("inf")), None, id="infinite-sigma-z"
+            ),
+            pytest.param(
+                lambda recs: recs[2]["ybar"].__setitem__(0, float("nan")), None, id="nan-ybar"
+            ),
+            pytest.param(lambda recs: recs.clear(), None, id="empty"),
+            # JSON values numpy would coerce to numbers: true to 1, "0.5" to 0.5
+            pytest.param(
+                lambda recs: recs[4].update(op_index=True),
+                "measurements[4].op_index must be an integer, got True",
+                id="true-op-index",
+            ),
+            pytest.param(
+                lambda recs: recs[7].update(sigma_z=True),
+                "measurements[7].sigma_z must be a number, got True",
+                id="true-sigma-z",
+            ),
+            pytest.param(
+                lambda recs: recs[7].update(sigma_z="0.5"),
+                "measurements[7].sigma_z must be a number, got '0.5'",
+                id="string-sigma-z",
+            ),
+            pytest.param(
+                lambda recs: recs[2]["ybar"].__setitem__(1, True),
+                "measurements[2].ybar[1] must be a number, got True",
+                id="true-ybar",
+            ),
+            pytest.param(
+                lambda recs: recs[2].update(ybar=[str(v) for v in recs[2]["ybar"]]),
+                "measurements[2].ybar[0] must be a number, got '",
+                id="string-ybar",
+            ),
         ],
     )
-    def test_malformed_file_rejected(self, saved_doc, corrupt):
+    def test_malformed_file_rejected(self, saved_doc, corrupt, message):
         path, doc = saved_doc
         corrupt(doc["measurements"])
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message and re.escape(message)):
             MeasurementDataset.load(path)
 
     @pytest.mark.parametrize(

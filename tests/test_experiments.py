@@ -299,7 +299,41 @@ class TestRunExitCodes:
     def test_mixture_file_with_nan_exits_2(self, tmp_path, capsys):
         path = mixture_files_config(tmp_path, "nan", float("nan"))
         assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG
-        assert "must be finite" in capsys.readouterr().err
+        assert "$.mixtures.ind.means[0][0]: nan is not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"dim": 4.7}, "$.mixtures.ind.dim: 4.7 is not of type 'integer'"),
+            ({"weights": [True, 0, 0]},
+             "$.mixtures.ind.weights[0]: True is not of type 'number'"),
+            ({"variances": ["1", 1, 1]},
+             "$.mixtures.ind.variances[0]: '1' is not of type 'number'"),
+            ({"colour": "red"}, "$.mixtures.ind: unknown key 'colour'"),
+            ({"weights": [1.0], "means": [0, 0, 0, 0], "variances": [1.0]},
+             "$.mixtures.ind.means[0]: 0 is not of type 'array'"),
+        ],
+        ids=["fractional-dim", "true-weight", "string-variance", "unknown-key", "flat-means"],
+    )
+    def test_mixture_file_checked_as_inline_mixture_exits_2(
+        self, tmp_path, capsys, fields, message
+    ):
+        # the file is inlined as read, so the schema sees what an inline mixture shows it
+        path = mixture_files_config(tmp_path, "bad", 0.0, **fields)
+        assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [(None, "cannot read mixtures.ind file"),
+                                               ("{", "mixtures.ind file")],
+                             ids=["missing", "invalid-json"])
+    def test_unreadable_mixture_file_exits_2(self, tmp_path, capsys, text, message):
+        path = mixture_files_config(tmp_path, "unreadable", 0.0)
+        ind = Path(path).parent / "ind.json"
+        ind.unlink()
+        if text is not None:
+            ind.write_text(text)
+        assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     def test_inverted_grid_exits_2(self, tmp_path, capsys):
         config = small_config()
@@ -641,13 +675,15 @@ class TestConfigChecker:
         assert out.stdout.strip() == "False"
 
 
-def mixture_files_config(tmp_path, name, shift):
-    """A config in tmp_path/name whose ind.json has its first mean moved by shift."""
+def mixture_files_config(tmp_path, name, shift, **fields):
+    """A config in tmp_path/name whose ind.json has its first mean moved by shift,
+    then the given fields set."""
     p, q = triangle_pair(dim=4)
     out = tmp_path / name
     out.mkdir()
     ind = p.to_dict()
     ind["means"][0][0] += shift
+    ind.update(fields)
     (out / "ind.json").write_text(json.dumps(ind))
     q.save(out / "ood.json")
     config = small_config()

@@ -77,6 +77,11 @@ class TestGaussianMixtureType:
                 weights=np.array([1.0]), means=np.zeros((2, 3)), variances=np.ones(1)
             )
 
+    @pytest.mark.parametrize("means", [np.zeros(3), np.zeros((1, 1, 3))], ids=["1-d", "3-d"])
+    def test_means_must_be_2d(self, means):
+        with pytest.raises(ValueError, match=r"means must be a \(K, n\) array"):
+            GaussianMixture(weights=np.array([1.0]), means=means, variances=np.ones(1))
+
     def test_arrays_frozen(self):
         g = single_gaussian(np.zeros(3))
         with pytest.raises(ValueError):
@@ -375,6 +380,14 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="dim"):
             GaussianMixture.load(path)
+
+    @pytest.mark.parametrize(
+        "dim", [2.0, 2.7, True, "2"], ids=["float", "fractional", "true", "string"]
+    )
+    def test_declared_dim_that_is_no_integer_rejected(self, dim):
+        doc = {"dim": dim, "weights": [1.0], "means": [[0.0, 0.0]], "variances": [1.0]}
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            GaussianMixture.from_dict(doc)
 
     @pytest.mark.parametrize("key", ["weights", "means", "variances"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
