@@ -4,13 +4,15 @@ Exit codes: 0 success, 1 self-test failure, 2 config error (including an
 --out directory that cannot be made), 3 assumption violation (the
 measurements leave a coordinate unobserved, mix operator bases, or are not
 full rank for the invertible estimator), 4 numerical divergence during
-adaptation.
+adaptation, 141 (128 + SIGPIPE, as a shell reports a process SIGPIPE
+ended) when the reader of stdout closed it before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -30,6 +32,7 @@ EXIT_SELFTEST = 1
 EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
 EXIT_DIVERGENCE = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _add_common(sub):
@@ -200,15 +203,25 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "self-test":
-            return _cmd_selftest()
-        if args.command == "show-config-schema":
+            code = _cmd_run(args)
+        elif args.command == "sweep":
+            code = _cmd_sweep(args)
+        elif args.command == "self-test":
+            code = _cmd_selftest()
+        elif args.command == "show-config-schema":
             print(json.dumps(CONFIG_SCHEMA, indent=2))
-            return EXIT_OK
-        raise AssertionError(f"unhandled command {args.command}")
+            code = EXIT_OK
+        else:
+            raise AssertionError(f"unhandled command {args.command}")
+        # a reader that closed stdout early shows here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # send what is still buffered, and the flush at exit, to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

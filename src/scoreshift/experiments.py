@@ -381,6 +381,12 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
             one from the config (its sampler must match the config's);
             sweep uses this to measure the same draws across runs.
     """
+    return _run(config, out_dir, workers, dataset)
+
+
+def _run(config: dict, out_dir, workers: int, dataset, image: KlEstimate | None = None):
+    """run, taking image as the image estimate when given. sweep passes the
+    one its first run made, which reads nothing a sweep axis sets."""
     started = time.perf_counter()
     p, q, grid, sampler = _checked(config, workers)
     seed = config["seed"]
@@ -419,7 +425,7 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
 
     if "image" in wanted:
         n_samples = config.get("n_samples", DEFAULT_N_SAMPLES)
-        report.estimates["image"] = kl_image(
+        report.estimates["image"] = image or kl_image(
             p, q, grid, n_samples=n_samples, seed=seed, workers=workers
         )
     if "measurement" in wanted:
@@ -457,20 +463,28 @@ SWEEP_AXES = {
 
 
 def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
-    """One run per axis value; same data draws, estimator seeds offset by index.
+    """One run per axis value, every one at the config's seed; only the axis moves.
 
-    Run i's config is config with the axis set to values[i] and the seed
-    base seed + i. Before any draw, every run's config gets the checks run
-    gives it, and the operators each run will measure with are drawn to
-    check that they observe every coordinate (SpanViolation) and, for the
-    invertible estimator, that they are full rank (RankDeficient); so a bad
-    value is refused and nothing is written. The clean draws come from the
-    base seed for every run, so the axis isolates what it varies: keep_prob
-    changes only the masks, sigma_z only the measurement noise,
-    n_measurements only how many of the shared draws are used. Each run
-    takes E[P] from its own dataset, as a run of that config alone would,
-    and writes to out_dir/<axis>=<value>, so values equal as floats raise
-    ConfigError before any run.
+    Run i's config is config with the axis set to values[i]. Before any
+    draw, every run's config gets the checks run gives it, and the operators
+    each run will measure with are drawn to check that they observe every
+    coordinate (SpanViolation) and, for the invertible estimator, that they
+    are full rank (RankDeficient); so a bad value is refused and nothing is
+    written. Every run measures the same clean draws and, sharing the seed,
+    the same noise streams (common random numbers), so the axis isolates
+    what it varies: keep_prob changes only the masks, sigma_z only the
+    measurement noise's scale, n_measurements only how many of the shared
+    draws are used. The image estimate reads p, q, the grid, n_samples and
+    the seed, none of which an axis sets, so the first run makes it and
+    every report carries that one estimate. Each run takes E[P] from its
+    own dataset, as a run of its config alone would, and writes to
+    out_dir/<axis>=<value>, so values equal as floats raise ConfigError
+    before any run.
+
+    A sigma_z or keep_prob report equals run(its config) apart from
+    wall_clock_s. An n_measurements value measures a prefix of the largest
+    value's draws, not the draws of its own count, so its report equals
+    run(its config, dataset=its dataset in the sweep) instead.
 
     Returns (reports, summary_rows) where each summary row is
     (axis_value, kl_measurement, kl_image, abs_gap).
@@ -490,13 +504,11 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
         if mode not in config["estimators"]:
             raise ConfigError(f"sweep requires the {mode!r} estimator")
 
-    base_seed = config["seed"]
     kind, (*parents, key) = SWEEP_AXES[axis]
     variants = []
-    for i, value in enumerate(values):
+    for value in values:
         variant = json.loads(json.dumps(config))
         functools.reduce(dict.__getitem__, parents, variant)[key] = kind(value)
-        variant["seed"] = base_seed + i
         p, _, _, sampler = _checked(variant, workers)
         meas = variant["measurement"]
         count = _n_measurements(meas)
@@ -509,13 +521,15 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
         variants.append((variant, sampler))
     out = _made(out_dir)
     most = max(_n_measurements(variant["measurement"]) for variant, _ in variants)
-    shared_draws = sample(p, most, stream(base_seed, "data-x"))
+    seed = config["seed"]
+    shared_draws = sample(p, most, stream(seed, "data-x"))
 
-    reports, rows = [], []
+    reports, rows, image = [], [], None
     for value, (variant, sampler) in zip(values, variants):
-        data = _acquire(sampler, variant["measurement"], shared_draws, base_seed)
+        data = _acquire(sampler, variant["measurement"], shared_draws, seed)
         sub = out / f"{axis}={value}" if out is not None else None
-        reports.append(run(variant, sub, workers, dataset=data))
+        reports.append(_run(variant, sub, workers, data, image))
+        image = reports[-1].estimates["image"]
         km, ki = (reports[-1].estimates[mode].value for mode in ("measurement", "image"))
         rows.append((float(value), km, ki, abs(km - ki)))
 

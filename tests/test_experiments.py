@@ -76,27 +76,39 @@ class TestSweepProjectionStats:
             np.testing.assert_array_equal(report.ep_diag, fresh.ep_diag)
 
 
+def capture_runs(monkeypatch):
+    """Record the (config, dataset) of each run a sweep makes."""
+    ran = []
+    real_run = experiments._run
+
+    def capturing(config, out_dir, workers, dataset, image=None):
+        ran.append((config, dataset))
+        return real_run(config, out_dir, workers, dataset, image)
+
+    monkeypatch.setattr(experiments, "_run", capturing)
+    return ran
+
+
+def without_clock(report):
+    doc = report.to_dict()
+    doc.pop("wall_clock_s")
+    return doc
+
+
 class TestSweepSemantics:
     """A sweep measures the same draws through the same operators; only its axis moves."""
 
     @pytest.fixture
     def swept(self, monkeypatch):
         """Run a sweep of small_config on a Hadamard basis; return the datasets it ran."""
-        datasets = []
-        real_run = experiments.run
-
-        def capturing(config, out_dir=None, workers=1, dataset=None):
-            datasets.append(dataset)
-            return real_run(config, out_dir, workers, dataset=dataset)
-
-        monkeypatch.setattr(experiments, "run", capturing)
+        ran = capture_runs(monkeypatch)
         config = small_config()
         config["measurement"]["sampler"]["basis"] = {"kind": "hadamard"}
 
         def sweep(axis, values):
             experiments.sweep(config, axis, values)
-            assert len(datasets) == len(values)
-            return config, datasets
+            assert len(ran) == len(values)
+            return config, [dataset for _, dataset in ran]
 
         return sweep
 
@@ -240,6 +252,28 @@ class TestRunExitCodes:
         assert cli.main(["self-test"]) == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "[FAIL]" not in out and "all self-test checks passed" in out
+
+    # the schema fills the pipe while printing; a run's few lines wait for the final flush
+    @pytest.mark.parametrize("command", ["show-config-schema", "run"])
+    def test_closed_stdout_exits_141_without_a_traceback(self, tmp_path, command):
+        argv = [command]
+        if command == "run":
+            argv += ["--config", config_file(tmp_path, small_config())]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "scoreshift.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        # no traceback, nor the "Exception ignored" note of a failed flush at exit
+        assert (done.returncode, done.stderr) == (cli.EXIT_BROKEN_PIPE, "")
 
     def test_data_file_leaving_a_coordinate_unobserved_exits_3(self, tmp_path, capsys):
         config = small_config()
@@ -716,9 +750,7 @@ class TestConfigHash:
 
 
 def report_without_clock(config, workers):
-    doc = experiments.run(config, workers=workers).to_dict()
-    doc.pop("wall_clock_s")
-    return doc
+    return without_clock(experiments.run(config, workers=workers))
 
 
 def full_observation_config():
@@ -791,6 +823,42 @@ class TestAdaptingRun:
         assert called == []
 
 
+class TestSweepAtOneSeed:
+    """Every value runs at the config's seed, and the image estimate is made once."""
+
+    @pytest.mark.parametrize("build", [small_config, masked_adapting_config])
+    @pytest.mark.parametrize(
+        "axis, values",
+        [
+            ("sigma_z", [0.0, 0.5, 2.0]),
+            ("keep_prob", [0.5, 0.7, 0.9]),
+            ("n_measurements", [8, 12, 16]),
+        ],
+    )
+    def test_each_report_is_the_run_of_its_config(self, monkeypatch, build, axis, values):
+        config = build()
+        ran = capture_runs(monkeypatch)
+        reports, _ = experiments.sweep(config, axis, values)
+        datasets = [dataset for _, dataset in ran]
+        for value, report, dataset in zip(values, reports, datasets):
+            # n_measurements values measure prefixes of one draw of the largest count
+            given = dataset if axis == "n_measurements" else None
+            alone = experiments.run(with_value(config, axis, value), dataset=given)
+            assert without_clock(report) == without_clock(alone)
+
+    def test_image_estimated_once(self, monkeypatch):
+        called = record_calls(monkeypatch, experiments, ["kl_image"])
+        reports, rows = experiments.sweep(small_config(), "sigma_z", [0.0, 0.5, 2.0])
+        assert called == ["kl_image"]
+        assert all(r.estimates["image"] is reports[0].estimates["image"] for r in reports)
+        assert len({ki for _, _, ki, _ in rows}) == 1
+
+    def test_one_and_two_workers_give_the_same_reports(self):
+        config = masked_adapting_config()
+        one, two = (experiments.sweep(config, "sigma_z", [0.0, 0.5], workers=w)[0] for w in (1, 2))
+        assert [without_clock(r) for r in one] == [without_clock(r) for r in two]
+
+
 def record_calls(monkeypatch, module, names):
     """Replace each named function of module with a wrapper that records its calls."""
     called = []
@@ -849,7 +917,7 @@ class TestSweepCli:
     def test_bad_value_exits_2_naming_the_field_before_any_draw(
         self, tmp_path, capsys, monkeypatch, axis, values, message
     ):
-        called = record_calls(monkeypatch, experiments, ["sample", "run"])
+        called = record_calls(monkeypatch, experiments, ["sample", "_run"])
         assert cli.main(sweep_argv(tmp_path, small_config(), axis, values)) == cli.EXIT_CONFIG
         assert f"config error: config field {message}" in capsys.readouterr().err
         assert called == [] and not (tmp_path / "out").exists()
@@ -857,7 +925,7 @@ class TestSweepCli:
     def test_a_later_value_leaving_a_coordinate_unobserved_exits_3_before_any_draw(
         self, tmp_path, capsys, monkeypatch
     ):
-        called = record_calls(monkeypatch, experiments, ["sample", "run"])
+        called = record_calls(monkeypatch, experiments, ["sample", "_run"])
         argv = sweep_argv(tmp_path, small_config(), "keep_prob", "0.9,0.01")
         assert cli.main(argv) == cli.EXIT_ASSUMPTION
         assert "never observed in 16 measurements" in capsys.readouterr().err
@@ -866,7 +934,7 @@ class TestSweepCli:
     def test_inverted_grid_exits_2_before_any_draw(self, tmp_path, capsys, monkeypatch):
         config = small_config()
         config["grid"].update(sigma_min=10.0, sigma_max=0.1)
-        called = record_calls(monkeypatch, experiments, ["sample", "run"])
+        called = record_calls(monkeypatch, experiments, ["sample", "_run"])
         assert cli.main(sweep_argv(tmp_path, config, "sigma_z", "0,0.5")) == cli.EXIT_CONFIG
         assert "config error: grid: need 0 < sigma_min < sigma_max" in capsys.readouterr().err
         assert called == [] and not (tmp_path / "out").exists()
@@ -875,7 +943,7 @@ class TestSweepCli:
         config = small_config()
         config["measurement"]["sampler"] = {"kind": "band-subsample", "dim": 4, "low_count": 2,
                                             "rand_count": 1}
-        called = record_calls(monkeypatch, experiments, ["sample", "run"])
+        called = record_calls(monkeypatch, experiments, ["sample", "_run"])
         assert cli.main(sweep_argv(tmp_path, config, "keep_prob", "0.5")) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "measurement.sampler: band-subsample sampler does not read keep_prob" in err
@@ -922,7 +990,7 @@ class TestApiRefusals:
         config = small_config()
         if mutate:
             mutate(config)
-        called = record_calls(monkeypatch, experiments, ["sample", "run"])
+        called = record_calls(monkeypatch, experiments, ["sample", "_run"])
         with pytest.raises(experiments.ConfigError) as err:
             experiments.sweep(config, axis, values)
         assert message in str(err.value) and called == []
