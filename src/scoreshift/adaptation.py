@@ -56,7 +56,10 @@ class AdaptationConfig:
 
     Every field but seed is a key of that block, so AdaptationConfig(seed=s,
     **config["adaptation"]) builds it. eval_samples is the image-domain
-    sample count of the report's before/after kl_image.
+    sample count of the report's before/after kl_image. Its default, 2048,
+    holds for API callers and for runs without the image estimator; a run
+    with the image estimator defaults it to the run's n_samples, so the
+    pair's before is the run's image estimate.
 
     The stopping rules are module constants, not fields: a run stops at a
     plateau once the best evaluation loss of the last PLATEAU_WINDOW (10)
@@ -242,7 +245,9 @@ def adapt(
         ind_model: in-distribution prior p. The report carries KL(p || q)
             in the measurement and image domains before and after
             adaptation, the latter from cfg.eval_samples fresh draws
-            (purely diagnostic; the optimizer never sees p).
+            (purely diagnostic; the optimizer never sees p). experiments.run
+            sets eval_samples to the run's n_samples when the run has the
+            image estimator and the config gives none.
         workers: threads for those estimators; no number depends on it.
 
     Returns:

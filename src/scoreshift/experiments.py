@@ -14,10 +14,11 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import platform
 import reprlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -373,8 +374,11 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
     report's projection_stats holds ep_diag, E[P] of the run's dataset,
     the frequency the estimators weight with. Every check that can refuse
     the run comes before out_dir is made, and adaptation runs first, so a
-    diverging one stops the run before any estimator; its
-    kl_measurement_before (same p, q, data, grid, seed) is the run's.
+    diverging one stops the run before any estimator. Its
+    kl_measurement_before (same p, q, data, grid, seed) is the run's
+    measurement estimate, and its kl_image_before the run's image one: with
+    the image estimator, adaptation's before/after pair is drawn at the
+    run's n_samples unless adaptation.eval_samples says otherwise.
 
     Args:
         dataset: pre-acquired MeasurementDataset to use instead of drawing
@@ -386,7 +390,9 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
 
 def _run(config: dict, out_dir, workers: int, dataset, image: KlEstimate | None = None):
     """run, taking image as the image estimate when given. sweep passes the
-    one its first run made, which reads nothing a sweep axis sets."""
+    one its first run made, which reads nothing a sweep axis sets. Else an
+    adapting run takes adaptation's kl_image_before when it was drawn at the
+    run's n_samples, which is kl_image(p, q, grid, n_samples, seed) bit for bit."""
     started = time.perf_counter()
     p, q, grid, sampler = _checked(config, workers)
     seed = config["seed"]
@@ -417,14 +423,17 @@ def _run(config: dict, out_dir, workers: int, dataset, image: KlEstimate | None 
             check_full_rank(data.op_index, data.support)
     out = _made(out_dir)
 
+    n_samples = config.get("n_samples", DEFAULT_N_SAMPLES)
     if "adaptation" in config:
-        acfg = AdaptationConfig(seed=seed, **config["adaptation"])
+        given = {"eval_samples": n_samples} if "image" in wanted else {}
+        acfg = AdaptationConfig(seed=seed, **{**given, **config["adaptation"]})
         report.adapted_mixture, report.adaptation = adapt(
             q, data, acfg, grid, ind_model=p, workers=workers
         )
+        if report.adaptation.kl_image_before.n_samples == n_samples:
+            image = image or report.adaptation.kl_image_before
 
     if "image" in wanted:
-        n_samples = config.get("n_samples", DEFAULT_N_SAMPLES)
         report.estimates["image"] = image or kl_image(
             p, q, grid, n_samples=n_samples, seed=seed, workers=workers
         )
@@ -435,8 +444,12 @@ def _run(config: dict, out_dir, workers: int, dataset, image: KlEstimate | None 
             else kl_measurement(p, q, data, grid, seed=seed, workers=workers)
         )
     if "invertible" in wanted:
-        report.estimates["invertible"] = kl_invertible(
-            p, q, data, grid, seed=seed, workers=workers
+        # the rows are full rank (checked above), so kl_invertible would be
+        # the measurement estimate bit for bit under its own mode
+        report.estimates["invertible"] = (
+            replace(report.estimates["measurement"], mode="invertible")
+            if "measurement" in wanted
+            else kl_invertible(p, q, data, grid, seed=seed, workers=workers)
         )
 
     report.wall_clock_s = time.perf_counter() - started
@@ -465,13 +478,17 @@ SWEEP_AXES = {
 def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
     """One run per axis value, every one at the config's seed; only the axis moves.
 
-    Run i's config is config with the axis set to values[i]. Before any
-    draw, every run's config gets the checks run gives it, and the operators
-    each run will measure with are drawn to check that they observe every
-    coordinate (SpanViolation) and, for the invertible estimator, that they
-    are full rank (RankDeficient); so a bad value is refused and nothing is
-    written. Every run measures the same clean draws and, sharing the seed,
-    the same noise streams (common random numbers), so the axis isolates
+    Run i's config is config with the axis set to values[i], converted only
+    when exact: an integer (numpy's too) to int for n_measurements, a real
+    number to float for sigma_z and keep_prob, never a bool. Any other value
+    goes to the schema as given, which refuses it as it would in a file.
+    Before any draw, every run's config gets the checks run gives it, and
+    the operators each run will measure with are drawn to check that they
+    observe every coordinate (SpanViolation) and, for the invertible
+    estimator, that they are full rank (RankDeficient); so a bad value is
+    refused and nothing is written. Every run measures the same clean
+    draws and, sharing the seed, the same noise streams (common random
+    numbers), so the axis isolates
     what it varies: keep_prob changes only the masks, sigma_z only the
     measurement noise's scale, n_measurements only how many of the shared
     draws are used. The image estimate reads p, q, the grid, n_samples and
@@ -498,18 +515,23 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
         raise ConfigError("measurement.data_file: a sweep acquires its own measurements")
     if not values:
         raise ConfigError("sweep needs at least one axis value")
-    if len({float(v) for v in values}) < len(values):
-        raise ConfigError(f"sweep axis values repeat; a run would overwrite another: {values}")
     for mode in ("image", "measurement"):
         if mode not in config["estimators"]:
             raise ConfigError(f"sweep requires the {mode!r} estimator")
 
     kind, (*parents, key) = SWEEP_AXES[axis]
+    exact = numbers.Integral if kind is int else numbers.Real
+    values = [kind(v) if isinstance(v, exact) and not isinstance(v, bool) else v
+              for v in values]
     variants = []
     for value in values:
         variant = json.loads(json.dumps(config))
-        functools.reduce(dict.__getitem__, parents, variant)[key] = kind(value)
+        functools.reduce(dict.__getitem__, parents, variant)[key] = value
         p, _, _, sampler = _checked(variant, workers)
+        variants.append((variant, sampler))
+    if len({float(v) for v in values}) < len(values):
+        raise ConfigError(f"sweep axis values repeat; a run would overwrite another: {values}")
+    for variant, sampler in variants:
         meas = variant["measurement"]
         count = _n_measurements(meas)
         ops = range(min(count, meas.get("n_operators", count)))
@@ -518,7 +540,6 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
         estimate_projection_stats(support)
         if "invertible" in variant["estimators"]:
             check_full_rank(op_index, support)
-        variants.append((variant, sampler))
     out = _made(out_dir)
     most = max(_n_measurements(variant["measurement"]) for variant, _ in variants)
     seed = config["seed"]

@@ -23,9 +23,12 @@ from scoreshift import (
     MeasurementDataset,
     OperatorSampler,
     RightBasis,
+    SigmaGrid,
     adaptation,
     cli,
     experiments,
+    kl_image,
+    kl_invertible,
     sample,
     to_projected,
 )
@@ -788,6 +791,26 @@ class TestAdaptingRun:
         np.testing.assert_array_equal(est.node_means, ref.node_means)
         np.testing.assert_array_equal(est.node_stderrs, ref.node_stderrs)
 
+    def test_image_estimate_is_adaptations_before(self, monkeypatch):
+        config = masked_adapting_config()
+        del config["adaptation"]["eval_samples"]
+        called = record_calls(monkeypatch, experiments, ["kl_image"])
+        report = experiments.run(config)
+        p, q = triangle_pair(dim=4)
+        grid = SigmaGrid(0.1, 10.0, 4)
+        est = report.estimates["image"]
+        assert called == [] and est is report.adaptation.kl_image_before
+        assert_same_estimate(est, kl_image(p, q, grid, n_samples=16, seed=3))
+
+    def test_eval_samples_other_than_n_samples_keeps_its_own_image_pass(self, monkeypatch):
+        config = masked_adapting_config()
+        config["adaptation"]["eval_samples"] = 32
+        called = record_calls(monkeypatch, experiments, ["kl_image"])
+        report = experiments.run(config)
+        assert called == ["kl_image"]
+        assert report.estimates["image"].n_samples == 16
+        assert report.adaptation.kl_image_before.n_samples == 32
+
     def test_one_and_two_workers_write_the_same_files(self, tmp_path):
         config = masked_adapting_config()
         for workers in (1, 2):
@@ -823,6 +846,30 @@ class TestAdaptingRun:
         assert called == []
 
 
+class TestInvertibleRun:
+    def test_invertible_estimate_is_the_measurement_one_renamed(self, monkeypatch):
+        config = full_observation_config()
+        p, q = triangle_pair(dim=4)
+        sampler = OperatorSampler.from_dict(config["measurement"]["sampler"])
+        data = MeasurementDataset.from_samples(
+            sampler, sample(p, 16, stream(3, "data-x")), sigma_z=0.0, seed=3
+        )
+        called = record_calls(monkeypatch, experiments, ["kl_invertible"])
+        report = experiments.run(config, dataset=data)
+        assert called == []
+        grid = SigmaGrid(0.1, 10.0, 4)
+        assert_same_estimate(report.estimates["invertible"],
+                             kl_invertible(p, q, data, grid, seed=3))
+        assert without_clock(report) == without_clock(experiments.run(config))
+
+
+def assert_same_estimate(est, reference):
+    """est is reference bit for bit: its reported fields and its node arrays."""
+    assert est.to_dict() == reference.to_dict()
+    np.testing.assert_array_equal(est.node_means, reference.node_means)
+    np.testing.assert_array_equal(est.node_stderrs, reference.node_stderrs)
+
+
 class TestSweepAtOneSeed:
     """Every value runs at the config's seed, and the image estimate is made once."""
 
@@ -845,6 +892,20 @@ class TestSweepAtOneSeed:
             given = dataset if axis == "n_measurements" else None
             alone = experiments.run(with_value(config, axis, value), dataset=given)
             assert without_clock(report) == without_clock(alone)
+
+    @pytest.mark.parametrize(
+        "axis, given, plain",
+        [
+            ("n_measurements", [np.int64(8), 16], [8, 16]),
+            ("sigma_z", [0, np.float32(0.5)], [0.0, 0.5]),
+            ("keep_prob", [1, np.float64(0.5)], [1.0, 0.5]),
+        ],
+    )
+    def test_exact_values_run_as_their_plain_numbers(self, axis, given, plain):
+        reports, rows = experiments.sweep(small_config(), axis, given)
+        plain_reports, plain_rows = experiments.sweep(small_config(), axis, plain)
+        assert rows == plain_rows
+        assert [without_clock(r) for r in reports] == [without_clock(r) for r in plain_reports]
 
     def test_image_estimated_once(self, monkeypatch):
         called = record_calls(monkeypatch, experiments, ["kl_image"])
@@ -982,9 +1043,22 @@ class TestApiRefusals:
              "sweep requires the 'measurement' estimator"),
             (set_field("measurement.sampler.dim", 16), "sigma_z", [0.0],
              "sampler dim 16 != mixture dim 4"),
+            (None, "n_measurements", [300.7],
+             "$.measurement.n_measurements: 300.7 is not of type 'integer'"),
+            (None, "n_measurements", [True, 200],
+             "$.measurement.n_measurements: True is not of type 'integer'"),
+            (None, "n_measurements", [float("inf")],
+             "$.measurement.n_measurements: inf is not of type 'integer'"),
+            (None, "keep_prob", [True],
+             "$.measurement.sampler.keep_prob: True is not of type ['number', 'array']"),
+            (None, "sigma_z", [False, 0.5],
+             "$.measurement.sigma_z: False is not of type 'number'"),
+            (None, "sigma_z", [float("inf")], "$.measurement.sigma_z: inf is not a finite number"),
+            (None, "sigma_z", ["0.5"], "$.measurement.sigma_z: '0.5' is not of type 'number'"),
         ],
         ids=["unknown-axis", "no-measurement-block", "no-values", "no-image", "no-measurement",
-             "sampler-dim"],
+             "sampler-dim", "fractional-count", "bool-count", "infinite-count", "bool-keep-prob",
+             "bool-sigma-z", "infinite-sigma-z", "string-sigma-z"],
     )
     def test_sweep_refuses(self, monkeypatch, mutate, axis, values, message):
         config = small_config()
