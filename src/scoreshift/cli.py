@@ -21,7 +21,7 @@ from . import __version__
 from .adaptation import DivergenceError
 from .estimators import MeasurementDataset, kl_image, kl_invertible, kl_measurement
 from .experiments import CONFIG_SCHEMA, SWEEP_AXES, ConfigError, load_config, run, sweep
-from .gmm import denoise, sample, score
+from .gmm import denoise, responsibilities, sample
 from .measurements import BasisMismatch, OperatorSampler, RankDeficient, RightBasis, SpanViolation
 from .priors import gaussian_pair, triangle_pair
 from .quadrature import SigmaGrid, integrate
@@ -156,8 +156,12 @@ def _selftest_checks():
         f"image={i_est.value!r} measurement={m_est.value!r} invertible={v_est.value!r}",
     )
 
+    # Tweedie: denoise, x + sigma^2 score, is the responsibility-weighted mean of
+    # the components' posterior means (v_k x + sigma^2 mu_k) / (v_k + sigma^2)
     x = sample(p, 16, stream(5, "probe"))
-    resid = denoise(p, x, 0.5) - x - 0.25 * score(p, x, 0.5)
+    v = p.variances[None, :, None]
+    means = (v * x[:, None, :] + 0.25 * p.means[None]) / (v + 0.25)
+    resid = denoise(p, x, 0.5) - np.einsum("nk,nki->ni", responsibilities(p, x, 0.5), means)
     tweedie = float(np.max(np.abs(resid)))
     yield ("posterior mean identity residual < 1e-12", tweedie < 1e-12, f"max={tweedie:.3g}")
 

@@ -71,7 +71,9 @@ class KlEstimate:
 
     node_means and node_stderrs, read-only (m,) arrays, are the integrand's
     mean and standard error at grid's m nodes; (value, stderr) is exactly
-    integrate(grid, node_means, node_stderrs).
+    integrate(grid, node_means, node_stderrs). That stderr treats node errors
+    as independent, which only fresh-draw kl_image makes them: the other
+    estimators reuse their rows at every node, and their stderr under-covers.
     """
 
     value: float

@@ -10,6 +10,7 @@ bit (wall-clock time is the one report field exempt from that guarantee).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -18,7 +19,7 @@ import numbers
 import platform
 import reprlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +35,7 @@ from .estimators import (
     kl_measurement,
 )
 from .gmm import GaussianMixture, sample
-from .measurements import (
-    BasisMismatch,
-    OperatorSampler,
-    estimate_projection_stats,
-    sample_operator,
-)
+from .measurements import BasisMismatch, OperatorSampler, estimate_projection_stats
 from .quadrature import SigmaGrid, series_csv
 from .rng import stream
 
@@ -175,6 +171,14 @@ def _is(value, kind: str) -> bool:
     return isinstance(value, _TYPES[kind]) and isinstance(value, bool) == (kind == "boolean")
 
 
+def _finite(value) -> bool:
+    """Whether a JSON number is a finite float, which an integer too large for one is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _schema_errors(value, schema: dict, path: str):
     """Yield (json path, message) for each way value breaks schema, for the keywords
     CONFIG_SCHEMA uses. As in JSON Schema, a value not of its type gets no other
@@ -184,8 +188,9 @@ def _schema_errors(value, schema: dict, path: str):
     if kinds and not any(_is(value, k) for k in kinds):
         yield path, f"{value!r} is not of type {kind!r}"
         return
-    if "number" in kinds and isinstance(value, float) and not math.isfinite(value):
-        yield path, f"{value!r} is not a finite number"
+    if "number" in kinds and _is(value, "number") and not _finite(value):
+        yield path, (f"{value!r} is not a finite number" if isinstance(value, float)
+                     else f"an integer of {value.bit_length()} bits is too large for a float")
     if "const" in schema and not _same(value, schema["const"]):
         yield path, f"{schema['const']!r} was expected, got {value!r}"
     if "enum" in schema and not any(_same(value, v) for v in schema["enum"]):
@@ -227,15 +232,13 @@ def _read_json(path: Path, what: str):
     """The JSON document in the file at path, as read; a file that cannot be read
     or is not JSON raises a ConfigError that names it as what."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as err:
-        raise ConfigError(f"cannot read {what} {path}: {err}") from err
-    try:
-        return json.loads(text)
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise ConfigError(
             f"{what} {path} is not valid JSON: line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
+    except (OSError, ValueError) as err:  # ValueError: bad UTF-8, or an over-long integer
+        raise ConfigError(f"cannot read {what} {path}: {err}") from err
 
 
 def load_config(path) -> dict:
@@ -328,6 +331,16 @@ def _acquire(sampler: OperatorSampler, meas: dict, draws, seed: int) -> Measurem
     )
 
 
+def _ep_diag(data: MeasurementDataset, estimators) -> np.ndarray:
+    """E[P] of data, once data passes the checks the estimators make on it:
+    every coordinate observed (SpanViolation), then, for the invertible
+    estimator, every operator full rank (RankDeficient)."""
+    ep = estimate_projection_stats(data.support)
+    if "invertible" in estimators:
+        check_full_rank(data.op_index, data.support)
+    return ep
+
+
 @dataclass
 class RunReport:
     """Everything one run produced, ready for JSON emission."""
@@ -382,17 +395,18 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
 
     Args:
         dataset: pre-acquired MeasurementDataset to use instead of drawing
-            one from the config (its sampler must match the config's);
-            sweep uses this to measure the same draws across runs.
+            one from the config or loading its data_file (its sampler must
+            match the config's), such as one a sweep measured.
     """
     return _run(config, out_dir, workers, dataset)
 
 
 def _run(config: dict, out_dir, workers: int, dataset, image: KlEstimate | None = None):
     """run, taking image as the image estimate when given. sweep passes the
-    one its first run made, which reads nothing a sweep axis sets. Else an
-    adapting run takes adaptation's kl_image_before when it was drawn at the
-    run's n_samples, which is kl_image(p, q, grid, n_samples, seed) bit for bit."""
+    one its first run made, which reads nothing a sweep axis sets; that saves
+    sweep64-dense two of its three image passes. Else an adapting run takes
+    adaptation's kl_image_before when it was drawn at the run's n_samples,
+    which is kl_image(p, q, grid, n_samples, seed) bit for bit."""
     started = time.perf_counter()
     p, q, grid, sampler = _checked(config, workers)
     seed = config["seed"]
@@ -418,13 +432,12 @@ def _run(config: dict, out_dir, workers: int, dataset, image: KlEstimate | None 
             )
         elif data.sampler.to_dict() != sampler.to_dict():
             raise BasisMismatch("the data's sampler differs from measurement.sampler")
-        report.ep_diag = estimate_projection_stats(data.support)
-        if "invertible" in wanted:
-            check_full_rank(data.op_index, data.support)
+        report.ep_diag = _ep_diag(data, wanted)
     out = _made(out_dir)
 
     n_samples = config.get("n_samples", DEFAULT_N_SAMPLES)
     if "adaptation" in config:
+        # toy-adapt pays for reusing adaptation's before-estimates as the run's own
         given = {"eval_samples": n_samples} if "image" in wanted else {}
         acfg = AdaptationConfig(seed=seed, **{**given, **config["adaptation"]})
         report.adapted_mixture, report.adaptation = adapt(
@@ -444,12 +457,8 @@ def _run(config: dict, out_dir, workers: int, dataset, image: KlEstimate | None 
             else kl_measurement(p, q, data, grid, seed=seed, workers=workers)
         )
     if "invertible" in wanted:
-        # the rows are full rank (checked above), so kl_invertible would be
-        # the measurement estimate bit for bit under its own mode
-        report.estimates["invertible"] = (
-            replace(report.estimates["measurement"], mode="invertible")
-            if "measurement" in wanted
-            else kl_invertible(p, q, data, grid, seed=seed, workers=workers)
+        report.estimates["invertible"] = kl_invertible(
+            p, q, data, grid, seed=seed, workers=workers
         )
 
     report.wall_clock_s = time.perf_counter() - started
@@ -480,23 +489,22 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
 
     Run i's config is config with the axis set to values[i], converted only
     when exact: an integer (numpy's too) to int for n_measurements, a real
-    number to float for sigma_z and keep_prob, never a bool. Any other value
-    goes to the schema as given, which refuses it as it would in a file.
-    Before any draw, every run's config gets the checks run gives it, and
-    the operators each run will measure with are drawn to check that they
-    observe every coordinate (SpanViolation) and, for the invertible
-    estimator, that they are full rank (RankDeficient); so a bad value is
-    refused and nothing is written. Every run measures the same clean
+    number to float for sigma_z and keep_prob, never a bool. Any other value,
+    and an integer too large for a float, goes to the schema as given, which
+    refuses it as it would in a file. Before any draw, every run's config gets
+    the checks run gives it, and its operators the checks run gives its data
+    (SpanViolation, RankDeficient), on the dataset from_samples builds at zero
+    points and sigma_z 0, which draws the operators and nothing else; so a bad
+    value is refused and nothing is written. Every run measures the same clean
     draws and, sharing the seed, the same noise streams (common random
-    numbers), so the axis isolates
-    what it varies: keep_prob changes only the masks, sigma_z only the
-    measurement noise's scale, n_measurements only how many of the shared
-    draws are used. The image estimate reads p, q, the grid, n_samples and
-    the seed, none of which an axis sets, so the first run makes it and
-    every report carries that one estimate. Each run takes E[P] from its
+    numbers), so the axis isolates what it varies: keep_prob changes only the
+    masks, sigma_z only the measurement noise's scale, n_measurements only how
+    many of the shared draws are used. The image estimate reads p, q, the grid,
+    n_samples and the seed, none of which an axis sets, so the first run makes
+    it and every report carries that one estimate. Each run takes E[P] from its
     own dataset, as a run of its config alone would, and writes to
-    out_dir/<axis>=<value>, so values equal as floats raise ConfigError
-    before any run.
+    out_dir/<axis>=<value>, so values equal as floats raise ConfigError before
+    any run.
 
     A sigma_z or keep_prob report equals run(its config) apart from
     wall_clock_s. An n_measurements value measures a prefix of the largest
@@ -521,8 +529,14 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
 
     kind, (*parents, key) = SWEEP_AXES[axis]
     exact = numbers.Integral if kind is int else numbers.Real
-    values = [kind(v) if isinstance(v, exact) and not isinstance(v, bool) else v
-              for v in values]
+
+    def plain(v):
+        if isinstance(v, exact) and not isinstance(v, bool):
+            with contextlib.suppress(OverflowError):  # an integer too large for a float
+                return kind(v)
+        return v
+
+    values = [plain(v) for v in values]
     variants = []
     for value in values:
         variant = json.loads(json.dumps(config))
@@ -531,18 +545,15 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
         variants.append((variant, sampler))
     if len({float(v) for v in values}) < len(values):
         raise ConfigError(f"sweep axis values repeat; a run would overwrite another: {values}")
+    seed = config["seed"]
     for variant, sampler in variants:
-        meas = variant["measurement"]
-        count = _n_measurements(meas)
-        ops = range(min(count, meas.get("n_operators", count)))
-        op_index = np.arange(count) % len(ops)
-        support = np.array([sample_operator(sampler, k) for k in ops])[op_index]
-        estimate_projection_stats(support)
-        if "invertible" in variant["estimators"]:
-            check_full_rank(op_index, support)
+        # a run's operators read neither its points nor sigma_z, and sigma_z 0
+        # draws no noise: this is its dataset's support, op_index and E[P]
+        meas = {**variant["measurement"], "sigma_z": 0.0}
+        zeros = np.broadcast_to(0.0, (_n_measurements(meas), sampler.dim))
+        _ep_diag(_acquire(sampler, meas, zeros, seed), variant["estimators"])
     out = _made(out_dir)
     most = max(_n_measurements(variant["measurement"]) for variant, _ in variants)
-    seed = config["seed"]
     shared_draws = sample(p, most, stream(seed, "data-x"))
 
     reports, rows, image = [], [], None

@@ -100,8 +100,11 @@ def integrate(grid: SigmaGrid, means, stderrs) -> tuple[float, float]:
     """Quadrature value of int f(sigma) sigma dsigma and its standard error.
 
     means and stderrs hold f's Monte Carlo mean and standard error at each
-    node. They combine in quadrature: each node mean comes from its own
-    sample slice, so node errors are independent.
+    node. They combine in quadrature, as if node errors were independent.
+    That holds for fresh-draw kl_image, whose nodes draw their own points.
+    The measurement, invertible and fixed-sample estimators reuse their rows
+    at every node, so their node errors correlate and this stderr
+    under-covers the spread of the value.
     """
     value = float(cumulative_integral(grid, means)[-1])
     w = node_weights(grid)

@@ -240,6 +240,10 @@ class TestAdaptationConfig:
             AdaptationConfig(iterations=0)
         with pytest.raises(ValueError):
             AdaptationConfig(eval_samples=1)
+        with pytest.raises(ValueError, match="batch and sigma_draws must be >= 1"):
+            AdaptationConfig(batch=0)
+        with pytest.raises(ValueError, match="batch and sigma_draws must be >= 1"):
+            AdaptationConfig(sigma_draws=0)
         AdaptationConfig(iterations=1, batch=1, sigma_draws=1, eval_samples=2)
 
     def test_fields_are_the_config_block(self):
@@ -279,6 +283,12 @@ class TestAdapt:
         assert np.max(np.abs(adapted.means[0])) < 0.3
         assert report.kl_measurement_after.value < 1.0
         assert report.kl_measurement_before.value > 10.0
+
+    def test_mixture_of_another_dim_rejected(self, toy_masked_data):
+        _, _, _, data = toy_masked_data
+        p3, q3 = gaussian_pair(dim=3)
+        with pytest.raises(ValueError, match="mixture dim does not match measurement dim"):
+            adapt(q3, data, toy_cfg(), SigmaGrid(0.01, 1.0, 4), ind_model=p3)
 
     def test_divergence_guard_triggers(self, toy_pair, toy_masked_data):
         # Adam's step is bounded by step_size, so only a step that makes the

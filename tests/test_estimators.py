@@ -115,6 +115,12 @@ class TestKlImage:
         with pytest.raises(ValueError, match="samples must hold at least one row"):
             kl_image(p, q, toy_grid, samples=rows, seed=0)
 
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_fewer_than_two_fresh_draws_rejected(self, toy_pair, toy_grid, n_samples):
+        p, q = toy_pair
+        with pytest.raises(ValueError, match="n_samples must be >= 2"):
+            kl_image(p, q, toy_grid, n_samples=n_samples, seed=0)
+
     def test_workers_do_not_change_values(self, toy_pair, toy_grid):
         p, q = toy_pair
         a = kl_image(p, q, toy_grid, n_samples=128, seed=4, workers=1)
@@ -589,6 +595,12 @@ class TestMeasurementDataset:
                 op_index=np.zeros(0, dtype=int),
                 sigma_z=np.zeros(0),
             )
+
+    @pytest.mark.parametrize("op_index", [np.zeros(3), np.zeros(2, dtype=int)],
+                             ids=["float", "short"])
+    def test_op_index_that_is_not_an_integer_per_row_rejected(self, op_index):
+        with pytest.raises(ValueError, match="op_index must be 3 integers"):
+            MeasurementDataset(mask_sampler(dim=4), np.zeros((3, 4)), op_index, np.zeros(3))
 
 
 

@@ -27,6 +27,7 @@ from scoreshift import (
     adaptation,
     cli,
     experiments,
+    gmm,
     kl_image,
     kl_invertible,
     sample,
@@ -256,6 +257,27 @@ class TestRunExitCodes:
         out = capsys.readouterr().out
         assert "[FAIL]" not in out and "all self-test checks passed" in out
 
+    def test_a_slightly_wrong_score_fails_the_tweedie_check_alone(self, monkeypatch):
+        # wrong wherever it is bound: a check that computes denoise from score passes it
+        real = gmm.score
+
+        def wrong(*args, **kwargs):
+            return (1 + 1e-9) * real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("scoreshift") and getattr(module, "score", None) is real:
+                monkeypatch.setattr(module, "score", wrong)
+        failed = [name for name, passed, _ in cli._selftest_checks() if not passed]
+        assert failed == ["posterior mean identity residual < 1e-12"]
+
+    def test_a_failing_check_exits_1(self, capsys, monkeypatch):
+        checks = [("holds", True, "detail"), ("breaks", False, "detail")]
+        monkeypatch.setattr(cli, "_selftest_checks", lambda: iter(checks))
+        assert cli.main(["self-test"]) == cli.EXIT_SELFTEST
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["[PASS] holds (detail)", "[FAIL] breaks (detail)",
+                       "1 self-test check(s) failed"]
+
     # the schema fills the pipe while printing; a run's few lines wait for the final flush
     @pytest.mark.parametrize("command", ["show-config-schema", "run"])
     def test_closed_stdout_exits_141_without_a_traceback(self, tmp_path, command):
@@ -361,8 +383,9 @@ class TestRunExitCodes:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [(None, "cannot read mixtures.ind file"),
-                                               ("{", "mixtures.ind file")],
-                             ids=["missing", "invalid-json"])
+                                               ("{", "mixtures.ind file"),
+                                               ("1" * 5000, "cannot read mixtures.ind file")],
+                             ids=["missing", "invalid-json", "5000-digit-integer"])
     def test_unreadable_mixture_file_exits_2(self, tmp_path, capsys, text, message):
         path = mixture_files_config(tmp_path, "unreadable", 0.0)
         ind = Path(path).parent / "ind.json"
@@ -527,7 +550,25 @@ def set_field(dotted, value):
     return mutate
 
 
-BAD_CONFIGS = [
+def set_ind_mean(value):
+    def mutate(config):
+        config["mixtures"]["ind"]["means"][0][0] = value
+
+    return mutate
+
+
+# 10**400 is a JSON number that no float holds
+TOO_LARGE = "an integer of 1329 bits is too large for a float"
+HUGE_NUMBERS = [
+    ("sigma_z-1e400", set_field("measurement.sigma_z", 10**400),
+     f"$.measurement.sigma_z: {TOO_LARGE}"),
+    ("sigma_max-1e400", set_field("grid.sigma_max", 10**400), f"$.grid.sigma_max: {TOO_LARGE}"),
+    ("step_size-1e400", set_field("adaptation", {"step_size": 10**400}),
+     f"$.adaptation.step_size: {TOO_LARGE}"),
+    ("mean-1e400", set_ind_mean(10**400), f"$.mixtures.ind.means[0][0]: {TOO_LARGE}"),
+]
+
+BAD_CONFIGS = HUGE_NUMBERS + [
     ("unknown-key-output_dir", set_field("output_dir", "runs"), "$: unknown key 'output_dir'"),
     ("missing-required", lambda c: c["grid"].pop("nodes"), "$.grid: 'nodes' is a required"),
     ("wrong-type", set_field("seed", "3"), "$.seed: '3' is not of type 'integer'"),
@@ -856,11 +897,30 @@ class TestInvertibleRun:
         )
         called = record_calls(monkeypatch, experiments, ["kl_invertible"])
         report = experiments.run(config, dataset=data)
-        assert called == []
+        assert called == ["kl_invertible"]
         grid = SigmaGrid(0.1, 10.0, 4)
-        assert_same_estimate(report.estimates["invertible"],
-                             kl_invertible(p, q, data, grid, seed=3))
+        invertible = report.estimates["invertible"]
+        assert_same_estimate(invertible, kl_invertible(p, q, data, grid, seed=3))
+        np.testing.assert_array_equal(invertible.node_means,
+                                      report.estimates["measurement"].node_means)
         assert without_clock(report) == without_clock(experiments.run(config))
+
+
+class TestImageOnlyRun:
+    def test_runs_kl_image_alone(self, tmp_path):
+        config = small_config()
+        config.pop("measurement")
+        config["estimators"] = ["image"]
+        report = experiments.run(config, out_dir=tmp_path)
+        doc = report.to_dict()
+        assert doc["projection_stats"] is None and doc["adaptation"] is None
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "integrand_image.csv", "report.json"
+        ]
+        p, q = triangle_pair(dim=4)
+        assert list(report.estimates) == ["image"]
+        assert_same_estimate(report.estimates["image"],
+                             kl_image(p, q, SigmaGrid(0.1, 10.0, 4), n_samples=16, seed=3))
 
 
 def assert_same_estimate(est, reference):
@@ -1055,10 +1115,11 @@ class TestApiRefusals:
              "$.measurement.sigma_z: False is not of type 'number'"),
             (None, "sigma_z", [float("inf")], "$.measurement.sigma_z: inf is not a finite number"),
             (None, "sigma_z", ["0.5"], "$.measurement.sigma_z: '0.5' is not of type 'number'"),
+            (None, "sigma_z", [0.5, 10**400], f"$.measurement.sigma_z: {TOO_LARGE}"),
         ],
         ids=["unknown-axis", "no-measurement-block", "no-values", "no-image", "no-measurement",
              "sampler-dim", "fractional-count", "bool-count", "infinite-count", "bool-keep-prob",
-             "bool-sigma-z", "infinite-sigma-z", "string-sigma-z"],
+             "bool-sigma-z", "infinite-sigma-z", "string-sigma-z", "huge-sigma-z"],
     )
     def test_sweep_refuses(self, monkeypatch, mutate, axis, values, message):
         config = small_config()
@@ -1076,8 +1137,10 @@ class TestApiRefusals:
             (set_field("measurement.sampler.dim", 16), "sampler dim 16 != mixture dim 4"),
             (set_field("mixtures.ood", triangle_pair(dim=8)[1].to_dict()),
              "mixtures: ind dim 4 != ood dim 8"),
+            *(case[1:] for case in HUGE_NUMBERS),
         ],
-        ids=["no-measurement-block", "sampler-dim", "mixture-dims"],
+        ids=["no-measurement-block", "sampler-dim", "mixture-dims",
+             *(case[0] for case in HUGE_NUMBERS)],
     )
     def test_run_refuses(self, mutate, message):
         config = small_config()
@@ -1091,8 +1154,9 @@ class TestApiRefusals:
             (None, "cannot read config"),
             ('{"seed": 3,\n', "is not valid JSON: line 2 column 1"),
             ("[]", "config field $: [] is not of type 'object'"),
+            ('{"seed": 1' + "0" * 5000 + "}", "cannot read config"),
         ],
-        ids=["missing", "invalid-json", "list"],
+        ids=["missing", "invalid-json", "list", "5000-digit-integer"],
     )
     def test_unreadable_config_file_exits_2(self, tmp_path, capsys, text, message):
         # --seed writes into the config, so a config that is no object never reaches it

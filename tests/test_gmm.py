@@ -77,6 +77,15 @@ class TestGaussianMixtureType:
                 weights=np.array([1.0]), means=np.zeros((2, 3)), variances=np.ones(1)
             )
 
+    def test_weights_must_be_1d(self):
+        with pytest.raises(ValueError, match="weights must be a 1-D probability vector"):
+            GaussianMixture(weights=np.ones((1, 1)), means=np.zeros((1, 3)), variances=np.ones(1))
+
+    @pytest.mark.parametrize("pair", [gaussian_pair, triangle_pair])
+    def test_pair_below_dim_two_rejected(self, pair):
+        with pytest.raises(ValueError, match=f"{pair.__name__} needs dim >= 2"):
+            pair(dim=1)
+
     @pytest.mark.parametrize("means", [np.zeros(3), np.zeros((1, 1, 3))], ids=["1-d", "3-d"])
     def test_means_must_be_2d(self, means):
         with pytest.raises(ValueError, match=r"means must be a \(K, n\) array"):

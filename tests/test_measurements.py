@@ -1,5 +1,7 @@
 """Operator samplers, projected transforms, noise placement, and E[P] stats."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,30 @@ class TestSampleOperator:
         with pytest.raises(ValueError, match=f"{kind} sampler does not read {', '.join(stray)}"):
             OperatorSampler(kind=kind, dim=16, basis=RightBasis("identity", 16), **valid, **stray)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"kind": "blur"}, "unknown sampler kind 'blur'"),
+            ({"basis": RightBasis("identity", 8)}, "basis dim does not match sampler dim"),
+            ({"kind": "patch-inpainting", "keep_prob": np.full(16, 0.5), "patch_edge": 2},
+             "patch-inpainting takes a scalar keep_prob"),
+            ({"kind": "patch-inpainting", "dim": 8, "basis": RightBasis("identity", 8),
+              "patch_edge": 2}, "patch-inpainting needs a square image (dim = edge^2)"),
+            ({"kind": "band-subsample", "keep_prob": None}, "band-subsample needs"),
+            ({"kind": "band-subsample", "keep_prob": None, "low_count": 10, "rand_count": 7},
+             "band-subsample needs"),
+            ({"kind": "band-subsample", "keep_prob": None, "low_count": -1, "rand_count": 2},
+             "band-subsample needs"),
+        ],
+        ids=["unknown-kind", "basis-dim", "patch-vector-keep", "patch-non-square",
+             "band-no-counts", "band-over-dim", "band-negative"],
+    )
+    def test_sampler_it_cannot_draw_from_rejected(self, fields, message):
+        valid = {"kind": "coordinate-mask", "dim": 16, "basis": RightBasis("identity", 16),
+                 "keep_prob": 0.5}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OperatorSampler(**{**valid, **fields})
+
     def test_band_subsample_exact_counts(self):
         sampler = OperatorSampler(
             kind="band-subsample",
@@ -297,6 +323,10 @@ class TestToProjected:
         sampler = mask_sampler(dim=6)
         with pytest.raises(ValueError, match="shape"):
             to_projected(sampler.basis, sample_operator(sampler, 0), np.zeros(5))
+
+    def test_negative_sigma_z_rejected(self):
+        with pytest.raises(ValueError, match="sigma_z must be >= 0"):
+            to_projected(RightBasis("identity", 6), np.ones((2, 6), bool), np.zeros((2, 6)), -0.1)
 
     @pytest.mark.parametrize(
         "support_shape, x_shape", [((6,), (6,)), ((6,), (2, 6)), ((3, 6), (2, 6))]
