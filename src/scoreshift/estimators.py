@@ -59,7 +59,7 @@ from .rng import stream
 
 _NOISE_TAG = "sigma-noise"
 _NODE_X_TAG = "node-x"
-# Budget for one (rows, K, dim) float64 temporary of score per block: 1 MiB
+# Budget for one (K, rows, dim) float64 temporary of score per block: 1 MiB
 # leaves room for the block's other temporaries in a 2 MiB L2 cache. It
 # bounds a node's points and noise too, which are drawn a block at a time.
 _BLOCK_BYTES = 2**20
@@ -264,7 +264,7 @@ def _score_gap_kl(
     on worker threads would make glibc trim and re-fault the heap each
     block. Each q's estimate is bit for bit that of qs = (q,). A block holds
     max(1, _BLOCK_BYTES // (8 K dim)) rows, K the most components, 170 for
-    K = 3 at dim 256, so score's (rows, K, dim) float64 temporaries stay in
+    K = 3 at dim 256, so score's (K, rows, dim) float64 temporaries stay in
     cache (2048 rows would make 12.6 MB ones) and a node's points never take
     more than a block. Blocking is exact: each step computes row i from row
     i alone, in an order that does not depend on the rows beside it. All

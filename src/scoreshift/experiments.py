@@ -1,11 +1,12 @@
 """Config-driven experiment runs: validation, execution, report emission.
 
 A run is one JSON document with a versioned schema, checked against the subset
-of JSON Schema it uses (integers must be JSON integers, numbers finite);
-unknown keys are rejected so stale configs fail loudly. Every output file
-records the hash of the effective config and the seed, which pin all randomness:
-rerunning the same config single-threaded reproduces every estimate bit for
-bit (wall-clock time is the one report field exempt from that guarantee).
+of JSON Schema it uses (integers must be JSON integers of at most 64 bits,
+numbers finite); unknown keys are rejected so stale configs fail loudly. Every
+output file records the hash of the effective config and the seed, which pin
+all randomness: rerunning the same config single-threaded reproduces every
+estimate bit for bit (wall-clock time is the one report field exempt from that
+guarantee).
 """
 
 from __future__ import annotations
@@ -179,28 +180,42 @@ def _finite(value) -> bool:
         return False
 
 
+def _shown(value) -> str:
+    """repr(value), but an integer past 64 bits by its bit length: its digits
+    are no use in a message, and past 4,300 of them repr raises ValueError."""
+    if _is(value, "integer") and value.bit_length() > 64:
+        return f"an integer of {value.bit_length()} bits"
+    return repr(value)
+
+
 def _schema_errors(value, schema: dict, path: str):
     """Yield (json path, message) for each way value breaks schema, for the keywords
     CONFIG_SCHEMA uses. As in JSON Schema, a value not of its type gets no other
-    check, and the numeric, object and array keywords apply only to values of theirs."""
+    check, and the numeric, object and array keywords apply only to values of theirs.
+    Beyond JSON Schema, an integer field holds 64 bits (seeds, counts and sizes
+    go to numpy) and a number field a float."""
     kind = schema.get("type")
     kinds = [kind] if isinstance(kind, str) else kind or []
     if kinds and not any(_is(value, k) for k in kinds):
-        yield path, f"{value!r} is not of type {kind!r}"
+        yield path, f"{_shown(value)} is not of type {kind!r}"
+        return
+    if "integer" in kinds and _is(value, "integer") and value.bit_length() > 64:
+        yield path, f"{_shown(value)} does not fit in 64 bits"
         return
     if "number" in kinds and _is(value, "number") and not _finite(value):
         yield path, (f"{value!r} is not a finite number" if isinstance(value, float)
-                     else f"an integer of {value.bit_length()} bits is too large for a float")
+                     else f"{_shown(value)} is too large for a float")
+        return
     if "const" in schema and not _same(value, schema["const"]):
-        yield path, f"{schema['const']!r} was expected, got {value!r}"
+        yield path, f"{schema['const']!r} was expected, got {_shown(value)}"
     if "enum" in schema and not any(_same(value, v) for v in schema["enum"]):
-        yield path, f"{value!r} is not one of {schema['enum']!r}"
+        yield path, f"{_shown(value)} is not one of {schema['enum']!r}"
     if _is(value, "number"):
         for key, holds in (("minimum", lambda bound: value >= bound),
                            ("maximum", lambda bound: value <= bound),
                            ("exclusiveMinimum", lambda bound: value > bound)):
             if key in schema and not holds(schema[key]):
-                yield path, f"{value!r} is out of range: {key} is {schema[key]!r}"
+                yield path, f"{_shown(value)} is out of range: {key} is {schema[key]!r}"
     if isinstance(value, dict):
         for key in schema.get("required", ()):
             if key not in value:
@@ -223,7 +238,8 @@ def _schema_errors(value, schema: dict, path: str):
 
 def validate_config(config: dict) -> None:
     """Check config against CONFIG_SCHEMA (a JSON Schema subset; integers must be
-    JSON integers, not 4.0, and numbers finite); raises ConfigError naming the bad field."""
+    JSON integers of at most 64 bits, not 4.0, and numbers finite); raises ConfigError
+    naming the bad field."""
     for path, message in _schema_errors(config, CONFIG_SCHEMA, "$"):
         raise ConfigError(f"config field {path}: {message}")
 

@@ -138,11 +138,15 @@ def _as_points(gmm: GaussianMixture, x) -> np.ndarray:
 def _component_log_densities(gmm: GaussianMixture, pts: np.ndarray, sigma: float):
     """Per-component log w_k + log N(x; mu_k, (var_k + sigma^2) I).
 
-    Returns (comp (N, K), var (K,), diff (N, K, n)) with diff = mu_k - x.
+    Returns (comp (N, K), var (K,), diff (K, N, n)) with diff = mu_k - x,
+    component-major so each elementwise pass walks K rows of N n values
+    rather than N K short rows of n.
     """
     var = gmm.variances + float(sigma) ** 2  # (K,)
-    diff = gmm.means[None, :, :] - pts[:, None, :]  # (N, K, n)
-    sq = np.einsum("nki,nki->nk", diff, diff)  # (N, K)
+    diff = gmm.means[:, None, :] - pts[None, :, :]  # (K, N, n)
+    # order="C": a Fortran-ordered sq would carry into comp and the
+    # responsibilities, and change the summation order of their reductions
+    sq = np.einsum("kni,kni->nk", diff, diff, order="C")  # (N, K)
     log_norm = -0.5 * gmm.dim * (_LOG_2PI + np.log(var))  # (K,)
     with np.errstate(divide="ignore"):
         log_w = np.log(gmm.weights)
@@ -176,10 +180,10 @@ def score(gmm: GaussianMixture, x, sigma: float = 0.0) -> np.ndarray:
     """
     comp, var, diff = _component_log_densities(gmm, _as_points(gmm, x), sigma)
     r = np.exp(comp - _logsumexp(comp, axis=1, keepdims=True))  # (N, K)
-    # in place: diff is this call's own temporary, so no second (N, K, n)
+    # in place: diff is this call's own temporary, so no second (K, N, n)
     # array is allocated; the quotient is the same bit for bit
-    diff /= var[None, :, None]
-    return np.einsum("nk,nki->ni", r, diff)
+    diff /= var[:, None, None]
+    return np.einsum("nk,kni->ni", r, diff)
 
 
 def denoise(gmm: GaussianMixture, x, sigma: float) -> np.ndarray:
@@ -200,9 +204,9 @@ def sample_blocks(gmm: GaussianMixture, count: int, rng: np.random.Generator, ro
 
     The one holder of the sampling law: all count component indices are
     drawn from weights first, then each block's normals in order, scaled by
-    the components' standard deviations and shifted by their means in place,
-    one masked add per component, so a block takes one buffer and no
-    block-sized temporary. numpy fills normals in sequence, so the blocks
+    the components' standard deviations in place and shifted by their means,
+    gathered with one take into a second buffer; both buffers are allocated
+    once, before the first block. numpy fills normals in sequence, so the blocks
     concatenate to the one-block draw bit for bit. block is the rows' slice
     of the count draws; pts, (len, n), is a view of one buffer that the next
     block overwrites.
@@ -215,13 +219,13 @@ def sample_blocks(gmm: GaussianMixture, count: int, rng: np.random.Generator, ro
         raise ValueError(f"count must be >= 1, got {count}")
     idx = rng.choice(gmm.n_components, size=count, p=gmm.weights)
     buf = np.empty((min(rows, count), gmm.dim))
+    shift = np.empty_like(buf)
     for start in range(0, count, rows):
         block = slice(start, start + rows)
         k = idx[block]
         pts = rng.standard_normal(out=buf[: len(k)])
         pts *= np.sqrt(gmm.variances[k])[:, None]
-        for c, mean in enumerate(gmm.means):
-            np.add(pts, mean, out=pts, where=(k == c)[:, None])
+        pts += np.take(gmm.means, k, axis=0, out=shift[: len(k)])
         yield block, pts
 
 

@@ -166,7 +166,7 @@ class OperatorSampler:
                     raise ValueError(
                         f"patch edge {self.patch_edge} must divide image edge {edge}"
                     )
-            elif p.ndim == 1 and p.size != self.dim:
+            elif p.shape not in ((), (self.dim,)):
                 raise ValueError("per-coordinate keep_prob must have length dim")
         else:
             low = self.low_count or 0
@@ -232,8 +232,7 @@ def sample_operator(sampler: OperatorSampler, index: int) -> np.ndarray:
         raise ValueError(f"index must be >= 0, got {index}")
     gen = stream(sampler.base_seed, "operator", index)
     if sampler.kind == "coordinate-mask":
-        p = np.broadcast_to(np.asarray(sampler.keep_prob, dtype=float), (sampler.dim,))
-        return gen.random(sampler.dim) < p
+        return gen.random(sampler.dim) < sampler.keep_prob
     if sampler.kind == "patch-inpainting":
         edge = math.isqrt(sampler.dim)
         pe = sampler.patch_edge

@@ -568,6 +568,14 @@ HUGE_NUMBERS = [
     ("mean-1e400", set_ind_mean(10**400), f"$.mixtures.ind.means[0][0]: {TOO_LARGE}"),
 ]
 
+# past 4,300 digits an integer has no repr and no JSON dump, so only the API
+# can pass one; the message gives its bit length
+TOO_LONG = "an integer of 16610 bits does not fit in 64 bits"
+HUGE_INTEGERS = [
+    (f"{field}-{name}1e5000", set_field(field, sign * 10**5000), f"$.{field}: {TOO_LONG}")
+    for field in ("seed", "n_samples") for name, sign in (("", 1), ("minus-", -1))
+]
+
 BAD_CONFIGS = HUGE_NUMBERS + [
     ("unknown-key-output_dir", set_field("output_dir", "runs"), "$: unknown key 'output_dir'"),
     ("missing-required", lambda c: c["grid"].pop("nodes"), "$.grid: 'nodes' is a required"),
@@ -1031,9 +1039,11 @@ class TestSweepCli:
             ("n_measurements", "0", "$.measurement.n_measurements: 0 is out of range: minimum"),
             ("n_measurements", "5,0", "$.measurement.n_measurements: 0 is out of range: minimum"),
             ("keep_prob", "0.5,1.5", "$.measurement.sampler.keep_prob: 1.5 is out of range"),
+            ("n_measurements", "1" + "0" * 400,
+             "$.measurement.n_measurements: an integer of 1329 bits does not fit in 64 bits"),
         ],
         ids=["sigma_z-negative", "sigma_z-nan", "sigma_z-inf", "n-zero", "n-5-then-0",
-             "keep_prob-1.5"],
+             "keep_prob-1.5", "n-401-digits"],
     )
     def test_bad_value_exits_2_naming_the_field_before_any_draw(
         self, tmp_path, capsys, monkeypatch, axis, values, message
@@ -1116,10 +1126,12 @@ class TestApiRefusals:
             (None, "sigma_z", [float("inf")], "$.measurement.sigma_z: inf is not a finite number"),
             (None, "sigma_z", ["0.5"], "$.measurement.sigma_z: '0.5' is not of type 'number'"),
             (None, "sigma_z", [0.5, 10**400], f"$.measurement.sigma_z: {TOO_LARGE}"),
+            (None, "n_measurements", [10**400],
+             "$.measurement.n_measurements: an integer of 1329 bits does not fit in 64 bits"),
         ],
         ids=["unknown-axis", "no-measurement-block", "no-values", "no-image", "no-measurement",
              "sampler-dim", "fractional-count", "bool-count", "infinite-count", "bool-keep-prob",
-             "bool-sigma-z", "infinite-sigma-z", "string-sigma-z", "huge-sigma-z"],
+             "bool-sigma-z", "infinite-sigma-z", "string-sigma-z", "huge-sigma-z", "huge-count"],
     )
     def test_sweep_refuses(self, monkeypatch, mutate, axis, values, message):
         config = small_config()
@@ -1137,10 +1149,10 @@ class TestApiRefusals:
             (set_field("measurement.sampler.dim", 16), "sampler dim 16 != mixture dim 4"),
             (set_field("mixtures.ood", triangle_pair(dim=8)[1].to_dict()),
              "mixtures: ind dim 4 != ood dim 8"),
-            *(case[1:] for case in HUGE_NUMBERS),
+            *(case[1:] for case in HUGE_NUMBERS + HUGE_INTEGERS),
         ],
         ids=["no-measurement-block", "sampler-dim", "mixture-dims",
-             *(case[0] for case in HUGE_NUMBERS)],
+             *(case[0] for case in HUGE_NUMBERS + HUGE_INTEGERS)],
     )
     def test_run_refuses(self, mutate, message):
         config = small_config()

@@ -150,6 +150,21 @@ class TestSampleOperator:
         support = sample_operator(sampler, 7)
         assert support.shape == (20,) and support.dtype == bool
 
+    def test_vector_keep_prob_is_compared_coordinatewise(self):
+        keep = np.linspace(0.0, 1.0, 20)
+        sampler = mask_sampler(dim=20, keep_prob=keep, base_seed=3)
+        constant = mask_sampler(dim=20, keep_prob=np.full(20, 0.5), base_seed=3)
+        scalar = mask_sampler(dim=20, keep_prob=0.5, base_seed=3)
+        for index in range(5):
+            draw = stream(3, "operator", index).random(20)
+            np.testing.assert_array_equal(sample_operator(sampler, index), draw < keep)
+            np.testing.assert_array_equal(sample_operator(constant, index),
+                                          sample_operator(scalar, index))
+
+    def test_keep_prob_of_another_shape_raises(self):
+        with pytest.raises(ValueError, match="must have length dim"):
+            mask_sampler(dim=4, keep_prob=np.full((1, 4), 0.5))
+
     def test_full_keep_gives_identity_projection(self):
         sampler = mask_sampler(dim=12, keep_prob=1.0)
         np.testing.assert_array_equal(sample_operator(sampler, 0), np.ones(12, dtype=bool))

@@ -5,7 +5,7 @@ draws the same examples on every run and machine.
 """
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scoreshift import (
@@ -24,6 +24,7 @@ from scoreshift import (
     sample,
     score,
 )
+from scoreshift.gmm import sample_blocks
 from scoreshift.quadrature import node_weights
 from scoreshift.rng import stream
 from tests.conftest import PROPERTY, mask_sampler
@@ -74,6 +75,67 @@ def test_denoise_is_tweedie_the_weighted_posterior_means(gmm, data, sigma):
     expected = np.einsum("nk,nki->ni", responsibilities(gmm, x, sigma), posterior)
     scale = max(1.0, np.abs(x).max(), np.abs(gmm.means).max())
     np.testing.assert_allclose(denoise(gmm, x, sigma), expected, rtol=1e-10, atol=1e-10 * scale)
+
+
+@st.composite
+def wide_mixtures(draw, max_dim):
+    """A mixture of 1-9 components on 1..max_dim coordinates, drawn from a seed;
+    with two or more components, the first may weigh zero."""
+    dim, k = draw(st.integers(1, max_dim)), draw(st.integers(1, 9))
+    gen = stream(draw(st.integers(0, 2**16)), "wide-mixture")
+    weights = gen.uniform(0.1, 1.0, k)
+    if k > 1 and draw(st.booleans()):
+        weights[0] = 0.0
+    means = gen.normal(0.0, 3.0, (k, dim))
+    return GaussianMixture(weights / weights.sum(), means, gen.uniform(0.1, 3.0, k))
+
+
+def literal_kernel(gmm, pts, sigma):
+    """(log_density, responsibilities, score) with mu_k - x laid out (N, K, n)."""
+    var = gmm.variances + sigma**2
+    diff = gmm.means[None, :, :] - pts[:, None, :]
+    sq = np.einsum("nki,nki->nk", diff, diff)
+    log_norm = -0.5 * gmm.dim * (np.log(2.0 * np.pi) + np.log(var))
+    with np.errstate(divide="ignore"):
+        comp = np.log(gmm.weights)[None, :] + log_norm[None, :] - 0.5 * sq / var[None, :]
+    shift = np.max(comp, axis=1, keepdims=True)
+    lse = np.log(np.sum(np.exp(comp - shift), axis=1, keepdims=True)) + shift
+    r = np.exp(comp - lse)
+    return lse[:, 0], r, np.einsum("nk,nki->ni", r, diff / var[None, :, None])
+
+
+@settings(PROPERTY, max_examples=60)
+@given(wide_mixtures(300), st.integers(1, 700), st.floats(-2.0, 3.0).map(lambda e: 10.0**e),
+       st.integers(0, 2**16))
+def test_score_kernel_is_the_literal_form_bit_for_bit(gmm, count, sigma, seed):
+    gen = stream(seed, "kernel-points")
+    pts = gmm.means[gen.integers(gmm.n_components, size=count)]
+    pts = pts + (1.0 + sigma) * gen.standard_normal((count, gmm.dim))
+    lse, r, literal = literal_kernel(gmm, pts, sigma)
+    np.testing.assert_array_equal(log_density(gmm, pts, sigma), lse)
+    got = responsibilities(gmm, pts, sigma)
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got, r)
+    np.testing.assert_array_equal(score(gmm, pts, sigma), literal)
+
+
+@PROPERTY
+@given(wide_mixtures(40), st.integers(2, 64), st.integers(0, 3), st.data(), st.integers(0, 2**16))
+def test_sample_blocks_is_the_per_component_masked_add(gmm, rows, whole, data, seed):
+    # count is not a multiple of rows, so the last block is short
+    count = whole * rows + data.draw(st.integers(1, rows - 1))
+    rng = stream(seed, "blocks")
+    idx = rng.choice(gmm.n_components, size=count, p=gmm.weights)
+    expected = []
+    for start in range(0, count, rows):
+        k = idx[start : start + rows]
+        pts = rng.standard_normal((len(k), gmm.dim)) * np.sqrt(gmm.variances[k])[:, None]
+        for c, mean in enumerate(gmm.means):
+            np.add(pts, mean, out=pts, where=(k == c)[:, None])
+        expected.append(pts)
+    got = [pts.copy() for _, pts in sample_blocks(gmm, count, stream(seed, "blocks"), rows)]
+    assert count % rows != 0 and len(got) == len(expected)
+    np.testing.assert_array_equal(np.concatenate(got), np.concatenate(expected))
 
 
 @PROPERTY
