@@ -26,6 +26,7 @@ from .gmm import (
     denoise,
     exact_kl_oracle,
     log_density,
+    posterior,
     responsibilities,
     rotate,
     sample,
@@ -75,6 +76,7 @@ __all__ = [
     "kl_invertible",
     "kl_measurement",
     "log_density",
+    "posterior",
     "responsibilities",
     "rotate",
     "sample",

@@ -18,13 +18,13 @@ The loss is the ambient denoising objective of Ambient Diffusion (Daras et
 al., arXiv 2305.19256). Each step draws its own minibatch, sigma draws and
 noise, and takes the exact gradient of the loss on that pack in one pass:
 the denoiser is the mixture's closed-form posterior mean (Tweedie's
-formula), so its derivatives in the means and weight logits follow from
-gmm's responsibilities (see _signal_loss_and_grad). fd_gradient, the central
-finite-difference gradient, is kept as the reference the tests compare
-against. The update is Adam on uniform minibatches, with sigma drawn
-log-uniformly over the run's grid, sigma_min to sigma_max. Progress is
-tracked on a separate frozen evaluation pack, which makes the plateau rule
-and the divergence guard deterministic.
+formula), so the loss and its derivatives in the means and weight logits
+follow from gmm's posterior, taken once per sigma draw (see _residual).
+fd_gradient, the central finite-difference gradient, is kept as the
+reference the tests compare against. The update is Adam on uniform
+minibatches, with sigma drawn log-uniformly over the run's grid, sigma_min
+to sigma_max. Progress is tracked on a separate frozen evaluation pack,
+which makes the plateau rule and the divergence guard deterministic.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import KlEstimate, MeasurementDataset, kl_image, kl_measurement
-from .gmm import GaussianMixture, responsibilities, rotate, score
+# score is unused here; it stays bound because benchmarks/layers.py wraps adaptation.score
+from .gmm import GaussianMixture, posterior, rotate, score
 from .measurements import estimate_projection_stats
 from .quadrature import SigmaGrid
 from .rng import stream
@@ -121,26 +122,28 @@ class AdaptationReport:
         }
 
 
-def _pack_loss(
-    q: GaussianMixture,
-    ybar: np.ndarray,
-    masks: np.ndarray,
-    w: np.ndarray,
-    sigmas: np.ndarray,
-    eps: np.ndarray,
-) -> float:
-    """Weighted projected denoising error on a fixed (data, sigma, noise) pack.
+def _residual(q: GaussianMixture, ybar, masks, w, sigma, eps_s):
+    """q's posterior (r, scaled, score) at ybar_sigma = ybar + sigma * (eps_s * masks),
+    w * (ybar - D_q(ybar_sigma)) for D_q = ybar_sigma + sigma^2 score, and its sum of squares."""
+    ybar_sigma = ybar + sigma * (eps_s * masks)
+    post = posterior(q, ybar_sigma, sigma)
+    # D_q, then the residual, overwrite ybar_sigma (post keeps no view of it): one temporary
+    ybar_sigma += sigma**2 * post[2]
+    resid = np.subtract(ybar, ybar_sigma, out=ybar_sigma)
+    resid *= w
+    return post, resid, float(np.einsum("bi,bi->b", resid, resid).sum())
+
+
+def _pack_loss(q: GaussianMixture, ybar, masks, w, sigmas, eps) -> float:
+    """Weighted projected denoising error on a fixed (data, sigma, noise) pack:
+    the mean over its S x B pairs of || w * (ybar - D_q(ybar_sigma)) ||^2.
 
     q is already rotated into the projected basis. ybar: (B, n); masks:
-    (B, n) boolean supports; sigmas: (S,); eps: (S, B, n). Returns the mean
-    over the S x B pairs of || w * (ybar - D_q(ybar_sigma)) ||^2.
-    """
+    (B, n) boolean supports; sigmas: (S,); eps: (S, B, n)."""
     total = 0.0
-    for s, sigma in enumerate(sigmas):
-        ybar_sigma = ybar + sigma * (eps[s] * masks)
-        denoised = ybar_sigma + sigma**2 * score(q, ybar_sigma, sigma)
-        resid = (ybar - denoised) * w[None, :]
-        total += float(np.einsum("bi,bi->b", resid, resid).sum())
+    for sigma, eps_s in zip(sigmas, eps):
+        # only the float is kept: no posterior or residual outlives its draw
+        total += _residual(q, ybar, masks, w, sigma, eps_s)[2]
     return total / (sigmas.size * ybar.shape[0])
 
 
@@ -150,10 +153,10 @@ def _signal_loss_and_grad(
     """_pack_loss and its exact gradient in the means and weight logits of q,
     which is given in signal coordinates.
 
-    The loss runs on q rotated into the projected basis (means V^T mu_k).
-    There the denoiser is D = sum_k r_k m_k, with r gmm's responsibilities
-    and m_k = x + sigma^2 (mu_k - x)/var_k, so with g = dL/dD:
-      dL/dmu_k    = sum_rows r_k sigma^2/var_k g - r_k ((m_k - D).g) (mu_k - x)/var_k
+    The loss runs on q rotated into the projected basis (means V^T mu_k),
+    through _pack_loss's _residual. There D = sum_k r_k m_k, with (r, scaled,
+    score) gmm's posterior and m_k = x + sigma^2 scaled_k, so with g = dL/dD:
+      dL/dmu_k    = sum_rows r_k sigma^2/var_k g - r_k ((m_k - D).g) scaled_k
       dL/dlogit_k = sum_rows r_k (m_k - D).g
     The softmax's -w_k term drops out of the logit gradient because
     sum_k r_k (m_k - D) = 0. The mean gradient is taken back with one
@@ -167,20 +170,15 @@ def _signal_loss_and_grad(
     total = 0.0
     grad_means = np.zeros(q.means.shape)
     grad_logits = np.zeros(q.n_components)
-    for s, sigma in enumerate(sigmas):
-        ybar_sigma = ybar + sigma * (eps[s] * masks)
-        r = responsibilities(q, ybar_sigma, sigma)  # (B, K)
-        var = q.variances + float(sigma) ** 2
-        scaled = (q.means[None, :, :] - ybar_sigma[:, None, :]) / var[None, :, None]
-        sc = np.einsum("bk,bki->bi", r, scaled)  # score(q, ybar_sigma, sigma)
-        resid = (ybar - (ybar_sigma + sigma**2 * sc)) * w[None, :]
-        total += float(np.einsum("bi,bi->b", resid, resid).sum())
+    for sigma, eps_s in zip(sigmas, eps):
+        (r, scaled, sc), resid, sq = _residual(q, ybar, masks, w, sigma, eps_s)
+        total += sq
         g = scale * resid  # dL/dD, (B, n)
         # r_k (m_k - D).g, with m_k - D = sigma^2 (scaled_k - sc)
-        proj = np.einsum("bki,bi->bk", scaled, g) - np.einsum("bi,bi->b", sc, g)[:, None]
+        proj = np.einsum("kbi,bi->bk", scaled, g) - np.einsum("bi,bi->b", sc, g)[:, None]
         rc = sigma**2 * r * proj
-        grad_means += (sigma**2 / var)[:, None] * (r.T @ g)
-        grad_means -= np.einsum("bk,bki->ki", rc, scaled)
+        grad_means += (sigma**2 / (q.variances + float(sigma) ** 2))[:, None] * (r.T @ g)
+        grad_means -= np.einsum("bk,kbi->ki", rc, scaled)
         grad_logits += rc.sum(axis=0)
     parts = [basis.forward(grad_means).ravel()]
     if train_weights:
@@ -269,11 +267,14 @@ def adapt(
     ybar_all, masks_all = data.ybar, data.support
     n_data = len(data)
 
+    def draw(sigma_gen, noise_gen, rows: int):
+        sigmas = np.exp(sigma_gen.uniform(log_lo, log_hi, size=cfg.sigma_draws))
+        return sigmas, noise_gen.standard_normal((cfg.sigma_draws, rows, q0.dim))
+
     # Frozen evaluation pack: the plateau rule and divergence guard track a
     # deterministic function of the parameters.
     eval_gen = stream(cfg.seed, "adapt-eval")
-    eval_sigmas = np.exp(eval_gen.uniform(log_lo, log_hi, size=cfg.sigma_draws))
-    eval_eps = eval_gen.standard_normal((cfg.sigma_draws, n_data, q0.dim))
+    eval_sigmas, eval_eps = draw(eval_gen, eval_gen, n_data)
 
     def eval_loss(params: np.ndarray) -> float:
         q = rotate(_split_params(params, q0, train_weights), basis.matrix.T)
@@ -293,10 +294,8 @@ def adapt(
         idx = stream(cfg.seed, "adapt-batch", t).integers(0, n_data, size=min(cfg.batch, n_data))
         ybar = ybar_all[idx]
         masks = masks_all[idx]
-        sig_gen = stream(cfg.seed, "adapt-sigma", t)
-        sigmas = np.exp(sig_gen.uniform(log_lo, log_hi, size=cfg.sigma_draws))
-        eps = stream(cfg.seed, "adapt-noise", t).standard_normal(
-            (cfg.sigma_draws, idx.size, q0.dim)
+        sigmas, eps = draw(
+            stream(cfg.seed, "adapt-sigma", t), stream(cfg.seed, "adapt-noise", t), idx.size
         )
 
         q = _split_params(params, q0, train_weights)

@@ -6,7 +6,8 @@ stays inside the family, so densities, scores and posterior-mean denoisers
 are all available in closed form. All component computations run in log
 space with log-sum-exp stabilization; responsibilities would otherwise
 underflow once the noise level is small compared to component separation.
-The point functions take a batch, x of shape (N, n), and only a batch.
+responsibilities and score are projections of the one posterior. The point
+functions take a batch, x of shape (N, n), and only a batch.
 """
 
 from __future__ import annotations
@@ -164,26 +165,25 @@ def log_density(gmm: GaussianMixture, x, sigma: float = 0.0) -> np.ndarray:
     return _logsumexp(comp, axis=1)
 
 
+def posterior(gmm: GaussianMixture, x, sigma: float = 0.0):
+    """Posterior over components at noise level sigma of the (N, n) points x, as
+    (r, scaled, score): responsibilities (N, K); the call's own mu_k - x, (K, N, n),
+    divided in place by var_k + sigma^2; and log_density's gradient sum_k r_k scaled_k,
+    (N, n), so one component gives (mu - x) / (var + sigma^2) with no further rounding."""
+    comp, var, diff = _component_log_densities(gmm, _as_points(gmm, x), sigma)
+    r = np.exp(comp - _logsumexp(comp, axis=1, keepdims=True))
+    diff /= var[:, None, None]
+    return r, diff, np.einsum("nk,kni->ni", r, diff)
+
+
 def responsibilities(gmm: GaussianMixture, x, sigma: float = 0.0) -> np.ndarray:
-    """Posterior component probabilities at noise level sigma of the (N, n)
-    points x, shape (N, K)."""
-    comp, _, _ = _component_log_densities(gmm, _as_points(gmm, x), sigma)
-    return np.exp(comp - _logsumexp(comp, axis=1, keepdims=True))
+    """posterior's r: the component probabilities, (N, K)."""
+    return posterior(gmm, x, sigma)[0]
 
 
 def score(gmm: GaussianMixture, x, sigma: float = 0.0) -> np.ndarray:
-    """Gradient of log_density at the (N, n) points x, shape (N, n):
-    sum_k r_k(x) (mu_k - x) / (var_k + sigma^2).
-
-    Computed in that literal form so the single-component case reduces to
-    (mu - x) / (var + sigma^2) with no rounding beyond the division.
-    """
-    comp, var, diff = _component_log_densities(gmm, _as_points(gmm, x), sigma)
-    r = np.exp(comp - _logsumexp(comp, axis=1, keepdims=True))  # (N, K)
-    # in place: diff is this call's own temporary, so no second (K, N, n)
-    # array is allocated; the quotient is the same bit for bit
-    diff /= var[:, None, None]
-    return np.einsum("nk,kni->ni", r, diff)
+    """posterior's score, the gradient of log_density, (N, n)."""
+    return posterior(gmm, x, sigma)[2]
 
 
 def denoise(gmm: GaussianMixture, x, sigma: float) -> np.ndarray:

@@ -196,8 +196,13 @@ class OperatorSampler:
     @classmethod
     def from_dict(cls, doc: dict) -> "OperatorSampler":
         """Read a config's sampler block or a to_dict (older ones write "dense");
-        a key neither the sampler nor its basis reads raises ValueError."""
+        a key neither the sampler nor its basis reads, or a doc or basis that is
+        not a JSON object, raises ValueError."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"sampler must be a JSON object, got {doc!r:.80}")
         basis_doc = doc.get("basis", {"kind": "identity"})
+        if not isinstance(basis_doc, dict):
+            raise ValueError(f"sampler basis must be a JSON object, got {basis_doc!r:.80}")
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         unknown += sorted(f"basis.{key}" for key in set(basis_doc) - {"kind", "seed"})
         if unknown:

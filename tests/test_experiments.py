@@ -309,6 +309,30 @@ class TestRunExitCodes:
         assert "never observed in 16 measurements: [1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (None, [1], "sampler must be a JSON object, got [1]"),
+            ("basis", ["identity"], "sampler basis must be a JSON object, got ['identity']"),
+        ],
+        ids=["sampler-array", "basis-array"],
+    )
+    def test_data_file_sampler_not_an_object_exits_2(
+        self, tmp_path, capsys, field, value, message
+    ):
+        config = small_config()
+        acquired(config["measurement"]["sampler"]).save(tmp_path / "data.json")
+        doc = json.loads((tmp_path / "data.json").read_text())
+        if field is None:
+            doc["sampler"] = value
+        else:
+            doc["sampler"][field] = value
+        (tmp_path / "data.json").write_text(json.dumps(doc))
+        config["measurement"]["data_file"] = str(tmp_path / "data.json")
+        assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "sampler",
         [
             {"kind": "coordinate-mask", "dim": 4, "base_seed": 2},
