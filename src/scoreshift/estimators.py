@@ -205,7 +205,8 @@ class MeasurementDataset:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         records = doc["measurements"]
-        # a bool or a string is no JSON number: refuse it before numpy coerces it
+        # a bool or a string is no JSON number, and an integer past a float's range
+        # fits no float: refuse them before numpy coerces or overflows on them
         for i, rec in enumerate(records):
             fields = [("op_index", rec["op_index"], int)]
             fields.append(("sigma_z", rec.get("sigma_z", 0.0), float))
@@ -214,6 +215,10 @@ class MeasurementDataset:
                 if isinstance(value, bool) or not isinstance(value, (int, kind)):
                     what = "an integer" if kind is int else "a number"
                     raise ValueError(f"measurements[{i}].{name} must be {what}, got {value!r}")
+                try:
+                    kind(value)
+                except OverflowError:
+                    raise ValueError(f"measurements[{i}].{name} is too large for a float") from None
         return cls(
             sampler=OperatorSampler.from_dict(doc["sampler"]),
             ybar=[rec["ybar"] for rec in records],

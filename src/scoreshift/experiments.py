@@ -446,7 +446,7 @@ def _run(config: dict, out_dir, workers: int, dataset, image: KlEstimate | None 
                 sampler, meas_cfg, sample(p, _n_measurements(meas_cfg), stream(seed, "data-x")),
                 seed,
             )
-        elif data.sampler.to_dict() != sampler.to_dict():
+        elif data.sampler != sampler:
             raise BasisMismatch("the data's sampler differs from measurement.sampler")
         report.ep_diag = _ep_diag(data, wanted)
     out = _made(out_dir)

@@ -88,9 +88,15 @@ class GaussianMixture:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GaussianMixture":
-        """Read a to_dict document, rejecting non-finite numbers (the constructor
-        takes them: adaptation's runaway iterates must reach its divergence guard)."""
-        arrays = [np.asarray(doc[key], dtype=float) for key in ("weights", "means", "variances")]
+        """Read a to_dict document, rejecting non-finite numbers and integers too
+        large for a float (the constructor takes non-finite ones: adaptation's
+        runaway iterates must reach its divergence guard)."""
+        arrays = []
+        for key in ("weights", "means", "variances"):
+            try:
+                arrays.append(np.asarray(doc[key], dtype=float))
+            except OverflowError:
+                raise ValueError(f"{key} holds a number too large for a float") from None
         if not all(np.all(np.isfinite(arr)) for arr in arrays):
             raise ValueError("weights, means and variances must be finite")
         gmm = cls(*arrays)

@@ -10,8 +10,8 @@ with it.
 
 Every operator drawn from one sampler shares its basis, so datasets built
 from a single sampler satisfy the shared-right-basis requirement by
-construction. A sampler is likewise its spec: two samplers draw the same
-operators in the same basis exactly when their to_dict agree. E[P] is one
+construction. A sampler is likewise a value: two samplers draw the same
+operators in the same basis exactly when they are equal. E[P] is one
 (n,) array taken from the measurements at hand: the fraction of rows that
 observe each projected coordinate (estimate_projection_stats); the
 estimators derive their weight E[P]^(-3/2) from it where they use it. If
@@ -22,6 +22,7 @@ rather than silently extrapolating.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -123,15 +124,17 @@ class OperatorSampler:
 
     kinds:
         "coordinate-mask": keep each coordinate independently; keep_prob is
-            a scalar or a per-coordinate vector.
+            a scalar or a per-coordinate vector of dim entries.
         "patch-inpainting": image coordinates in row-major order over a
             square image; each non-overlapping patch_edge x patch_edge
             patch is kept independently with probability keep_prob.
         "band-subsample": always keep the lowest low_count coordinates and
             a uniform random rand_count-subset of the rest.
 
-    A field its kind never reads is rejected, so two samplers that draw the
-    same operators have the same to_dict, which is how samplers compare.
+    A sampler is a value: each keep_prob entry is a real number in [0, 1], no
+    bool, kept as a float or a tuple of floats, and a field its kind never
+    reads is rejected, so samplers compare equal when they draw the same
+    operators (a vector keep_prob of equal entries equals no scalar one).
     to_dict is a config's measurement.sampler block.
     """
 
@@ -139,7 +142,7 @@ class OperatorSampler:
     dim: int
     basis: RightBasis
     base_seed: int = 0
-    keep_prob: float | np.ndarray | None = None
+    keep_prob: float | tuple[float, ...] | None = None
     patch_edge: int | None = None
     low_count: int | None = None
     rand_count: int | None = None
@@ -153,11 +156,10 @@ class OperatorSampler:
         if self.kind in ("coordinate-mask", "patch-inpainting"):
             if self.keep_prob is None:
                 raise ValueError(f"{self.kind} needs keep_prob")
-            p = np.asarray(self.keep_prob, dtype=float)
-            if not np.all((p >= 0) & (p <= 1)):
-                raise ValueError("keep_prob entries must lie in [0, 1]")
+            keep = np.asarray(self.keep_prob, dtype=object).tolist()  # a bool stays one
+            vector = isinstance(keep, list)
             if self.kind == "patch-inpainting":
-                if p.ndim != 0:
+                if vector:
                     raise ValueError("patch-inpainting takes a scalar keep_prob")
                 edge = math.isqrt(self.dim)
                 if edge * edge != self.dim:
@@ -166,8 +168,15 @@ class OperatorSampler:
                     raise ValueError(
                         f"patch edge {self.patch_edge} must divide image edge {edge}"
                     )
-            elif p.shape not in ((), (self.dim,)):
+            elif vector and len(keep) != self.dim:
                 raise ValueError("per-coordinate keep_prob must have length dim")
+            for p in keep if vector else [keep]:
+                if isinstance(p, bool) or not isinstance(p, numbers.Real):
+                    raise ValueError(f"keep_prob entries must be numbers, got {p!r:.80}")
+                if not 0 <= p <= 1:
+                    raise ValueError("keep_prob entries must lie in [0, 1]")
+            keep = tuple(map(float, keep)) if vector else float(keep)
+            object.__setattr__(self, "keep_prob", keep)
         else:
             low = self.low_count or 0
             rand = self.rand_count or 0
@@ -177,20 +186,22 @@ class OperatorSampler:
         if stray:
             raise ValueError(f"{self.kind} sampler does not read {', '.join(stray)}")
 
+    @cached_property
+    def _threshold(self) -> np.ndarray:
+        """keep_prob as a read-only array, built once rather than on every draw."""
+        threshold = np.array(self.keep_prob)
+        threshold.setflags(write=False)
+        return threshold
+
     def to_dict(self) -> dict:
-        doc = {"kind": self.kind, "dim": self.dim, "base_seed": self.base_seed}
-        doc["basis"] = {"kind": self.basis.kind}
+        basis = {"kind": self.basis.kind}
         if self.basis.kind == "dense":
-            doc["basis"] = {"kind": "dense-orthogonal", "seed": self.basis.seed}
-        if self.keep_prob is not None:
-            p = np.asarray(self.keep_prob)
-            doc["keep_prob"] = p.tolist() if p.ndim else float(p)
-        if self.patch_edge is not None:
-            doc["patch_edge"] = self.patch_edge
-        if self.low_count is not None:
-            doc["low_count"] = self.low_count
-        if self.rand_count is not None:
-            doc["rand_count"] = self.rand_count
+            basis = {"kind": "dense-orthogonal", "seed": self.basis.seed}
+        doc = {"kind": self.kind, "dim": self.dim, "base_seed": self.base_seed, "basis": basis}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in doc and value is not None:
+                doc[f.name] = list(value) if isinstance(value, tuple) else value
         return doc
 
     @classmethod
@@ -207,24 +218,11 @@ class OperatorSampler:
         unknown += sorted(f"basis.{key}" for key in set(basis_doc) - {"kind", "seed"})
         if unknown:
             raise ValueError(f"unknown sampler key(s): {', '.join(unknown)}")
-        dim = doc["dim"]
         bkind = basis_doc.get("kind", "identity")
         basis = RightBasis(
-            "dense" if bkind == "dense-orthogonal" else bkind, dim, basis_doc.get("seed", 0)
+            "dense" if bkind == "dense-orthogonal" else bkind, doc["dim"], basis_doc.get("seed", 0)
         )
-        keep_prob = doc.get("keep_prob")
-        if isinstance(keep_prob, list):
-            keep_prob = np.asarray(keep_prob, dtype=float)
-        return cls(
-            kind=doc["kind"],
-            dim=dim,
-            basis=basis,
-            base_seed=doc.get("base_seed", 0),
-            keep_prob=keep_prob,
-            patch_edge=doc.get("patch_edge"),
-            low_count=doc.get("low_count"),
-            rand_count=doc.get("rand_count"),
-        )
+        return cls(**{**doc, "basis": basis})
 
 
 def sample_operator(sampler: OperatorSampler, index: int) -> np.ndarray:
@@ -237,12 +235,12 @@ def sample_operator(sampler: OperatorSampler, index: int) -> np.ndarray:
         raise ValueError(f"index must be >= 0, got {index}")
     gen = stream(sampler.base_seed, "operator", index)
     if sampler.kind == "coordinate-mask":
-        return gen.random(sampler.dim) < sampler.keep_prob
+        return gen.random(sampler.dim) < sampler._threshold
     if sampler.kind == "patch-inpainting":
         edge = math.isqrt(sampler.dim)
         pe = sampler.patch_edge
         grid = edge // pe
-        keep_patch = gen.random((grid, grid)) < float(sampler.keep_prob)
+        keep_patch = gen.random((grid, grid)) < sampler.keep_prob
         pixels = np.repeat(np.repeat(keep_patch, pe, axis=0), pe, axis=1)
         return pixels.reshape(sampler.dim)
     low = sampler.low_count or 0

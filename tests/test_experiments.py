@@ -203,8 +203,12 @@ class TestRunSamplerGuard:
              "unknown sampler key(s): singular_value"),
             (lambda doc: doc["measurements"][0]["ybar"].__setitem__(1, float("nan")),
              "ybar entries must be finite"),
+            (lambda doc: doc["measurements"][2]["ybar"].__setitem__(1, 10**400),
+             "measurements[2].ybar[1] is too large for a float"),
+            (lambda doc: doc["measurements"][3].update(sigma_z=-(10**400)),
+             "measurements[3].sigma_z is too large for a float"),
         ],
-        ids=["singular_value", "nan-ybar"],
+        ids=["singular_value", "nan-ybar", "huge-ybar", "huge-sigma_z"],
     )
     def test_data_file_the_dataset_cannot_state_exits_2(self, tmp_path, capsys, corrupt, message):
         config = small_config()
@@ -216,6 +220,20 @@ class TestRunSamplerGuard:
         config["measurement"]["data_file"] = str(path)
         assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    def test_data_file_whose_keep_prob_is_true_exits_2(self, tmp_path, capsys):
+        # true is refused as a config's keep_prob, so it is refused as the data's,
+        # even where the config's 1.0 would draw the same operators
+        config = small_config()
+        config["measurement"]["sampler"]["keep_prob"] = 1.0
+        path = tmp_path / "data.json"
+        acquired(config["measurement"]["sampler"]).save(path)
+        doc = json.loads(path.read_text())
+        doc["sampler"]["keep_prob"] = True
+        path.write_text(json.dumps(doc))
+        config["measurement"]["data_file"] = str(path)
+        assert cli.main(["run", "--config", config_file(tmp_path, config)]) == cli.EXIT_CONFIG
+        assert "keep_prob entries must be numbers, got True" in capsys.readouterr().err
 
     def test_matching_data_file_reproduces_in_memory_run(self, tmp_path):
         config = small_config()

@@ -405,3 +405,14 @@ class TestSerialization:
         doc[key] = np.full(np.shape(doc[key]), bad).tolist()
         with pytest.raises(ValueError, match="must be finite"):
             GaussianMixture.from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["weights", "means", "variances"])
+    def test_integer_too_large_for_a_float_rejected(self, key, tmp_path):
+        doc = single_gaussian(np.zeros(2)).to_dict()
+        doc[key] = np.full(np.shape(doc[key]), 10**400, dtype=object).tolist()
+        path = tmp_path / "mixture.json"
+        path.write_text(json.dumps(doc))
+        message = f"{key} holds a number too large for a float"
+        for read in (lambda: GaussianMixture.from_dict(doc), lambda: GaussianMixture.load(path)):
+            with pytest.raises(ValueError, match=message):
+                read()

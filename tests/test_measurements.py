@@ -1,5 +1,6 @@
 """Operator samplers, projected transforms, noise placement, and E[P] stats."""
 
+import json
 import re
 
 import numpy as np
@@ -391,7 +392,7 @@ class TestProjectionStats:
 
 class TestSamplerSerialization:
     def test_round_trip_preserves_fingerprint(self):
-        # a sampler's fingerprint is its to_dict; a basis is its spec
+        # a sampler's to_dict reads back as an equal sampler; a basis is its spec
         for sampler in (
             mask_sampler(dim=8, keep_prob=0.3, base_seed=9),
             mask_sampler(dim=8, keep_prob=0.3, basis=RightBasis("dense", 8, seed=2)),
@@ -409,6 +410,36 @@ class TestSamplerSerialization:
             assert clone.basis == sampler.basis
             np.testing.assert_array_equal(clone.basis.matrix, sampler.basis.matrix)
             np.testing.assert_array_equal(sample_operator(sampler, 3), sample_operator(clone, 3))
+
+    @pytest.mark.parametrize(
+        "keep", [0.3, [0.5, 0.25, 1.0, 0.0, 0.3, 0.3, 0.7, 0.9]], ids=["scalar", "vector"]
+    )
+    def test_sampler_is_a_value(self, keep):
+        sampler = mask_sampler(dim=8, keep_prob=keep, basis=RightBasis("dense", 8, seed=2))
+        clone = OperatorSampler.from_dict(json.loads(json.dumps(sampler.to_dict())))
+        assert clone == sampler and hash(clone) == hash(sampler)
+        as_array = np.array(keep)
+        assert mask_sampler(dim=8, keep_prob=as_array) == mask_sampler(dim=8, keep_prob=keep)
+        as_array.flat[-1] = np.nextafter(as_array.flat[-1], 0.0)  # one entry, one ulp down
+        assert mask_sampler(dim=8, keep_prob=as_array) != mask_sampler(dim=8, keep_prob=keep)
+
+    @pytest.mark.parametrize(
+        "keep, message",
+        [
+            (True, "keep_prob entries must be numbers, got True"),
+            ([True] + [0.5] * 7, "keep_prob entries must be numbers, got True"),
+            (np.ones(8, dtype=bool), "keep_prob entries must be numbers, got True"),
+            ("0.5", "keep_prob entries must be numbers, got '0.5'"),
+            (10**400, "keep_prob entries must lie in [0, 1]"),
+        ],
+        ids=["true", "true-entry", "bool-array", "string", "huge-integer"],
+    )
+    def test_keep_prob_that_is_no_probability_rejected(self, keep, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mask_sampler(dim=8, keep_prob=keep)
+        doc = {"kind": "coordinate-mask", "dim": 8, "keep_prob": keep}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OperatorSampler.from_dict(doc)
 
     def test_dense_basis_written_as_its_config_kind(self):
         sampler = mask_sampler(dim=8, keep_prob=0.3, basis=RightBasis("dense", 8, seed=2))
