@@ -95,6 +95,13 @@ class KlEstimate:
         }
 
 
+def operator_indices(count: int, n_operators: int | None) -> np.ndarray:
+    """Each of count rows' operator index: row i's is i, or i mod n_operators
+    when a limited pool of operators is reused."""
+    rows = np.arange(count)
+    return rows if n_operators is None else rows % n_operators
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementDataset:
     """Corrupted observations in columns, plus the sampler of their operators.
@@ -105,8 +112,9 @@ class MeasurementDataset:
     one right basis, so every row's projected coordinates are comparable.
     Construction validates the finite columns and derives support, the boolean
     (N, n) diagonal of each row's projection P, by drawing every distinct
-    operator index once. All four arrays are read-only. Datasets compare by
-    identity, as array columns have no single truth value.
+    operator index once; ybar must be 0 off each row's support, where no
+    operator measures anything. All four arrays are read-only. Datasets
+    compare by identity, as array columns have no single truth value.
     """
 
     sampler: OperatorSampler
@@ -137,6 +145,13 @@ class MeasurementDataset:
         indices, rows = np.unique(op_index, return_inverse=True)
         drawn = np.stack([sample_operator(self.sampler, int(i)) for i in indices])
         support = drawn[rows]
+        stray = np.argwhere((ybar != 0) & ~support)
+        if stray.size:
+            i, j = stray[0].tolist()
+            raise ValueError(
+                f"ybar[{i}][{j}] is {float(ybar[i, j])!r}, but operator {op_index[i]} "
+                f"does not observe coordinate {j}: ybar must be 0 there"
+            )
         for name, value in (
             ("ybar", ybar), ("op_index", op_index), ("sigma_z", sigma_z), ("support", support)
         ):
@@ -164,17 +179,17 @@ class MeasurementDataset:
     ) -> "MeasurementDataset":
         """Acquire one measurement per row of points, an (N, n) array.
 
-        Measurement i uses operator index i (or i mod n_operators when a
-        limited pool of operators should be reused) and noise of std sigma_z
-        from the stream (seed, "meas-z", i), so datasets built at different
-        sigma_z from the same seed share their x draws and noise shapes.
+        Measurement i uses operator operator_indices(N, n_operators)[i] and
+        noise of std sigma_z from the stream (seed, "meas-z", i), so datasets
+        built at different sigma_z from the same seed share their x draws and
+        noise shapes.
         The dataset is built first, on an all-zero placeholder ybar, which
         draws each distinct operator index once; all rows are then acquired
         on its support in one to_projected call and replace the placeholder,
         checked finite as the constructor checks ybar.
         """
         count = len(points)
-        op_index = np.arange(count) if n_operators is None else np.arange(count) % n_operators
+        op_index = operator_indices(count, n_operators)
         placeholder = np.broadcast_to(0.0, (count, sampler.dim))
         data = cls(sampler, placeholder, op_index, np.full(count, sigma_z))
         ybar = to_projected(sampler.basis, data.support, points, sigma_z, seed)

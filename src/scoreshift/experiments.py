@@ -34,6 +34,7 @@ from .estimators import (
     kl_image,
     kl_invertible,
     kl_measurement,
+    operator_indices,
 )
 from .gmm import GaussianMixture, sample
 from .measurements import BasisMismatch, OperatorSampler, estimate_projection_stats
@@ -336,24 +337,13 @@ def _n_measurements(meas: dict) -> int:
     return meas.get("n_measurements", DEFAULT_N_MEASUREMENTS)
 
 
-def _acquire(sampler: OperatorSampler, meas: dict, draws, seed: int) -> MeasurementDataset:
-    """The dataset meas describes: its first n_measurements draws measured by sampler."""
-    return MeasurementDataset.from_samples(
-        sampler,
-        draws[: _n_measurements(meas)],
-        sigma_z=meas.get("sigma_z", 0.0),
-        seed=seed,
-        n_operators=meas.get("n_operators"),
-    )
-
-
-def _ep_diag(data: MeasurementDataset, estimators) -> np.ndarray:
-    """E[P] of data, once data passes the checks the estimators make on it:
-    every coordinate observed (SpanViolation), then, for the invertible
-    estimator, every operator full rank (RankDeficient)."""
-    ep = estimate_projection_stats(data.support)
+def _ep_diag(op_index: np.ndarray, support: np.ndarray, estimators) -> np.ndarray:
+    """E[P] of a dataset's rows, once their operators pass the checks the
+    estimators make on them: every coordinate observed (SpanViolation), then,
+    for the invertible estimator, every operator full rank (RankDeficient)."""
+    ep = estimate_projection_stats(support)
     if "invertible" in estimators:
-        check_full_rank(data.op_index, data.support)
+        check_full_rank(op_index, support)
     return ep
 
 
@@ -395,9 +385,11 @@ def _versions() -> dict:
     }
 
 
-def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport:
+def run(config: dict, out_dir=None, workers: int = 1) -> RunReport:
     """Execute one validated config; optionally write report and CSV files.
 
+    The run reads nothing but config: its measurements are the data_file's,
+    or else its own n_measurements draws from p at the config's seed.
     Outputs (when out_dir is given): report.json, one integrand_<mode>.csv
     per estimator, and adapted_mixture.json when adaptation ran. The
     report's projection_stats holds ep_diag, E[P] of the run's dataset,
@@ -408,16 +400,11 @@ def run(config: dict, out_dir=None, workers: int = 1, dataset=None) -> RunReport
     measurement estimate, and its kl_image_before the run's image one: with
     the image estimator, adaptation's before/after pair is drawn at the
     run's n_samples unless adaptation.eval_samples says otherwise.
-
-    Args:
-        dataset: pre-acquired MeasurementDataset to use instead of drawing
-            one from the config or loading its data_file (its sampler must
-            match the config's), such as one a sweep measured.
     """
-    return _run(config, out_dir, workers, dataset)
+    return _run(config, out_dir, workers)
 
 
-def _run(config: dict, out_dir, workers: int, dataset, image: KlEstimate | None = None):
+def _run(config: dict, out_dir, workers: int, image: KlEstimate | None = None):
     """run, taking image as the image estimate when given. sweep passes the
     one its first run made, which reads nothing a sweep axis sets; that saves
     sweep64-dense two of its three image passes. Else an adapting run takes
@@ -429,10 +416,10 @@ def _run(config: dict, out_dir, workers: int, dataset, image: KlEstimate | None 
     wanted = config["estimators"]
     report = RunReport(config_hash=config_hash(config), seed=seed, versions=_versions())
 
-    data = dataset
+    data = None
     if sampler is not None:
         meas_cfg = config["measurement"]
-        if data is None and "data_file" in meas_cfg:
+        if "data_file" in meas_cfg:
             try:
                 data = MeasurementDataset.load(meas_cfg["data_file"])
             except (OSError, ValueError, KeyError, TypeError) as err:
@@ -440,15 +427,18 @@ def _run(config: dict, out_dir, workers: int, dataset, image: KlEstimate | None 
                     f"measurement.data_file: cannot load {meas_cfg['data_file']}: "
                     f"{type(err).__name__}: {err}"
                 ) from err
-        if data is None:
-            # not bound to a name, so the draws are freed once measured
-            data = _acquire(
-                sampler, meas_cfg, sample(p, _n_measurements(meas_cfg), stream(seed, "data-x")),
-                seed,
+            if data.sampler != sampler:
+                raise BasisMismatch("the data's sampler differs from measurement.sampler")
+        else:
+            # the draws are not bound to a name, so they are freed once measured
+            data = MeasurementDataset.from_samples(
+                sampler,
+                sample(p, _n_measurements(meas_cfg), stream(seed, "data-x")),
+                sigma_z=meas_cfg.get("sigma_z", 0.0),
+                seed=seed,
+                n_operators=meas_cfg.get("n_operators"),
             )
-        elif data.sampler != sampler:
-            raise BasisMismatch("the data's sampler differs from measurement.sampler")
-        report.ep_diag = _ep_diag(data, wanted)
+        report.ep_diag = _ep_diag(data.op_index, data.support, wanted)
     out = _made(out_dir)
 
     n_samples = config.get("n_samples", DEFAULT_N_SAMPLES)
@@ -509,23 +499,17 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
     and an integer too large for a float, goes to the schema as given, which
     refuses it as it would in a file. Before any draw, every run's config gets
     the checks run gives it, and its operators the checks run gives its data
-    (SpanViolation, RankDeficient), on the dataset from_samples builds at zero
-    points and sigma_z 0, which draws the operators and nothing else; so a bad
-    value is refused and nothing is written. Every run measures the same clean
-    draws and, sharing the seed, the same noise streams (common random
-    numbers), so the axis isolates what it varies: keep_prob changes only the
-    masks, sigma_z only the measurement noise's scale, n_measurements only how
-    many of the shared draws are used. The image estimate reads p, q, the grid,
-    n_samples and the seed, none of which an axis sets, so the first run makes
-    it and every report carries that one estimate. Each run takes E[P] from its
-    own dataset, as a run of its config alone would, and writes to
-    out_dir/<axis>=<value>, so values equal as floats raise ConfigError before
-    any run.
-
-    A sigma_z or keep_prob report equals run(its config) apart from
-    wall_clock_s. An n_measurements value measures a prefix of the largest
-    value's draws, not the draws of its own count, so its report equals
-    run(its config, dataset=its dataset in the sweep) instead.
+    (SpanViolation, RankDeficient): the dataset constructor on a zero
+    placeholder draws them and builds no basis. So a bad value is refused and
+    nothing is written. Each report is run(its config), apart from
+    wall_clock_s, and is written to out_dir/<axis>=<value>, so values equal as
+    floats raise ConfigError before any run. Sharing the seed, sigma_z and
+    keep_prob values measure the same clean draws with the same noise streams
+    (common random numbers), so keep_prob changes only the masks and sigma_z
+    only the noise's scale; an n_measurements value draws its own rows. The
+    image estimate reads p, q, the grid, n_samples and the seed, none of which
+    an axis sets, so the first run makes it and every report carries that one
+    estimate.
 
     Returns (reports, summary_rows) where each summary row is
     (axis_value, kl_measurement, kl_image, abs_gap).
@@ -557,26 +541,28 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
     for value in values:
         variant = json.loads(json.dumps(config))
         functools.reduce(dict.__getitem__, parents, variant)[key] = value
-        p, _, _, sampler = _checked(variant, workers)
+        *_, sampler = _checked(variant, workers)
         variants.append((variant, sampler))
     if len({float(v) for v in values}) < len(values):
         raise ConfigError(f"sweep axis values repeat; a run would overwrite another: {values}")
-    seed = config["seed"]
     for variant, sampler in variants:
-        # a run's operators read neither its points nor sigma_z, and sigma_z 0
-        # draws no noise: this is its dataset's support, op_index and E[P]
-        meas = {**variant["measurement"], "sigma_z": 0.0}
-        zeros = np.broadcast_to(0.0, (_n_measurements(meas), sampler.dim))
-        _ep_diag(_acquire(sampler, meas, zeros, seed), variant["estimators"])
+        # a run's operators read neither its points nor sigma_z: these are its
+        # dataset's support and op_index, as from_samples first builds them
+        meas = variant["measurement"]
+        count = _n_measurements(meas)
+        operators = MeasurementDataset(
+            sampler,
+            np.broadcast_to(0.0, (count, sampler.dim)),
+            operator_indices(count, meas.get("n_operators")),
+            np.zeros(count),
+        )
+        _ep_diag(operators.op_index, operators.support, variant["estimators"])
     out = _made(out_dir)
-    most = max(_n_measurements(variant["measurement"]) for variant, _ in variants)
-    shared_draws = sample(p, most, stream(seed, "data-x"))
 
     reports, rows, image = [], [], None
-    for value, (variant, sampler) in zip(values, variants):
-        data = _acquire(sampler, variant["measurement"], shared_draws, seed)
+    for value, (variant, _) in zip(values, variants):
         sub = out / f"{axis}={value}" if out is not None else None
-        reports.append(_run(variant, sub, workers, data, image))
+        reports.append(_run(variant, sub, workers, image))
         image = reports[-1].estimates["image"]
         km, ki = (reports[-1].estimates[mode].value for mode in ("measurement", "image"))
         rows.append((float(value), km, ki, abs(km - ki)))

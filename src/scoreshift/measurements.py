@@ -43,14 +43,17 @@ class RankDeficient(ValueError):
     """Raised when the invertible estimator meets an operator that is not full rank."""
 
 
-def _check_integers(spec, names) -> None:
-    """Raise ValueError at the first named field of spec that is set but is no integer
-    (a bool is none), so a data file's 2.7 or true is refused, not truncated."""
+def _plain_integers(spec, names) -> None:
+    """Store each named field of spec that is set as a plain int, so to_dict writes
+    JSON; raise ValueError at the first that is no integer (a bool is none), so a
+    data file's 2.7 or true is refused, not truncated."""
     for name in names:
         value = getattr(spec, name)
-        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if value is not None and not integer:
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(spec, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ class RightBasis:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integers(self, ("dim", "seed"))
+        _plain_integers(self, ("dim", "seed"))
         if self.kind not in ("identity", "hadamard", "dense"):
             raise ValueError(f"unknown basis kind {self.kind!r}")
         if self.kind == "hadamard" and (self.dim < 1 or self.dim & (self.dim - 1)):
@@ -132,7 +135,8 @@ class OperatorSampler:
             a uniform random rand_count-subset of the rest.
 
     A sampler is a value: each keep_prob entry is a real number in [0, 1], no
-    bool, kept as a float or a tuple of floats, and a field its kind never
+    bool, kept as a float or a tuple of floats, an integer field (numpy's
+    too) is kept as an int, and a field its kind never
     reads is rejected, so samplers compare equal when they draw the same
     operators (a vector keep_prob of equal entries equals no scalar one).
     to_dict is a config's measurement.sampler block.
@@ -148,7 +152,7 @@ class OperatorSampler:
     rand_count: int | None = None
 
     def __post_init__(self):
-        _check_integers(self, ("dim", "base_seed", "patch_edge", "low_count", "rand_count"))
+        _plain_integers(self, ("dim", "base_seed", "patch_edge", "low_count", "rand_count"))
         if self.kind not in ("coordinate-mask", "patch-inpainting", "band-subsample"):
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.basis.dim != self.dim:

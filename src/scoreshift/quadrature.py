@@ -18,6 +18,7 @@ always reports its sigma_max so callers can bound the tail at their scale.
 from __future__ import annotations
 
 import io
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +30,8 @@ class SigmaGrid:
     """count log-uniform noise levels from sigma_min to sigma_max, both included.
 
     A grid is its spec, and to_dict is a config's grid block (count under
-    "nodes"). Needs 0 < sigma_min < sigma_max < inf and count >= 2. nodes
+    "nodes"), with plain floats and a plain int count. Needs
+    0 < sigma_min < sigma_max < inf and count >= 2. nodes
     is the read-only np.geomspace array, built on first use, so grids
     compare by spec; its endpoints are sigma_min and sigma_max exactly.
     """
@@ -47,6 +49,7 @@ class SigmaGrid:
             raise ValueError(f"count must be >= 2, got {self.count}")
         object.__setattr__(self, "sigma_min", float(self.sigma_min))
         object.__setattr__(self, "sigma_max", float(self.sigma_max))
+        object.__setattr__(self, "count", operator.index(self.count))
 
     @cached_property
     def nodes(self) -> np.ndarray:

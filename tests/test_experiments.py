@@ -80,17 +80,17 @@ class TestSweepProjectionStats:
             np.testing.assert_array_equal(report.ep_diag, fresh.ep_diag)
 
 
-def capture_runs(monkeypatch):
-    """Record the (config, dataset) of each run a sweep makes."""
-    ran = []
-    real_run = experiments._run
+def capture_datasets(monkeypatch):
+    """Record the dataset each run's kl_measurement call measures."""
+    measured = []
+    real = experiments.kl_measurement
 
-    def capturing(config, out_dir, workers, dataset, image=None):
-        ran.append((config, dataset))
-        return real_run(config, out_dir, workers, dataset, image)
+    def capturing(p, q, data, *args, **kwargs):
+        measured.append(data)
+        return real(p, q, data, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "_run", capturing)
-    return ran
+    monkeypatch.setattr(experiments, "kl_measurement", capturing)
+    return measured
 
 
 def without_clock(report):
@@ -104,15 +104,15 @@ class TestSweepSemantics:
 
     @pytest.fixture
     def swept(self, monkeypatch):
-        """Run a sweep of small_config on a Hadamard basis; return the datasets it ran."""
-        ran = capture_runs(monkeypatch)
+        """Run a sweep of small_config on a Hadamard basis; return the datasets it measured."""
+        measured = capture_datasets(monkeypatch)
         config = small_config()
         config["measurement"]["sampler"]["basis"] = {"kind": "hadamard"}
 
         def sweep(axis, values):
             experiments.sweep(config, axis, values)
-            assert len(ran) == len(values)
-            return config, [dataset for _, dataset in ran]
+            assert len(measured) == len(values)
+            return config, measured
 
         return sweep
 
@@ -158,20 +158,27 @@ def config_file(tmp_path, config):
     return str(path)
 
 
+def reading(tmp_path, config, data):
+    """config with measurement.data_file naming data, saved under tmp_path."""
+    data.save(tmp_path / "data.json")
+    config["measurement"]["data_file"] = str(tmp_path / "data.json")
+    return config
+
+
 class TestRunSamplerGuard:
-    def test_dataset_from_other_sampler_rejected(self):
+    def test_dataset_from_other_sampler_rejected(self, tmp_path):
         config = small_config()
         with pytest.raises(BasisMismatch):
-            experiments.run(config, dataset=acquired(other_sampler(config)))
+            experiments.run(reading(tmp_path, config, acquired(other_sampler(config))))
 
-    def test_dataset_from_other_dense_seed_rejected(self):
+    def test_dataset_from_other_dense_seed_rejected(self, tmp_path):
         config = small_config()
         sampler = config["measurement"]["sampler"]
         sampler["basis"] = {"kind": "dense-orthogonal", "seed": 1}
-        experiments.run(config, dataset=acquired(sampler))
+        experiments.run(reading(tmp_path, config, acquired(sampler)))
         other = {**sampler, "basis": {"kind": "dense", "seed": 2}}
         with pytest.raises(BasisMismatch):
-            experiments.run(config, dataset=acquired(other))
+            experiments.run(reading(tmp_path, config, acquired(other)))
 
     def test_data_file_from_other_sampler_exits_3(self, tmp_path):
         config = small_config()
@@ -190,11 +197,12 @@ class TestRunSamplerGuard:
         monkeypatch.chdir(tmp_path / "elsewhere")
         assert cli.main(["run", "--config", path, "--out", "out"]) == cli.EXIT_OK
         from_cli = json.loads(Path("out", "report.json").read_text())
-        in_memory = experiments.run(experiments.load_config(path), dataset=data).to_dict()
-        in_memory = json.loads(json.dumps(in_memory))
-        for doc in (from_cli, in_memory):
+        # the relative path reads what the absolute one beside the config reads
+        config["measurement"]["data_file"] = str(tmp_path / "cfg" / "data.json")
+        absolute = json.loads(json.dumps(experiments.run(config).to_dict()))
+        for doc in (from_cli, absolute):
             doc.pop("wall_clock_s")
-        assert from_cli == in_memory
+        assert from_cli == absolute
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -207,8 +215,11 @@ class TestRunSamplerGuard:
              "measurements[2].ybar[1] is too large for a float"),
             (lambda doc: doc["measurements"][3].update(sigma_z=-(10**400)),
              "measurements[3].sigma_z is too large for a float"),
+            # operator 1 does not observe coordinate 2, so no operator produced this value
+            (lambda doc: doc["measurements"][1]["ybar"].__setitem__(2, 7.0),
+             "ybar[1][2] is 7.0, but operator 1 does not observe coordinate 2"),
         ],
-        ids=["singular_value", "nan-ybar", "huge-ybar", "huge-sigma_z"],
+        ids=["singular_value", "nan-ybar", "huge-ybar", "huge-sigma_z", "unobserved-ybar"],
     )
     def test_data_file_the_dataset_cannot_state_exits_2(self, tmp_path, capsys, corrupt, message):
         config = small_config()
@@ -236,13 +247,16 @@ class TestRunSamplerGuard:
         assert "keep_prob entries must be numbers, got True" in capsys.readouterr().err
 
     def test_matching_data_file_reproduces_in_memory_run(self, tmp_path):
+        # a data file holding the config's own draw reads as the run that draws it
         config = small_config()
-        data = acquired(config["measurement"]["sampler"])
-        data.save(tmp_path / "data.json")
-        config["measurement"]["data_file"] = str(tmp_path / "data.json")
-        from_file = experiments.run(config).to_dict()
-        in_memory = experiments.run(config, dataset=data).to_dict()
+        p = GaussianMixture.from_dict(config["mixtures"]["ind"])
+        sampler = OperatorSampler.from_dict(config["measurement"]["sampler"])
+        data = MeasurementDataset.from_samples(sampler, sample(p, 16, stream(3, "data-x")), seed=3)
+        in_memory = experiments.run(config).to_dict()
+        from_file = experiments.run(reading(tmp_path, config, data)).to_dict()
         for doc in (from_file, in_memory):
+            for est in (doc, *doc["estimates"].values()):
+                est.pop("config_hash")
             doc.pop("wall_clock_s")
         assert from_file == in_memory
 
@@ -946,14 +960,13 @@ class TestInvertibleRun:
             sampler, sample(p, 16, stream(3, "data-x")), sigma_z=0.0, seed=3
         )
         called = record_calls(monkeypatch, experiments, ["kl_invertible"])
-        report = experiments.run(config, dataset=data)
+        report = experiments.run(config)
         assert called == ["kl_invertible"]
         grid = SigmaGrid(0.1, 10.0, 4)
         invertible = report.estimates["invertible"]
         assert_same_estimate(invertible, kl_invertible(p, q, data, grid, seed=3))
         np.testing.assert_array_equal(invertible.node_means,
                                       report.estimates["measurement"].node_means)
-        assert without_clock(report) == without_clock(experiments.run(config))
 
 
 class TestImageOnlyRun:
@@ -992,16 +1005,17 @@ class TestSweepAtOneSeed:
             ("n_measurements", [8, 12, 16]),
         ],
     )
-    def test_each_report_is_the_run_of_its_config(self, monkeypatch, build, axis, values):
+    def test_each_report_is_the_run_of_its_config(self, build, axis, values):
         config = build()
-        ran = capture_runs(monkeypatch)
         reports, _ = experiments.sweep(config, axis, values)
-        datasets = [dataset for _, dataset in ran]
-        for value, report, dataset in zip(values, reports, datasets):
-            # n_measurements values measure prefixes of one draw of the largest count
-            given = dataset if axis == "n_measurements" else None
-            alone = experiments.run(with_value(config, axis, value), dataset=given)
+        for value, report in zip(values, reports):
+            alone = experiments.run(with_value(config, axis, value))
             assert without_clock(report) == without_clock(alone)
+
+    def test_each_run_draws_its_own_points(self, monkeypatch):
+        called = record_calls(monkeypatch, experiments, ["sample", "_run"])
+        experiments.sweep(small_config(), "n_measurements", [8, 16])
+        assert called == ["_run", "sample", "_run", "sample"]
 
     @pytest.mark.parametrize(
         "axis, given, plain",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from scoreshift import (
+    MeasurementDataset,
     OperatorSampler,
     RightBasis,
     SpanViolation,
@@ -440,6 +441,27 @@ class TestSamplerSerialization:
         doc = {"kind": "coordinate-mask", "dim": 8, "keep_prob": keep}
         with pytest.raises(ValueError, match=re.escape(message)):
             OperatorSampler.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            OperatorSampler("coordinate-mask", np.int64(4), RightBasis("identity", np.int64(4)),
+                            base_seed=np.uint32(3), keep_prob=0.5),
+            OperatorSampler("patch-inpainting", 16, RightBasis("dense", 16, seed=np.int32(2)),
+                            keep_prob=0.5, patch_edge=np.int64(2)),
+            OperatorSampler("band-subsample", 8, RightBasis("hadamard", 8),
+                            low_count=np.int16(2), rand_count=np.int64(3)),
+        ],
+        ids=["mask", "patch", "band"],
+    )
+    def test_numpy_integers_are_written_as_ints(self, sampler, tmp_path):
+        doc = json.loads(json.dumps(sampler.to_dict()))
+        assert OperatorSampler.from_dict(doc) == sampler
+        assert all(type(value) is int for value in (sampler.dim, sampler.basis.dim,
+                                                    sampler.base_seed, sampler.basis.seed))
+        data = MeasurementDataset(sampler, np.zeros((1, sampler.dim)), [0], [0.0])
+        data.save(tmp_path / "data.json")
+        assert MeasurementDataset.load(tmp_path / "data.json").sampler == sampler
 
     def test_dense_basis_written_as_its_config_kind(self):
         sampler = mask_sampler(dim=8, keep_prob=0.3, basis=RightBasis("dense", 8, seed=2))

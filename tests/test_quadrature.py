@@ -1,5 +1,7 @@
 """Sigma grids, the weighted quadrature, and partial-integral curves."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,11 @@ class TestSigmaGrid:
         assert grid.to_dict() == block and type(grid.to_dict()["sigma_max"]) is float
         assert grid == SigmaGrid(0.01, 1000.0, 64) != SigmaGrid(0.01, 1000.0, 65)
         assert not grid.nodes.flags.writeable and grid.nodes is grid.nodes
+
+    def test_numpy_count_is_written_as_an_int(self):
+        grid = SigmaGrid(0.01, 1.0, np.int64(4))
+        assert json.dumps(grid.to_dict()) == '{"sigma_min": 0.01, "sigma_max": 1.0, "nodes": 4}'
+        assert grid == SigmaGrid(0.01, 1.0, 4) and type(grid.count) is int
 
     def test_bad_ordering_rejected(self):
         with pytest.raises(ValueError):
