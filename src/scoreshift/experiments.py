@@ -34,7 +34,6 @@ from .estimators import (
     kl_image,
     kl_invertible,
     kl_measurement,
-    operator_indices,
 )
 from .gmm import GaussianMixture, sample
 from .measurements import BasisMismatch, OperatorSampler, estimate_projection_stats
@@ -333,20 +332,6 @@ def _made(out_dir) -> Path | None:
     return out
 
 
-def _n_measurements(meas: dict) -> int:
-    return meas.get("n_measurements", DEFAULT_N_MEASUREMENTS)
-
-
-def _ep_diag(op_index: np.ndarray, support: np.ndarray, estimators) -> np.ndarray:
-    """E[P] of a dataset's rows, once their operators pass the checks the
-    estimators make on them: every coordinate observed (SpanViolation), then,
-    for the invertible estimator, every operator full rank (RankDeficient)."""
-    ep = estimate_projection_stats(support)
-    if "invertible" in estimators:
-        check_full_rank(op_index, support)
-    return ep
-
-
 @dataclass
 class RunReport:
     """Everything one run produced, ready for JSON emission."""
@@ -393,32 +378,29 @@ def run(config: dict, out_dir=None, workers: int = 1) -> RunReport:
     Outputs (when out_dir is given): report.json, one integrand_<mode>.csv
     per estimator, and adapted_mixture.json when adaptation ran. The
     report's projection_stats holds ep_diag, E[P] of the run's dataset,
-    the frequency the estimators weight with. Every check that can refuse
-    the run comes before out_dir is made, and adaptation runs first, so a
-    diverging one stops the run before any estimator. Its
-    kl_measurement_before (same p, q, data, grid, seed) is the run's
-    measurement estimate, and its kl_image_before the run's image one: with
-    the image estimator, adaptation's before/after pair is drawn at the
-    run's n_samples unless adaptation.eval_samples says otherwise.
+    the frequency the estimators weight with. The run is prepared first:
+    every check that can refuse it, its dataset's included, comes before
+    out_dir is made. Adaptation runs next, so a diverging one stops the run
+    before any estimator. Its kl_measurement_before (same p, q, data, grid,
+    seed) is the run's measurement estimate, and its kl_image_before the
+    run's image one: with the image estimator, adaptation's before/after
+    pair is drawn at the run's n_samples unless adaptation.eval_samples
+    says otherwise.
     """
-    return _run(config, out_dir, workers)
+    return _run(config, _prepared(config, workers), out_dir, workers)
 
 
-def _run(config: dict, out_dir, workers: int, image: KlEstimate | None = None):
-    """run, taking image as the image estimate when given. sweep passes the
-    one its first run made, which reads nothing a sweep axis sets; that saves
-    sweep64-dense two of its three image passes. Else an adapting run takes
-    adaptation's kl_image_before when it was drawn at the run's n_samples,
-    which is kl_image(p, q, grid, n_samples, seed) bit for bit."""
+def _prepared(config: dict, workers: int):
+    """(p, q, grid, data, ep_diag, seconds) of a config, once every check a run
+    makes has passed: the config's, then its dataset's (SpanViolation; for the
+    invertible estimator, RankDeficient). data is None when nothing reads
+    measurements; seconds, the time this took, counts in the run's wall clock."""
     started = time.perf_counter()
     p, q, grid, sampler = _checked(config, workers)
-    seed = config["seed"]
-    wanted = config["estimators"]
-    report = RunReport(config_hash=config_hash(config), seed=seed, versions=_versions())
-
-    data = None
+    data = ep_diag = None
     if sampler is not None:
         meas_cfg = config["measurement"]
+        seed = config["seed"]
         if "data_file" in meas_cfg:
             try:
                 data = MeasurementDataset.load(meas_cfg["data_file"])
@@ -433,12 +415,32 @@ def _run(config: dict, out_dir, workers: int, image: KlEstimate | None = None):
             # the draws are not bound to a name, so they are freed once measured
             data = MeasurementDataset.from_samples(
                 sampler,
-                sample(p, _n_measurements(meas_cfg), stream(seed, "data-x")),
+                sample(p, meas_cfg.get("n_measurements", DEFAULT_N_MEASUREMENTS),
+                       stream(seed, "data-x")),
                 sigma_z=meas_cfg.get("sigma_z", 0.0),
                 seed=seed,
                 n_operators=meas_cfg.get("n_operators"),
             )
-        report.ep_diag = _ep_diag(data.op_index, data.support, wanted)
+        ep_diag = estimate_projection_stats(data.support)
+        if "invertible" in config["estimators"]:
+            check_full_rank(data.op_index, data.support)
+    return p, q, grid, data, ep_diag, time.perf_counter() - started
+
+
+def _run(config: dict, prepared, out_dir, workers: int, image: KlEstimate | None = None):
+    """run of config from its _prepared value, taking image as the image
+    estimate when given. sweep passes the one its first run made, which
+    reads nothing a sweep axis sets; that saves sweep64-dense two of its
+    three image passes. Else an adapting run takes adaptation's
+    kl_image_before when it was drawn at the run's n_samples, which is
+    kl_image(p, q, grid, n_samples, seed) bit for bit."""
+    started = time.perf_counter()
+    p, q, grid, data, ep_diag, seconds = prepared
+    seed = config["seed"]
+    wanted = config["estimators"]
+    report = RunReport(
+        config_hash=config_hash(config), seed=seed, ep_diag=ep_diag, versions=_versions()
+    )
     out = _made(out_dir)
 
     n_samples = config.get("n_samples", DEFAULT_N_SAMPLES)
@@ -467,7 +469,7 @@ def _run(config: dict, out_dir, workers: int, image: KlEstimate | None = None):
             p, q, data, grid, seed=seed, workers=workers
         )
 
-    report.wall_clock_s = time.perf_counter() - started
+    report.wall_clock_s = seconds + time.perf_counter() - started
 
     if out is not None:
         with open(out / "report.json", "w", encoding="utf-8") as fh:
@@ -497,19 +499,20 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
     when exact: an integer (numpy's too) to int for n_measurements, a real
     number to float for sigma_z and keep_prob, never a bool. Any other value,
     and an integer too large for a float, goes to the schema as given, which
-    refuses it as it would in a file. Before any draw, every run's config gets
-    the checks run gives it, and its operators the checks run gives its data
-    (SpanViolation, RankDeficient): the dataset constructor on a zero
-    placeholder draws them and builds no basis. So a bad value is refused and
-    nothing is written. Each report is run(its config), apart from
-    wall_clock_s, and is written to out_dir/<axis>=<value>, so values equal as
-    floats raise ConfigError before any run. Sharing the seed, sigma_z and
-    keep_prob values measure the same clean draws with the same noise streams
-    (common random numbers), so keep_prob changes only the masks and sigma_z
-    only the noise's scale; an n_measurements value draws its own rows. The
-    image estimate reads p, q, the grid, n_samples and the seed, none of which
-    an axis sets, so the first run makes it and every report carries that one
-    estimate.
+    refuses it as it would in a file; a value the schema takes that is no
+    number (a keep_prob vector) is refused after it. Every run's config is
+    checked before any draw, and values equal as floats are refused then too,
+    as each run writes to out_dir/<axis>=<value>. Then every run is prepared
+    before any executes, so a value whose dataset a run refuses
+    (SpanViolation, RankDeficient) stops the sweep before any estimate or
+    output. Each report is run(its config), apart from wall_clock_s, and each
+    value's operators are drawn once, for its own dataset. Sharing the seed,
+    sigma_z and keep_prob values measure the same clean draws with the same
+    noise streams (common random numbers), so keep_prob changes only the masks
+    and sigma_z only the noise's scale; an n_measurements value draws its own
+    rows. The image estimate reads p, q, the grid, n_samples and the seed, none
+    of which an axis sets, so the first run makes it and every report carries
+    that one estimate.
 
     Returns (reports, summary_rows) where each summary row is
     (axis_value, kl_measurement, kl_image, abs_gap).
@@ -541,28 +544,19 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
     for value in values:
         variant = json.loads(json.dumps(config))
         functools.reduce(dict.__getitem__, parents, variant)[key] = value
-        *_, sampler = _checked(variant, workers)
-        variants.append((variant, sampler))
+        _checked(variant, workers)
+        if not isinstance(value, numbers.Real):  # a keep_prob vector passes the schema
+            raise ConfigError(f"sweep axis values must be numbers, got {_shown(value)}")
+        variants.append(variant)
     if len({float(v) for v in values}) < len(values):
         raise ConfigError(f"sweep axis values repeat; a run would overwrite another: {values}")
-    for variant, sampler in variants:
-        # a run's operators read neither its points nor sigma_z: these are its
-        # dataset's support and op_index, as from_samples first builds them
-        meas = variant["measurement"]
-        count = _n_measurements(meas)
-        operators = MeasurementDataset(
-            sampler,
-            np.broadcast_to(0.0, (count, sampler.dim)),
-            operator_indices(count, meas.get("n_operators")),
-            np.zeros(count),
-        )
-        _ep_diag(operators.op_index, operators.support, variant["estimators"])
+    runs = [(variant, _prepared(variant, workers)) for variant in variants]
     out = _made(out_dir)
 
     reports, rows, image = [], [], None
-    for value, (variant, _) in zip(values, variants):
+    for value, (variant, prepared) in zip(values, runs):
         sub = out / f"{axis}={value}" if out is not None else None
-        reports.append(_run(variant, sub, workers, image))
+        reports.append(_run(variant, prepared, sub, workers, image))
         image = reports[-1].estimates["image"]
         km, ki = (reports[-1].estimates[mode].value for mode in ("measurement", "image"))
         rows.append((float(value), km, ki, abs(km - ki)))

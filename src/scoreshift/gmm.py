@@ -53,8 +53,8 @@ class GaussianMixture:
         v = np.asarray(self.variances, dtype=float)
         if w.ndim != 1:
             raise ValueError("weights must be a 1-D probability vector")
-        if m.ndim != 2:
-            raise ValueError(f"means must be a (K, n) array, got shape {m.shape}")
+        if m.ndim != 2 or m.shape[1] < 1:
+            raise ValueError(f"means must be a (K, n) array with n >= 1, got shape {m.shape}")
         if m.shape[0] != w.size or v.shape != w.shape:
             raise ValueError(
                 f"component count mismatch: {w.size} weights, "

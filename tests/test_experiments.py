@@ -26,6 +26,7 @@ from scoreshift import (
     SigmaGrid,
     adaptation,
     cli,
+    estimators,
     experiments,
     gmm,
     kl_image,
@@ -1013,9 +1014,23 @@ class TestSweepAtOneSeed:
             assert without_clock(report) == without_clock(alone)
 
     def test_each_run_draws_its_own_points(self, monkeypatch):
-        called = record_calls(monkeypatch, experiments, ["sample", "_run"])
+        called = record_calls(monkeypatch, experiments, ["sample", "_prepared"])
         experiments.sweep(small_config(), "n_measurements", [8, 16])
-        assert called == ["_run", "sample", "_run", "sample"]
+        assert called == ["_prepared", "sample", "_prepared", "sample"]
+
+    @pytest.mark.parametrize(
+        "axis, values, n_operators",
+        [("sigma_z", [0.0, 0.5, 2.0], 5), ("keep_prob", [0.5, 0.7, 0.9], None)],
+    )
+    def test_each_value_draws_its_operators_once(self, monkeypatch, axis, values, n_operators):
+        config = small_config()
+        if n_operators is not None:
+            config["measurement"]["n_operators"] = n_operators
+        measured = capture_datasets(monkeypatch)
+        called = record_calls(monkeypatch, estimators, ["sample_operator"])
+        experiments.sweep(config, axis, values)
+        assert len(called) == sum(len(np.unique(data.op_index)) for data in measured)
+        assert len(called) == 3 * (n_operators or 16)
 
     @pytest.mark.parametrize(
         "axis, given, plain",
@@ -1109,10 +1124,12 @@ class TestSweepCli:
         assert f"config error: config field {message}" in capsys.readouterr().err
         assert called == [] and not (tmp_path / "out").exists()
 
-    def test_a_later_value_leaving_a_coordinate_unobserved_exits_3_before_any_draw(
+    def test_a_later_value_leaving_a_coordinate_unobserved_exits_3_before_any_run(
         self, tmp_path, capsys, monkeypatch
     ):
-        called = record_calls(monkeypatch, experiments, ["sample", "_run"])
+        # every value is prepared before any runs, so the first value's points are drawn
+        called = record_calls(monkeypatch, experiments,
+                              ["_run", "adapt", "kl_image", "kl_measurement", "kl_invertible"])
         argv = sweep_argv(tmp_path, small_config(), "keep_prob", "0.9,0.01")
         assert cli.main(argv) == cli.EXIT_ASSUMPTION
         assert "never observed in 16 measurements" in capsys.readouterr().err
@@ -1156,6 +1173,13 @@ def without_measurement(config):
     config.pop("measurement")
 
 
+def image_only_without_coordinates(config):
+    without_measurement(config)
+    config["estimators"] = ["image"]
+    for side in ("ind", "ood"):
+        config["mixtures"][side] = {"weights": [1.0], "means": [[]], "variances": [1.0]}
+
+
 class TestApiRefusals:
     @pytest.mark.parametrize(
         "mutate, axis, values, message",
@@ -1184,10 +1208,13 @@ class TestApiRefusals:
             (None, "sigma_z", [0.5, 10**400], f"$.measurement.sigma_z: {TOO_LARGE}"),
             (None, "n_measurements", [10**400],
              "$.measurement.n_measurements: an integer of 1329 bits does not fit in 64 bits"),
+            (None, "keep_prob", [0.5, [0.6, 0.6, 0.6, 0.6]],
+             "sweep axis values must be numbers, got [0.6, 0.6, 0.6, 0.6]"),
         ],
         ids=["unknown-axis", "no-measurement-block", "no-values", "no-image", "no-measurement",
              "sampler-dim", "fractional-count", "bool-count", "infinite-count", "bool-keep-prob",
-             "bool-sigma-z", "infinite-sigma-z", "string-sigma-z", "huge-sigma-z", "huge-count"],
+             "bool-sigma-z", "infinite-sigma-z", "string-sigma-z", "huge-sigma-z", "huge-count",
+             "vector-keep-prob"],
     )
     def test_sweep_refuses(self, monkeypatch, mutate, axis, values, message):
         config = small_config()
@@ -1205,9 +1232,11 @@ class TestApiRefusals:
             (set_field("measurement.sampler.dim", 16), "sampler dim 16 != mixture dim 4"),
             (set_field("mixtures.ood", triangle_pair(dim=8)[1].to_dict()),
              "mixtures: ind dim 4 != ood dim 8"),
+            (image_only_without_coordinates,
+             "mixtures: means must be a (K, n) array with n >= 1, got shape (1, 0)"),
             *(case[1:] for case in HUGE_NUMBERS + HUGE_INTEGERS),
         ],
-        ids=["no-measurement-block", "sampler-dim", "mixture-dims",
+        ids=["no-measurement-block", "sampler-dim", "mixture-dims", "no-coordinates",
              *(case[0] for case in HUGE_NUMBERS + HUGE_INTEGERS)],
     )
     def test_run_refuses(self, mutate, message):

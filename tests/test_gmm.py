@@ -86,9 +86,11 @@ class TestGaussianMixtureType:
         with pytest.raises(ValueError, match=f"{pair.__name__} needs dim >= 2"):
             pair(dim=1)
 
-    @pytest.mark.parametrize("means", [np.zeros(3), np.zeros((1, 1, 3))], ids=["1-d", "3-d"])
+    @pytest.mark.parametrize(
+        "means", [np.zeros(3), np.zeros((1, 1, 3)), np.zeros((1, 0))], ids=["1-d", "3-d", "n-0"]
+    )
     def test_means_must_be_2d(self, means):
-        with pytest.raises(ValueError, match=r"means must be a \(K, n\) array"):
+        with pytest.raises(ValueError, match=r"means must be a \(K, n\) array with n >= 1"):
             GaussianMixture(weights=np.array([1.0]), means=means, variances=np.ones(1))
 
     def test_arrays_frozen(self):
