@@ -36,7 +36,7 @@ import numpy as np
 from .estimators import KlEstimate, MeasurementDataset, kl_image, kl_measurement
 # score is unused here; it stays bound because benchmarks/layers.py wraps adaptation.score
 from .gmm import GaussianMixture, posterior, rotate, score
-from .measurements import estimate_projection_stats
+from .measurements import estimate_projection_stats, plain_fields
 from .quadrature import SigmaGrid
 from .rng import stream
 
@@ -80,6 +80,8 @@ class AdaptationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        plain_fields(self, integers=("iterations", "batch", "sigma_draws", "eval_samples", "seed"),
+                     reals=("step_size",))
         if self.trainable not in TRAINABLE:
             raise ValueError(f"trainable must be one of {TRAINABLE}")
         if self.step_size <= 0:

@@ -97,7 +97,10 @@ class KlEstimate:
 
 def operator_indices(count: int, n_operators: int | None) -> np.ndarray:
     """Each of count rows' operator index: row i's is i, or i mod n_operators
-    when a limited pool of operators is reused."""
+    when a limited pool of operators is reused, which needs an integer n_operators >= 1."""
+    integer = isinstance(n_operators, (int, np.integer)) and not isinstance(n_operators, bool)
+    if n_operators is not None and not (integer and n_operators >= 1):
+        raise ValueError(f"n_operators must be an integer >= 1, got {n_operators!r}")
     rows = np.arange(count)
     return rows if n_operators is None else rows % n_operators
 

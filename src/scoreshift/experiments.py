@@ -288,8 +288,9 @@ def load_config(path) -> dict:
 
 
 def _checked(config: dict, workers: int):
-    """(p, q, grid, sampler) of a config that passes every check needing no draw;
-    sampler is None when no estimator and no adaptation reads measurements."""
+    """(p, q, grid, sampler) of a config that passes every check needing no draw,
+    made once per config and handed to _prepared; sampler is None when no
+    estimator and no adaptation reads measurements."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     validate_config(config)
@@ -344,6 +345,7 @@ class RunReport:
     adapted_mixture: GaussianMixture | None = None
     wall_clock_s: float = 0.0
     versions: dict = field(default_factory=dict)
+    data_sha256: str | None = None  # of the data file's bytes, when the run read one
 
     def to_dict(self) -> dict:
         return {
@@ -359,6 +361,7 @@ class RunReport:
             if self.ep_diag is not None
             else None,
             "adaptation": self.adaptation.to_dict() if self.adaptation else None,
+            **({"data_sha256": self.data_sha256} if self.data_sha256 else {}),
         }
 
 
@@ -378,32 +381,35 @@ def run(config: dict, out_dir=None, workers: int = 1) -> RunReport:
     Outputs (when out_dir is given): report.json, one integrand_<mode>.csv
     per estimator, and adapted_mixture.json when adaptation ran. The
     report's projection_stats holds ep_diag, E[P] of the run's dataset,
-    the frequency the estimators weight with. The run is prepared first:
-    every check that can refuse it, its dataset's included, comes before
-    out_dir is made. Adaptation runs next, so a diverging one stops the run
-    before any estimator. Its kl_measurement_before (same p, q, data, grid,
-    seed) is the run's measurement estimate, and its kl_image_before the
-    run's image one: with the image estimator, adaptation's before/after
-    pair is drawn at the run's n_samples unless adaptation.eval_samples
-    says otherwise.
+    the frequency the estimators weight with. Each step runs once: _checked
+    checks the config, _prepared builds and checks its dataset, and only then
+    is out_dir made and _run executes; wall_clock_s times the last two. Adaptation
+    runs first, so a diverging one stops the run before any estimator. Its
+    kl_measurement_before (same p, q, data, grid, seed) is the run's
+    measurement estimate, and its kl_image_before the run's image one: with
+    the image estimator, adaptation's before/after pair is drawn at the run's
+    n_samples unless adaptation.eval_samples says otherwise.
     """
-    return _run(config, _prepared(config, workers), out_dir, workers)
+    return _run(config, _prepared(config, _checked(config, workers)), out_dir, workers)
 
 
-def _prepared(config: dict, workers: int):
-    """(p, q, grid, data, ep_diag, seconds) of a config, once every check a run
-    makes has passed: the config's, then its dataset's (SpanViolation; for the
-    invertible estimator, RankDeficient). data is None when nothing reads
-    measurements; seconds, the time this took, counts in the run's wall clock."""
+def _prepared(config: dict, checked):
+    """(p, q, grid, data, ep_diag, digest, seconds) of a config from its _checked
+    value, once its dataset's checks have passed (SpanViolation; for the
+    invertible estimator, RankDeficient); it checks no config. data is None when
+    nothing reads measurements; digest is the sha256 of the data file's bytes,
+    or None with no data file; seconds, the dataset build's, counts in
+    wall_clock_s."""
     started = time.perf_counter()
-    p, q, grid, sampler = _checked(config, workers)
-    data = ep_diag = None
+    p, q, grid, sampler = checked
+    data = ep_diag = digest = None
     if sampler is not None:
         meas_cfg = config["measurement"]
         seed = config["seed"]
         if "data_file" in meas_cfg:
             try:
                 data = MeasurementDataset.load(meas_cfg["data_file"])
+                digest = hashlib.sha256(Path(meas_cfg["data_file"]).read_bytes()).hexdigest()
             except (OSError, ValueError, KeyError, TypeError) as err:
                 raise ConfigError(
                     f"measurement.data_file: cannot load {meas_cfg['data_file']}: "
@@ -424,7 +430,7 @@ def _prepared(config: dict, workers: int):
         ep_diag = estimate_projection_stats(data.support)
         if "invertible" in config["estimators"]:
             check_full_rank(data.op_index, data.support)
-    return p, q, grid, data, ep_diag, time.perf_counter() - started
+    return p, q, grid, data, ep_diag, digest, time.perf_counter() - started
 
 
 def _run(config: dict, prepared, out_dir, workers: int, image: KlEstimate | None = None):
@@ -435,12 +441,11 @@ def _run(config: dict, prepared, out_dir, workers: int, image: KlEstimate | None
     kl_image_before when it was drawn at the run's n_samples, which is
     kl_image(p, q, grid, n_samples, seed) bit for bit."""
     started = time.perf_counter()
-    p, q, grid, data, ep_diag, seconds = prepared
+    p, q, grid, data, ep_diag, digest, seconds = prepared
     seed = config["seed"]
     wanted = config["estimators"]
-    report = RunReport(
-        config_hash=config_hash(config), seed=seed, ep_diag=ep_diag, versions=_versions()
-    )
+    report = RunReport(config_hash=config_hash(config), seed=seed, ep_diag=ep_diag,
+                       versions=_versions(), data_sha256=digest)
     out = _made(out_dir)
 
     n_samples = config.get("n_samples", DEFAULT_N_SAMPLES)
@@ -495,18 +500,20 @@ SWEEP_AXES = {
 def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
     """One run per axis value, every one at the config's seed; only the axis moves.
 
-    Run i's config is config with the axis set to values[i], converted only
-    when exact: an integer (numpy's too) to int for n_measurements, a real
-    number to float for sigma_z and keep_prob, never a bool. Any other value,
+    Run i's config is config with the axis set to values[i] (values is any
+    sequence, a numpy array too), converted only when exact: an integer
+    (numpy's too) to int for n_measurements, a real number to float for
+    sigma_z and keep_prob, never a bool. Any other value,
     and an integer too large for a float, goes to the schema as given, which
     refuses it as it would in a file; a value the schema takes that is no
     number (a keep_prob vector) is refused after it. Every run's config is
-    checked before any draw, and values equal as floats are refused then too,
-    as each run writes to out_dir/<axis>=<value>. Then every run is prepared
-    before any executes, so a value whose dataset a run refuses
-    (SpanViolation, RankDeficient) stops the sweep before any estimate or
-    output. Each report is run(its config), apart from wall_clock_s, and each
-    value's operators are drawn once, for its own dataset. Sharing the seed,
+    checked once, before any draw, and values equal as floats are refused then
+    too, as each run writes to out_dir/<axis>=<value>. Then every run is
+    prepared from that check before any executes, so a value whose dataset a
+    run refuses (SpanViolation, RankDeficient) stops the sweep before any
+    estimate or output. Each report is run(its config), apart from
+    wall_clock_s, its dataset build plus its execution, and each value's
+    operators are drawn once, for its own dataset. Sharing the seed,
     sigma_z and keep_prob values measure the same clean draws with the same
     noise streams (common random numbers), so keep_prob changes only the masks
     and sigma_z only the noise's scale; an n_measurements value draws its own
@@ -524,12 +531,6 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
         raise ConfigError("sweep needs a measurement block")
     if "data_file" in config["measurement"]:
         raise ConfigError("measurement.data_file: a sweep acquires its own measurements")
-    if not values:
-        raise ConfigError("sweep needs at least one axis value")
-    for mode in ("image", "measurement"):
-        if mode not in config["estimators"]:
-            raise ConfigError(f"sweep requires the {mode!r} estimator")
-
     kind, (*parents, key) = SWEEP_AXES[axis]
     exact = numbers.Integral if kind is int else numbers.Real
 
@@ -540,17 +541,22 @@ def sweep(config: dict, axis: str, values, out_dir=None, workers: int = 1):
         return v
 
     values = [plain(v) for v in values]
-    variants = []
+    if not values:
+        raise ConfigError("sweep needs at least one axis value")
+    for mode in ("image", "measurement"):
+        if mode not in config["estimators"]:
+            raise ConfigError(f"sweep requires the {mode!r} estimator")
+
+    checked = []
     for value in values:
         variant = json.loads(json.dumps(config))
         functools.reduce(dict.__getitem__, parents, variant)[key] = value
-        _checked(variant, workers)
+        checked.append((variant, _checked(variant, workers)))
         if not isinstance(value, numbers.Real):  # a keep_prob vector passes the schema
             raise ConfigError(f"sweep axis values must be numbers, got {_shown(value)}")
-        variants.append(variant)
     if len({float(v) for v in values}) < len(values):
         raise ConfigError(f"sweep axis values repeat; a run would overwrite another: {values}")
-    runs = [(variant, _prepared(variant, workers)) for variant in variants]
+    runs = [(variant, _prepared(variant, checks)) for variant, checks in checked]
     out = _made(out_dir)
 
     reports, rows, image = [], [], None

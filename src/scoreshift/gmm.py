@@ -13,6 +13,7 @@ functions take a batch, x of shape (N, n), and only a batch.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,15 +89,20 @@ class GaussianMixture:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GaussianMixture":
-        """Read a to_dict document, rejecting non-finite numbers and integers too
-        large for a float (the constructor takes non-finite ones: adaptation's
-        runaway iterates must reach its divergence guard)."""
+        """Read a to_dict document, rejecting entries that are no number (a bool
+        or a string), non-finite numbers and integers too large for a float (the
+        constructor takes non-finite ones: adaptation's runaway iterates must
+        reach its divergence guard)."""
         arrays = []
         for key in ("weights", "means", "variances"):
             try:
                 arrays.append(np.asarray(doc[key], dtype=float))
             except OverflowError:
                 raise ValueError(f"{key} holds a number too large for a float") from None
+            # numpy reads true and "0.5" as numbers; the schema and a data file do not
+            for value in np.asarray(doc[key], dtype=object).flat:
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValueError(f"{key} entries must be numbers, got {value!r:.80}")
         if not all(np.all(np.isfinite(arr)) for arr in arrays):
             raise ValueError("weights, means and variances must be finite")
         gmm = cls(*arrays)

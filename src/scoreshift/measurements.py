@@ -43,17 +43,24 @@ class RankDeficient(ValueError):
     """Raised when the invertible estimator meets an operator that is not full rank."""
 
 
-def _plain_integers(spec, names) -> None:
-    """Store each named field of spec that is set as a plain int, so to_dict writes
-    JSON; raise ValueError at the first that is no integer (a bool is none), so a
-    data file's 2.7 or true is refused, not truncated."""
-    for name in names:
-        value = getattr(spec, name)
-        if value is None:
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(spec, name, int(value))
+def plain_fields(spec, integers=(), reals=()) -> None:
+    """Store each named field of spec that is set as a plain int (integers) or
+    float (reals), so to_dict writes JSON; raise ValueError at the first of the
+    wrong kind, as the config schema would. An integer is an int or a numpy
+    integer, a number any real number, and a bool or a string neither, so a
+    data file's 2.7 or true is refused, not truncated, and "0.5" is not coerced."""
+    for names, kind, plain, what in ((integers, (int, np.integer), int, "an integer"),
+                                     (reals, numbers.Real, float, "a number")):
+        for name in names:
+            value = getattr(spec, name)
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+            try:
+                object.__setattr__(spec, name, plain(value))
+            except OverflowError:
+                raise ValueError(f"{name} is too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,7 @@ class RightBasis:
     seed: int = 0
 
     def __post_init__(self):
-        _plain_integers(self, ("dim", "seed"))
+        plain_fields(self, integers=("dim", "seed"))
         if self.kind not in ("identity", "hadamard", "dense"):
             raise ValueError(f"unknown basis kind {self.kind!r}")
         if self.kind == "hadamard" and (self.dim < 1 or self.dim & (self.dim - 1)):
@@ -152,7 +159,7 @@ class OperatorSampler:
     rand_count: int | None = None
 
     def __post_init__(self):
-        _plain_integers(self, ("dim", "base_seed", "patch_edge", "low_count", "rand_count"))
+        plain_fields(self, integers=("dim", "base_seed", "patch_edge", "low_count", "rand_count"))
         if self.kind not in ("coordinate-mask", "patch-inpainting", "band-subsample"):
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.basis.dim != self.dim:
@@ -300,17 +307,17 @@ def estimate_projection_stats(support: np.ndarray) -> np.ndarray:
     coordinate observed in every row ep = 1.
 
     Raises:
-        SpanViolation: if no row observes some coordinate; the measurements
-            then fail to cover the signal space and the measurement-domain
-            divergence is undefined for them.
+        SpanViolation: if no row observes some coordinate (with no rows, none
+            is observed); the measurements then fail to cover the signal space
+            and the measurement-domain divergence is undefined for them.
     """
     support = np.asarray(support, dtype=bool)
-    ep = support.mean(axis=0)
-    dead = np.flatnonzero(ep == 0)
+    dead = np.flatnonzero(~support.any(axis=0))
     if dead.size:
         raise SpanViolation(
             f"coordinates never observed in {len(support)} measurements: "
             f"{dead[:8].tolist()}{'...' if dead.size > 8 else ''}"
         )
+    ep = support.mean(axis=0)
     ep.setflags(write=False)
     return ep

@@ -18,11 +18,12 @@ always reports its sigma_max so callers can bound the tail at their scale.
 from __future__ import annotations
 
 import io
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .measurements import plain_fields
 
 
 @dataclass(frozen=True)
@@ -41,15 +42,13 @@ class SigmaGrid:
     count: int
 
     def __post_init__(self):
+        plain_fields(self, integers=("count",), reals=("sigma_min", "sigma_max"))
         if not (0 < self.sigma_min < self.sigma_max < np.inf):
             raise ValueError(
                 f"need 0 < sigma_min < sigma_max < inf, got [{self.sigma_min}, {self.sigma_max}]"
             )
         if self.count < 2:
             raise ValueError(f"count must be >= 2, got {self.count}")
-        object.__setattr__(self, "sigma_min", float(self.sigma_min))
-        object.__setattr__(self, "sigma_max", float(self.sigma_max))
-        object.__setattr__(self, "count", operator.index(self.count))
 
     @cached_property
     def nodes(self) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Projected denoising loss and the measurement-only adaptation loop."""
 
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -248,7 +249,20 @@ class TestAdaptationConfig:
             AdaptationConfig(batch=0)
         with pytest.raises(ValueError, match="batch and sigma_draws must be >= 1"):
             AdaptationConfig(sigma_draws=0)
+        # what the config schema refuses: a bool, a string or a fraction for a count
+        for given, message in [({"batch": True}, "batch must be an integer, got True"),
+                               ({"iterations": 2.5}, "iterations must be an integer, got 2.5"),
+                               ({"eval_samples": "64"}, "eval_samples must be an integer"),
+                               ({"step_size": True}, "step_size must be a number, got True"),
+                               ({"step_size": "0.05"}, "step_size must be a number, got '0.05'")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                AdaptationConfig(**given)
         AdaptationConfig(iterations=1, batch=1, sigma_draws=1, eval_samples=2)
+
+    def test_numpy_values_are_stored_plain(self):
+        cfg = AdaptationConfig(iterations=np.int64(3), step_size=np.float32(0.5))
+        assert type(cfg.iterations) is int and type(cfg.step_size) is float
+        assert cfg == AdaptationConfig(iterations=3, step_size=0.5)
 
     def test_fields_are_the_config_block(self):
         # one knob, one place: every field but the run's seed is a config key

@@ -638,6 +638,13 @@ class TestFromSamplesOperatorDraws:
             MeasurementDataset.from_samples(sampler, draws, seed=30, n_operators=4)
         assert sorted(drawn) == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("n_operators", [0, -2, 2.5, True])
+    def test_fewer_than_one_operator_refused_by_name(self, n_operators):
+        points = np.zeros((5, 4))
+        message = f"n_operators must be an integer >= 1, got {n_operators!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MeasurementDataset.from_samples(mask_sampler(dim=4), points, n_operators=n_operators)
+
 
 class TestDatasetLoadValidation:
     """A malformed data file fails when it is loaded, not at first use."""

@@ -3,6 +3,7 @@ config checks, config hash, workers, the sweep command, and refused runs and swe
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import operator
@@ -255,6 +256,7 @@ class TestRunSamplerGuard:
         data = MeasurementDataset.from_samples(sampler, sample(p, 16, stream(3, "data-x")), seed=3)
         in_memory = experiments.run(config).to_dict()
         from_file = experiments.run(reading(tmp_path, config, data)).to_dict()
+        assert from_file.pop("data_sha256") == sha256_of(tmp_path / "data.json")
         for doc in (from_file, in_memory):
             for est in (doc, *doc["estimates"].values()):
                 est.pop("config_hash")
@@ -857,6 +859,42 @@ class TestConfigHash:
         ]
         assert hashes[0] == hashes[1] != hashes[2]
 
+    def test_a_data_file_run_records_the_bytes_it_read(self, tmp_path):
+        # the config hash covers the file's path, data_sha256 its content
+        config = small_config()
+        config = reading(tmp_path, config, acquired(config["measurement"]["sampler"]))
+        path = tmp_path / "data.json"
+        first = experiments.run(config, out_dir=tmp_path / "first")
+        doc = json.loads(path.read_text())
+        row = doc["measurements"][0]
+        j = next(j for j, v in enumerate(row["ybar"]) if v != 0.0)  # an observed coordinate
+        row["ybar"][j] += 0.5
+        path.write_text(json.dumps(doc) + "\n")
+        edited = experiments.run(config)
+        assert edited.config_hash == first.config_hash
+        assert edited.estimates["measurement"].value != first.estimates["measurement"].value
+        assert edited.data_sha256 == sha256_of(path) != first.data_sha256
+        written = json.loads((tmp_path / "first" / "report.json").read_text())
+        assert written["data_sha256"] == first.data_sha256
+
+    def test_the_same_bytes_at_another_path_record_the_same_sha256(self, tmp_path):
+        config = small_config()
+        config = reading(tmp_path, config, acquired(config["measurement"]["sampler"]))
+        moved = json.loads(json.dumps(config))
+        moved["measurement"]["data_file"] = str(tmp_path / "copy.json")
+        (tmp_path / "copy.json").write_bytes((tmp_path / "data.json").read_bytes())
+        one, two = experiments.run(config), experiments.run(moved)
+        assert one.config_hash != two.config_hash and one.data_sha256 == two.data_sha256
+        assert one.estimates["measurement"].to_dict() == two.estimates["measurement"].to_dict()
+
+    def test_only_a_data_file_run_has_data_sha256(self, tmp_path):
+        experiments.run(small_config(), out_dir=tmp_path)
+        assert "data_sha256" not in json.loads((tmp_path / "report.json").read_text())
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
 
 def report_without_clock(config, workers):
     return without_clock(experiments.run(config, workers=workers))
@@ -1017,6 +1055,26 @@ class TestSweepAtOneSeed:
         called = record_calls(monkeypatch, experiments, ["sample", "_prepared"])
         experiments.sweep(small_config(), "n_measurements", [8, 16])
         assert called == ["_prepared", "sample", "_prepared", "sample"]
+
+    def test_a_run_checks_its_config_once(self, monkeypatch):
+        called = record_calls(monkeypatch, experiments,
+                              ["_checked", "validate_config", "_prepared"])
+        experiments.run(small_config())
+        assert called == ["_checked", "validate_config", "_prepared"]
+
+    def test_each_value_is_checked_once(self, monkeypatch):
+        # the sweep's own config once, then each value's config once, by _checked alone
+        called = record_calls(monkeypatch, experiments,
+                              ["_checked", "validate_config", "_prepared"])
+        experiments.sweep(small_config(), "sigma_z", [0.0, 0.5, 2.0])
+        checks = ["validate_config"] + ["_checked", "validate_config"] * 3
+        assert called == checks + ["_prepared"] * 3
+
+    def test_a_numpy_array_of_values_runs_as_its_list(self):
+        reports, rows = experiments.sweep(small_config(), "sigma_z", np.array([0.0, 0.5]))
+        list_reports, list_rows = experiments.sweep(small_config(), "sigma_z", [0.0, 0.5])
+        assert rows == list_rows
+        assert [without_clock(r) for r in reports] == [without_clock(r) for r in list_reports]
 
     @pytest.mark.parametrize(
         "axis, values, n_operators",

@@ -1,6 +1,7 @@
 """Mixture densities, scores, denoisers and the Monte Carlo divergence oracle."""
 
 import json
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -398,6 +399,19 @@ class TestSerialization:
     def test_declared_dim_that_is_no_integer_rejected(self, dim):
         doc = {"dim": dim, "weights": [1.0], "means": [[0.0, 0.0]], "variances": [1.0]}
         with pytest.raises(ValueError, match="dim must be an integer"):
+            GaussianMixture.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "key, value, shown",
+        [("weights", ["0.5", "0.5"], "'0.5'"), ("variances", [True, "2"], "True"),
+         ("variances", [1.0, "2"], "'2'"), ("means", [[0.0], [False]], "False")],
+        ids=["string-weights", "true-variance", "string-variance", "false-mean"],
+    )
+    def test_entry_that_is_no_number_rejected(self, key, value, shown):
+        # as the config schema and MeasurementDataset.load refuse them, not coerced
+        doc = {"weights": [0.5, 0.5], "means": [[0.0], [1.0]], "variances": [1.0, 2.0], key: value}
+        message = f"{key} entries must be numbers, got {shown}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             GaussianMixture.from_dict(doc)
 
     @pytest.mark.parametrize("key", ["weights", "means", "variances"])

@@ -390,6 +390,10 @@ class TestProjectionStats:
         with pytest.raises(SpanViolation, match="never observed"):
             estimate_projection_stats(supports(sampler, 200))
 
+    def test_no_rows_observe_no_coordinate(self):
+        with pytest.raises(SpanViolation, match=r"in 0 measurements: \[0, 1, 2, 3\]$"):
+            estimate_projection_stats(np.zeros((0, 4), dtype=bool))
+
 
 class TestSamplerSerialization:
     def test_round_trip_preserves_fingerprint(self):

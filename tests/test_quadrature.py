@@ -1,6 +1,7 @@
 """Sigma grids, the weighted quadrature, and partial-integral curves."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,18 @@ class TestSigmaGrid:
         grid = SigmaGrid(0.01, 1.0, np.int64(4))
         assert json.dumps(grid.to_dict()) == '{"sigma_min": 0.01, "sigma_max": 1.0, "nodes": 4}'
         assert grid == SigmaGrid(0.01, 1.0, 4) and type(grid.count) is int
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [((0.1, 1.0, 2.5), "count must be an integer, got 2.5"),
+         ((0.1, 1.0, True), "count must be an integer, got True"),
+         ((True, 10.0, 4), "sigma_min must be a number, got True"),
+         ((0.1, "1.0", 4), "sigma_max must be a number, got '1.0'")],
+        ids=["fractional-count", "true-count", "true-sigma", "string-sigma"],
+    )
+    def test_values_the_config_schema_refuses_are_refused(self, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SigmaGrid(*args)
 
     def test_bad_ordering_rejected(self):
         with pytest.raises(ValueError):
